@@ -1,11 +1,11 @@
 """Command-line front end: nanosim op|dc|tran|stoch <deck.ckt> [flags].
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 success with
+Exit codes: 0 success, 1 input error, 2 numerical failure (settle failure,
+singular system, a device driven to a non-finite voltage), 3 success with
 warnings (e.g. the transient hit its minimum step with the error budget
 still exceeded). Waveforms go to CSV with full round-trip precision; --plot
 writes a gnuplot script alongside the data. Deck directives provide the
-defaults; command-line flags win on conflict. NANOSIM_THREADS caps the
-stochastic engine's worker threads.
+defaults; command-line flags win on conflict.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .devices import DeviceError
+from .mna import MnaError
 from .netlist import (DcAnalysis, Netlist, NetlistError, StochAnalysis,
                       TranAnalysis, parse_netlist, parse_value)
 from .nr import flop_compare
@@ -305,12 +307,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         report = args.func(args)
+    except (SimulationError, MnaError, DeviceError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (NetlistError, StochasticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SimulationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return report.exit_code
 
 

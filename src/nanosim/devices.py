@@ -304,31 +304,43 @@ def mos_current(m: MosModel, vgs: float, vds, fc: "FlopCounter | None" = None):
     return _restore(scalar, np.where(vda < vov, triode, sat))
 
 
-def mos_geq(m: MosModel, vgs: float, vds, fc: "FlopCounter | None" = None):
+def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     """Equivalent drain-source conductance I_DS/V_DS; zero in cutoff.
 
     As vds -> 0 the ratio tends to the finite triode limit beta*(vgs - vth),
-    which is returned below V_EPS.
+    which is returned below V_EPS. ``vgs`` and ``vds`` are each a scalar or
+    an array of one common shape.
     """
     scalar, vda = _as_array(vds)
     _check_finite(vda)
     if np.any(vda < 0.0):
         raise DeviceError("mos_geq requires vds >= 0")
-    vov = vgs - m.vth
-    if vov <= 0.0:
-        _count(fc, vda.size, adds=1)
+    vov = np.subtract(vgs, m.vth)
+    scalar = scalar and vov.ndim == 0
+    if vov.size != vda.size:
+        vov, vda = np.broadcast_arrays(vov, vda)
+    cut = vov <= 0.0
+    n_cut = int(np.count_nonzero(cut))
+    _count(fc, n_cut, adds=1)
+    _count(fc, vda.size - n_cut, adds=2, muls=3, divs=1)
+    if n_cut == vda.size:
         return _restore(scalar, np.zeros_like(vda))
     beta = m.beta
-    out = np.empty_like(vda)
-    tiny = vda < V_EPS
-    out[tiny] = beta * vov
-    rest = ~tiny
-    vr = vda[rest]
-    out[rest] = np.where(vr < vov,
-                         beta * (vov - 0.5 * vr),
-                         0.5 * beta * vov * vov / np.maximum(vr, V_EPS))
-    _count(fc, vda.size, adds=2, muls=3, divs=1)
+    out = np.where(vda < V_EPS, beta * vov,
+                   np.where(vda < vov, beta * (vov - 0.5 * vda),
+                            0.5 * beta * vov * vov / np.maximum(vda, V_EPS)))
+    out[cut] = 0.0
     return _restore(scalar, out)
+
+
+def mos_bias(vd, vg, vs):
+    """Normalised MOSFET bias ``(vgs, vds, reversed)`` from terminal voltages.
+
+    The channel is symmetric, so the lower of drain and source acts as the
+    source and ``vds >= 0``; ``reversed`` is true where that is the drain
+    terminal. Takes floats or arrays.
+    """
+    return vg - np.minimum(vd, vs), abs(vd - vs), vd < vs
 
 
 def mos_didv(m: MosModel, vgs: float, vds: float) -> float:
@@ -393,19 +405,17 @@ def nanowire_didv(m: NanowireModel, v) -> float:
     return float(nanowire_geq(m, v) + v * nanowire_dgeq_dv(m, v))
 
 
-def device_step_bound(kind, state: DeviceState,
-                      cfg_eps: "float | None" = None) -> float:
+def device_step_bound(state: DeviceState, mosfet: bool) -> float:
     """Per-device term of the adaptive step-size minimum (seconds).
 
     MOSFET: 2|Vgs - Vth| / |dVgs/dt|; off devices and zero slew contribute
     no constraint. Two-terminal devices: 2|v| / |dv/dt| with the backward
     difference slew. The caller multiplies the overall minimum by the error
-    budget; ``cfg_eps`` is accepted for interface symmetry.
+    budget.
     """
-    name = str(getattr(kind, "value", kind)).lower()
     if state.h_prev <= 0.0:
         return math.inf
-    if name == "mosfet":
+    if mosfet:
         if state.overdrive <= 0.0:
             return math.inf
         alpha = state.ctrl_slew()

@@ -119,21 +119,20 @@ def assemble(net: Netlist, geq: Mapping[str, float],
     if vstate is None:
         vstate = np.zeros(n)
 
-    def vprev(node: str) -> float:
-        i = _idx(node_index, node)
+    def vprev(i: int) -> float:
         return 0.0 if i < 0 else float(vstate[i])
 
     for el in net.elements:
         kind = el.kind
+        if kind is ElementKind.NOISE or (kind is ElementKind.CAPACITOR
+                                         and not math.isfinite(h)):
+            continue
+        a, b = (_idx(node_index, nd) for nd in el.branch)
         if kind is ElementKind.RESISTOR:
-            a, b = (_idx(node_index, nd) for nd in el.nodes)
             stamp_conductance(G, a, b, 1.0 / el.value)
         elif kind is ElementKind.CAPACITOR:
-            if not math.isfinite(h):
-                continue
-            a, b = (_idx(node_index, nd) for nd in el.nodes)
             g = el.value / h
-            i_eq = g * (vprev(el.nodes[0]) - vprev(el.nodes[1]))
+            i_eq = g * (vprev(a) - vprev(b))
             stamp_conductance(G, a, b, g)
             if a >= 0:
                 rhs[a] += i_eq
@@ -141,28 +140,17 @@ def assemble(net: Netlist, geq: Mapping[str, float],
                 rhs[b] -= i_eq
         elif kind is ElementKind.VSOURCE:
             row = source_index[el.name]
-            p, q = (_idx(node_index, nd) for nd in el.nodes)
-            if p >= 0:
-                G[row, p] = 1.0
-                G[p, row] = 1.0
-            if q >= 0:
-                G[row, q] = -1.0
-                G[q, row] = -1.0
+            if a >= 0:
+                G[row, a] = G[a, row] = 1.0
+            if b >= 0:
+                G[row, b] = G[b, row] = -1.0
             rhs[row] = eval_waveform(el.waveform, t)
-        elif kind is ElementKind.NOISE:
-            continue
         else:
             try:
                 g = geq[el.name]
             except KeyError:
                 raise MnaError(f"no equivalent conductance supplied for '{el.name}'")
-            g = max(g, G_FLOOR)
-            if kind is ElementKind.MOSFET:
-                a = _idx(node_index, el.nodes[0])   # drain
-                b = _idx(node_index, el.nodes[2])   # source
-            else:
-                a, b = (_idx(node_index, nd) for nd in el.nodes[:2])
-            stamp_conductance(G, a, b, g)
+            stamp_conductance(G, a, b, max(g, G_FLOOR))
 
     return MnaSystem(n=n, m=m, G=G, rhs=rhs, node_index=node_index,
                      source_index=source_index)

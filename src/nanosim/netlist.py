@@ -40,6 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, NoReturn, Optional, Tuple, Union
 
 from .devices import DeviceError, MosModel, NanowireModel, RtdModel
@@ -211,6 +212,14 @@ class Element:
     value: Optional[float] = None
     model: Optional[str] = None
     waveform: Optional[Waveform] = None
+
+    @cached_property
+    def branch(self) -> Tuple[str, str]:
+        """The two nodes the element is stamped between: drain and source
+        for a MOSFET, the two terminals otherwise."""
+        if self.kind is ElementKind.MOSFET:
+            return self.nodes[0], self.nodes[2]
+        return self.nodes[0], self.nodes[1]
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import (RtdModel, mos_current, mos_didv, mos_gm,
+from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
-from .mna import FlopCounter, MnaSystem, SingularSystemError, node_order, solve
-from .netlist import DcAnalysis, Element, ElementKind, Netlist, eval_waveform
+from .mna import (FlopCounter, MnaSystem, SingularSystemError, node_order, solve,
+                  stamp_conductance)
+from .netlist import (NONLINEAR_KINDS, DcAnalysis, Element, ElementKind, Netlist,
+                      eval_waveform)
 from .swec import SimConfig, dc_sweep, operating_point, pin_source
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
@@ -74,6 +76,7 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
     sources = net.elements_of(ElementKind.VSOURCE)
     m = len(sources)
     size = n + m
+    source_index = {el.name: n + i for i, el in enumerate(sources)}
     fc = FlopCounter()
 
     def nid(name: str) -> int:
@@ -83,67 +86,52 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
     if initial_guess is not None:
         x[:len(initial_guess)] = initial_guess
 
-    nonlinear = net.elements_of(ElementKind.RTD, ElementKind.NANOWIRE,
-                                ElementKind.MOSFET)
-    models = {el.name: net.model_of(el) for el in nonlinear}
+    models = {el.name: net.model_of(el) for el in net.elements_of(*NONLINEAR_KINDS)}
 
-    def vn(xv: np.ndarray, name: str) -> float:
-        i = nid(name)
+    def vn(xv: np.ndarray, i: int) -> float:
         return 0.0 if i < 0 else float(xv[i])
+
+    def mos_terminals(xv: np.ndarray, el: Element):
+        """Bias (vgs, vds) and the nodes acting as drain and source."""
+        d, s = (nid(nd) for nd in el.branch)
+        vgs, vds, rev = mos_bias(vn(xv, d), vn(xv, nid(el.nodes[1])), vn(xv, s))
+        return (vgs, vds, s, d) if rev else (vgs, vds, d, s)
 
     def kcl_residual(xv: np.ndarray) -> float:
         """Largest net nodal current imbalance with true device currents."""
         r = np.zeros(n)
         for el in net.elements:
+            a, b = (nid(nd) for nd in el.branch)
             if el.kind is ElementKind.RESISTOR:
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
-                i = (vn(xv, el.nodes[0]) - vn(xv, el.nodes[1])) / el.value
+                i = (vn(xv, a) - vn(xv, b)) / el.value
                 fc.count(adds=1, divs=1)
-                if a >= 0:
-                    r[a] -= i
-                if b >= 0:
-                    r[b] += i
             elif el.kind is ElementKind.VSOURCE:
-                cur = float(xv[n + sources.index(el)])
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
-                if a >= 0:
-                    r[a] -= cur
-                if b >= 0:
-                    r[b] += cur
+                i = float(xv[source_index[el.name]])
             elif el.kind is ElementKind.MOSFET:
-                vgs, vds, d_node, s_node = _mos_bias(xv, el)
+                vgs, vds, a, b = mos_terminals(xv, el)
                 i = float(mos_current(models[el.name], vgs, vds, fc))
-                if d_node >= 0:
-                    r[d_node] -= i
-                if s_node >= 0:
-                    r[s_node] += i
-            elif el.kind in (ElementKind.RTD, ElementKind.NANOWIRE):
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
-                vbr = vn(xv, el.nodes[0]) - vn(xv, el.nodes[1])
+            elif el.kind in NONLINEAR_KINDS:
+                vbr = vn(xv, a) - vn(xv, b)
                 mdl = models[el.name]
                 if el.kind is ElementKind.RTD:
                     i = float(rtd_current(mdl, vbr, fc))
                 else:
                     i = float(nanowire_current(mdl, vbr, fc))
-                if a >= 0:
-                    r[a] -= i
-                if b >= 0:
-                    r[b] += i
+            else:
+                continue
+            if a >= 0:
+                r[a] -= i
+            if b >= 0:
+                r[b] += i
         return float(np.max(np.abs(r))) if n else 0.0
 
     def source_violation(xv: np.ndarray) -> float:
         worst = 0.0
         for el in sources:
-            dv = (vn(xv, el.nodes[0]) - vn(xv, el.nodes[1])
-                  - eval_waveform(el.waveform, 0.0))
+            a, b = (nid(nd) for nd in el.branch)
+            dv = vn(xv, a) - vn(xv, b) - eval_waveform(el.waveform, 0.0)
             worst = max(worst, abs(dv))
         return worst
-
-    def _mos_bias(xv: np.ndarray, el: Element):
-        vd, vg, vs = (vn(xv, el.nodes[i]) for i in (0, 1, 2))
-        if vd >= vs:
-            return vg - vs, vd - vs, nid(el.nodes[0]), nid(el.nodes[2])
-        return vg - vd, vs - vd, nid(el.nodes[2]), nid(el.nodes[0])
 
     trajectory = [x.copy()]
     oscillation = False
@@ -160,32 +148,19 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
         G = np.zeros((size, size))
         rhs = np.zeros(size)
         for el in net.elements:
+            a, b = (nid(nd) for nd in el.branch)
             if el.kind is ElementKind.RESISTOR:
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
-                g = 1.0 / el.value
-                _stamp(G, a, b, g)
+                stamp_conductance(G, a, b, 1.0 / el.value)
             elif el.kind is ElementKind.VSOURCE:
-                row = n + sources.index(el)
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
+                row = source_index[el.name]
                 if a >= 0:
                     G[row, a] = G[a, row] = 1.0
                 if b >= 0:
                     G[row, b] = G[b, row] = -1.0
                 rhs[row] = eval_waveform(el.waveform, 0.0)
-            elif el.kind in (ElementKind.RTD, ElementKind.NANOWIRE):
-                a, b = nid(el.nodes[0]), nid(el.nodes[1])
-                vbr = vn(x, el.nodes[0]) - vn(x, el.nodes[1])
-                i0, gd = _device_iv(el, models[el.name], vbr, fc)
-                _stamp(G, a, b, gd)
-                ieq = i0 - gd * vbr
-                fc.count(adds=1, muls=1)
-                if a >= 0:
-                    rhs[a] -= ieq
-                if b >= 0:
-                    rhs[b] += ieq
             elif el.kind is ElementKind.MOSFET:
                 mdl = models[el.name]
-                vgs, vds, d_node, s_node = _mos_bias(x, el)
+                vgs, vds, d_node, s_node = mos_terminals(x, el)
                 g_node = nid(el.nodes[1])
                 i0 = float(mos_current(mdl, vgs, vds, fc))
                 gds = mos_didv(mdl, vgs, vds)
@@ -207,8 +182,18 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
                     if g_node >= 0:
                         G[s_node, g_node] -= gm
                     rhs[s_node] += ieq
+            elif el.kind in NONLINEAR_KINDS:
+                vbr = vn(x, a) - vn(x, b)
+                i0, gd = _device_iv(el, models[el.name], vbr, fc)
+                stamp_conductance(G, a, b, gd)
+                ieq = i0 - gd * vbr
+                fc.count(adds=1, muls=1)
+                if a >= 0:
+                    rhs[a] -= ieq
+                if b >= 0:
+                    rhs[b] += ieq
         sys = MnaSystem(n=n, m=m, G=G, rhs=rhs, node_index=node_index,
-                        source_index={el.name: n + i for i, el in enumerate(sources)})
+                        source_index=source_index)
         try:
             x = solve(sys, fc)
         except SingularSystemError:
@@ -229,16 +214,6 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
     return NrReport(converged=converged, iterations=iters, trajectory=trajectory,
                     oscillation_detected=oscillation and not converged, flops=fc,
                     residual=residual, x=x, nodes=list(net.nodes))
-
-
-def _stamp(G: np.ndarray, a: int, b: int, g: float) -> None:
-    if a >= 0:
-        G[a, a] += g
-    if b >= 0:
-        G[b, b] += g
-    if a >= 0 and b >= 0:
-        G[a, b] -= g
-        G[b, a] -= g
 
 
 def brute_force_dc(rtd: RtdModel, r: float, vbias: float,

@@ -16,23 +16,21 @@ here), and with zero noise the recurrence is exactly forward Euler.
 
 Paths are reproducible: path k of a run with seed s draws its increments
 from an independent substream keyed by (s, k), so results are bit-identical
-across runs and across worker-thread counts.
+across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .devices import G_FLOOR, MosModel, mos_geq, nanowire_geq, rtd_geq
+from .devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from .mna import FlopCounter
-from .netlist import Element, ElementKind, Netlist, eval_waveform
+from .netlist import NONLINEAR_KINDS, Element, ElementKind, Netlist, eval_waveform
 from .swec import WaveformSeries
 
 _CHUNK = 256          # paths per vectorized block, fixed for determinism
@@ -212,8 +210,7 @@ def _build_state_system(net: Netlist) -> _StateSystem:
         cap_diag = None
         cap_inv = np.linalg.inv(cap)
 
-    nonlinear = net.elements_of(ElementKind.RTD, ElementKind.NANOWIRE,
-                                ElementKind.MOSFET)
+    nonlinear = net.elements_of(*NONLINEAR_KINDS)
     return _StateSystem(net=net, state_nodes=state_nodes, pinned=pinned, cap=cap,
                         cap_diag=cap_diag, cap_inv=cap_inv, g_static=g_static,
                         drive_static=drive_static, noise_cols=noise_cols,
@@ -259,40 +256,23 @@ def _drift(ss: _StateSystem, x: np.ndarray, t: float,
         drift[:, i] += g * eval_waveform(src.waveform, t)
     for el in ss.nonlinear:
         m = ss.net.model_of(el)
+        a_name, b_name = el.branch
+        va = _path_voltage(ss, x, a_name, t)
+        vb = _path_voltage(ss, x, b_name, t)
         if el.kind is ElementKind.MOSFET:
-            vd = _path_voltage(ss, x, el.nodes[0], t)
             vg = _path_voltage(ss, x, el.nodes[1], t)
-            vs = _path_voltage(ss, x, el.nodes[2], t)
-            vgs = vg - np.minimum(vd, vs)
-            vds = np.abs(vd - vs)
-            geq = np.maximum(_mos_geq_vec(m, vgs, vds, fc), G_FLOOR)
-            a_name, b_name = el.nodes[0], el.nodes[2]
-            va, vb = vd, vs
+            vgs, vds, _ = mos_bias(va, vg, vb)
+            geq = mos_geq(m, vgs, vds, fc)
+        elif el.kind is ElementKind.RTD:
+            geq = rtd_geq(m, va - vb, fc)
         else:
-            a_name, b_name = el.nodes[0], el.nodes[1]
-            va = _path_voltage(ss, x, a_name, t)
-            vb = _path_voltage(ss, x, b_name, t)
-            vbr = va - vb
-            if el.kind is ElementKind.RTD:
-                geq = np.maximum(rtd_geq(m, vbr, fc), G_FLOOR)
-            else:
-                geq = np.maximum(nanowire_geq(m, vbr, fc), G_FLOOR)
-        i_dev = geq * (va - vb)
+            geq = nanowire_geq(m, va - vb, fc)
+        i_dev = np.maximum(geq, G_FLOOR) * (va - vb)
         if a_name != "0" and a_name not in ss.pinned:
             drift[:, ss.index(a_name)] -= i_dev
         if b_name != "0" and b_name not in ss.pinned:
             drift[:, ss.index(b_name)] += i_dev
     return drift
-
-
-def _mos_geq_vec(m: MosModel, vgs, vds, fc=None):
-    vgs = np.atleast_1d(np.asarray(vgs, dtype=float))
-    vds = np.atleast_1d(np.asarray(vds, dtype=float))
-    vgs, vds = np.broadcast_arrays(vgs, vds)
-    out = np.zeros_like(vds)
-    for i in range(out.size):
-        out.flat[i] = mos_geq(m, float(vgs.flat[i]), float(vds.flat[i]), fc)
-    return out
 
 
 def _apply_cinv(ss: _StateSystem, rhs: np.ndarray) -> np.ndarray:
@@ -382,13 +362,11 @@ def _initial_state(ss: _StateSystem, x0: Optional[np.ndarray]) -> np.ndarray:
 def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
              window: Optional[Tuple[float, float]] = None,
              x0: Optional[np.ndarray] = None,
-             quantile_levels: Sequence[float] = (0.05, 0.5, 0.95),
-             threads: Optional[int] = None) -> EnsembleStats:
+             quantile_levels: Sequence[float] = (0.05, 0.5, 0.95)) -> EnsembleStats:
     """Monte-Carlo ensemble of EM paths with pointwise and window-peak stats.
 
-    Chunks of paths may run on worker threads (capped by NANOSIM_THREADS);
-    every path draws from its own (seed, path-index) substream, so the
-    statistics do not depend on the execution schedule.
+    Paths run in fixed-size vectorized chunks, one after another; every path
+    draws from its own (seed, path-index) substream.
     """
     if paths < 2:
         raise ValueError("ensemble requires at least 2 paths")
@@ -406,19 +384,8 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     out = np.empty((paths, steps + 1, n_out))
     x_init = _initial_state(ss, x0)
 
-    if threads is None:
-        threads = int(os.environ.get("NANOSIM_THREADS", "1") or "1")
-    threads = max(1, threads)
-    chunks = [(lo, min(lo + _CHUNK, paths)) for lo in range(0, paths, _CHUNK)]
-    if threads == 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            _run_paths(ss, dt, steps, seed, lo, hi, x_init, out)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_paths, ss, dt, steps, seed, lo, hi,
-                                x_init, out) for lo, hi in chunks]
-            for f in futs:
-                f.result()
+    for lo in range(0, paths, _CHUNK):
+        _run_paths(ss, dt, steps, seed, lo, min(lo + _CHUNK, paths), x_init, out)
 
     times = np.arange(steps + 1) * dt
     mean = out.mean(axis=0)

@@ -28,11 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predict,
-                      mos_geq, nanowire_current, nanowire_dgeq_dv, nanowire_geq,
-                      rtd_current, rtd_dgeq_dv, rtd_geq)
+                      mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
+                      nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import FlopCounter, assemble, node_order, solve
-from .netlist import (Dc, Element, ElementKind, Netlist, Pwl, TranAnalysis,
-                      eval_waveform, waveform_breakpoints)
+from .netlist import (NONLINEAR_KINDS, Dc, Element, ElementKind, Netlist, Pwl,
+                      TranAnalysis, eval_waveform, waveform_breakpoints)
 
 # Nodes whose computed voltage change is below this are skipped by the local
 # error test (the relative measure is meaningless at quiescent nodes).
@@ -133,7 +133,7 @@ class _Engine:
         self.node_index = node_order(net)
         self.n = len(self.node_index)
         self.nodes = list(net.nodes)
-        self.nonlinear = net.elements_of(*dev_kinds())
+        self.nonlinear = net.elements_of(*NONLINEAR_KINDS)
         self.models = {el.name: net.model_of(el) for el in self.nonlinear}
         self.states: Dict[str, DeviceState] = {el.name: DeviceState()
                                                for el in self.nonlinear}
@@ -158,26 +158,24 @@ class _Engine:
     def _vn(self, x: np.ndarray, node: str) -> float:
         return 0.0 if node == "0" else float(x[self.node_index[node]])
 
-    def _branch(self, x: np.ndarray, el: Element) -> float:
-        return self._vn(x, el.nodes[0]) - self._vn(x, el.nodes[1])
-
-    def _mos_bias(self, x: np.ndarray, el: Element) -> Tuple[float, float]:
-        """(vgs, vds) with drain/source roles normalized so vds >= 0."""
-        vd = self._vn(x, el.nodes[0])
-        vg = self._vn(x, el.nodes[1])
-        vs = self._vn(x, el.nodes[2])
-        if vd >= vs:
-            return vg - vs, vd - vs
-        return vg - vd, vs - vd
+    def bias(self, el: Element, x: np.ndarray) -> Tuple[float, float]:
+        """(branch voltage, controlling voltage) of a device at solution x:
+        (vds, vgs) for a MOSFET, the terminal voltage twice otherwise."""
+        a, b = el.branch
+        va, vb = self._vn(x, a), self._vn(x, b)
+        if el.kind is ElementKind.MOSFET:
+            vgs, vds, _ = mos_bias(va, self._vn(x, el.nodes[1]), vb)
+            return float(vds), float(vgs)
+        return va - vb, va - vb
 
     def direct_geq(self, el: Element, x: np.ndarray) -> float:
         m = self.models[el.name]
+        v, ctrl = self.bias(el, x)
         if el.kind is ElementKind.RTD:
-            return float(rtd_geq(m, self._branch(x, el), self.fc))
+            return float(rtd_geq(m, v, self.fc))
         if el.kind is ElementKind.NANOWIRE:
-            return float(nanowire_geq(m, self._branch(x, el), self.fc))
-        vgs, vds = self._mos_bias(x, el)
-        return float(mos_geq(m, vgs, vds, self.fc))
+            return float(nanowire_geq(m, v, self.fc))
+        return float(mos_geq(m, ctrl, v, self.fc))
 
     def predicted_geq(self, el: Element, x: np.ndarray, h: float) -> float:
         st = self.states[el.name]
@@ -201,17 +199,14 @@ class _Engine:
         g = self.gsum_static.copy()
         for el in self.nonlinear:
             geq = self.states[el.name].geq_now
-            if el.kind is ElementKind.MOSFET:
-                touch = (el.nodes[0], el.nodes[2])
-            else:
-                touch = el.nodes[:2]
-            for nd in touch:
+            for nd in el.branch:
                 if nd != "0":
                     g[self.node_index[nd]] += geq
         return g
 
     def step_size(self, h_max: float, with_device_bounds: bool = True) -> float:
-        bounds = [device_step_bound(el.kind, self.states[el.name], self.cfg.eps)
+        bounds = [device_step_bound(self.states[el.name],
+                                    el.kind is ElementKind.MOSFET)
                   for el in self.nonlinear] if with_device_bounds else []
         return next_step_size(self.grounded_cap, self.gsum_now(), bounds,
                               self.cfg.eps, self.cfg.h_min, h_max)
@@ -221,10 +216,7 @@ class _Engine:
         """Worst relative mismatch, over the device's terminals, between the
         solved voltage change and the change the re-evaluated conductance
         implies with the rest of the circuit frozen."""
-        if el.kind is ElementKind.MOSFET:
-            a_name, b_name = el.nodes[0], el.nodes[2]
-        else:
-            a_name, b_name = el.nodes[:2]
+        a_name, b_name = el.branch
         err = 0.0
         for me, other in ((a_name, b_name), (b_name, a_name)):
             if me == "0" or me in self.source_nodes:
@@ -242,35 +234,22 @@ class _Engine:
         return err
 
     def commit_states(self, x_new: np.ndarray, g_act: Dict[str, float], h: float):
+        """Record the accepted solution, its conductances and the step ``h``
+        in every device history; ``h = 0`` starts a history with no slew."""
         for el in self.nonlinear:
             st = self.states[el.name]
+            v, ctrl = self.bias(el, x_new)
+            st.v_prev, st.v_now = (st.v_now if h > 0.0 else v), v
+            st.ctrl_prev, st.ctrl_now = (st.ctrl_now if h > 0.0 else ctrl), ctrl
             if el.kind is ElementKind.MOSFET:
-                vgs, vds = self._mos_bias(x_new, el)
-                st.v_prev, st.v_now = st.v_now, vds
-                st.ctrl_prev, st.ctrl_now = st.ctrl_now, vgs
-                st.overdrive = vgs - self.models[el.name].vth
-            else:
-                vb = self._branch(x_new, el)
-                st.v_prev, st.v_now = st.v_now, vb
-                st.ctrl_prev, st.ctrl_now = st.ctrl_now, vb
+                st.overdrive = ctrl - self.models[el.name].vth
             st.h_prev = h
             st.geq_now = max(g_act[el.name], G_FLOOR)
 
     def seed_states(self, x: np.ndarray):
         """Initialize device histories at the starting solution (no slew)."""
-        for el in self.nonlinear:
-            st = self.states[el.name]
-            if el.kind is ElementKind.MOSFET:
-                vgs, vds = self._mos_bias(x, el)
-                st.v_now = st.v_prev = vds
-                st.ctrl_now = st.ctrl_prev = vgs
-                st.overdrive = vgs - self.models[el.name].vth
-            else:
-                vb = self._branch(x, el)
-                st.v_now = st.v_prev = vb
-                st.ctrl_now = st.ctrl_prev = vb
-            st.h_prev = 0.0
-            st.geq_now = max(self.direct_geq(el, x), G_FLOOR)
+        self.commit_states(x, {el.name: self.direct_geq(el, x)
+                               for el in self.nonlinear}, 0.0)
 
     def run(self, t_stop: float, h_max: float, x0: Optional[np.ndarray] = None,
             settle_after: Optional[float] = None, settle_tol: float = 0.0,
@@ -348,10 +327,6 @@ class _Engine:
                                 steps_rejected=rejected, n_solves=self.n_solves,
                                 hmin_warnings=warnings, flops=self.fc)
         return series, x, settled
-
-
-def dev_kinds():
-    return (ElementKind.RTD, ElementKind.MOSFET, ElementKind.NANOWIRE)
 
 
 def _resolved_h_max(cfg: SimConfig, t_stop: float) -> float:
@@ -434,7 +409,7 @@ def operating_point(net: Netlist, cfg: SimConfig,
     integrate until node voltages stop moving (or 100 ramps elapse).
     Linear decks short-circuit to a single resistive solve."""
     fc = fc if fc is not None else FlopCounter()
-    if not net.elements_of(*dev_kinds()):
+    if not net.elements_of(*NONLINEAR_KINDS):
         if net.elements_of(ElementKind.NOISE):
             raise SimulationError("deck contains noise sources; "
                                   "use the stochastic engine")
@@ -467,7 +442,7 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
         raise ValueError(f"'{source}' is not a voltage source")
     fc = fc if fc is not None else FlopCounter()
     biases = np.linspace(start, stop, points)
-    if not net.elements_of(*dev_kinds()):
+    if not net.elements_of(*NONLINEAR_KINDS):
         volts = np.zeros((points, len(net.nodes)))
         n_solves = 0
         for k, b in enumerate(biases):
@@ -514,8 +489,8 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
     idx = {name: i for i, name in enumerate(nodes)}
     for el in net.elements_of(ElementKind.RTD, ElementKind.NANOWIRE):
         m = net.model_of(el)
-        va = volts[:, idx[el.nodes[0]]] if el.nodes[0] != "0" else np.zeros(points)
-        vb = volts[:, idx[el.nodes[1]]] if el.nodes[1] != "0" else np.zeros(points)
+        va, vb = (volts[:, idx[nd]] if nd != "0" else np.zeros(points)
+                  for nd in el.branch)
         vbr = va - vb
         if el.kind is ElementKind.RTD:
             currents[el.name] = np.asarray(rtd_current(m, vbr))

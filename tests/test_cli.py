@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from nanosim.cli import main
 
@@ -48,6 +49,20 @@ class TestOp:
             ".op\n.end\n")
         code = main(["op", str(deck)])
         assert code == 2
+
+    def test_floating_node_exit_code(self, tmp_path, capsys):
+        deck = tmp_path / "float.ckt"
+        deck.write_text("V1 1 0 DC 1\nC1 1 2 1p\nC2 2 0 1p\n.op\n.end\n")
+        code = main(["op", str(deck)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    def test_parallel_sources_exit_code(self, tmp_path, capsys):
+        deck = tmp_path / "vv.ckt"
+        deck.write_text("V1 1 0 DC 1\nV2 1 0 DC 2\nR1 1 0 1k\n.op\n.end\n")
+        code = main(["op", str(deck)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 class TestDc:
@@ -160,6 +175,28 @@ class TestStoch:
         monkeypatch.setenv("NANOSIM_THREADS", "4")
         assert main(args + ["--out", str(b)]) == 0
         assert _read(str(a)) == _read(str(b))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_runaway_device_exit_code(self, tmp_path, capsys):
+        # the explicit drift is unstable at this dt: the RTD voltage overflows
+        deck = tmp_path / "runaway.ckt"
+        deck.write_text(
+            "V1 1 0 DC 12\nR1 1 2 1k\nXRTD1 2 0 M1\nC1 2 0 5p\nN1 2 0 1e-7\n"
+            ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+            ".stoch 1e-6 1e-8 4 seed=1\n.end\n")
+        code = main(["stoch", str(deck), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "numerical failure: device voltage must be finite" in capsys.readouterr().err
+
+    def test_bad_model_card_exit_code(self, tmp_path, capsys):
+        deck = tmp_path / "badmodel.ckt"
+        deck.write_text(
+            "V1 1 0 DC 1\nR1 1 2 1k\nXRTD1 2 0 M1\n"
+            ".model M1 RTD (A=-1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+            ".op\n.end\n")
+        code = main(["op", str(deck)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_seed_echoed_in_header(self, tmp_path, capsys):
         out = tmp_path / "ou.csv"

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanosim.devices import (DeviceError, DeviceState, G_FLOOR, MosModel,
-                             NanowireModel, RtdModel, device_step_bound,
-                             geq_predict, mos_current, mos_didv, mos_geq,
-                             nanowire_current, nanowire_dgeq_dv, nanowire_geq,
-                             rtd_current, rtd_didv, rtd_dgeq_dv, rtd_geq)
+                             NanowireModel, RtdModel, V_EPS, device_step_bound,
+                             geq_predict, mos_bias, mos_current, mos_didv,
+                             mos_geq, nanowire_current, nanowire_dgeq_dv,
+                             nanowire_geq, rtd_current, rtd_didv, rtd_dgeq_dv,
+                             rtd_geq)
+from nanosim.mna import FlopCounter
 
 # High-precision reference values for the experiment parameter set (50-digit
 # evaluation of the device equations, rounded to double).
@@ -181,6 +185,65 @@ class TestMos:
             mos_current(self.m, 3.0, -0.1)
 
 
+# Bias points over every MOS region for vth = 1: cutoff (vgs <= 1), triode,
+# saturation, the vds < V_EPS limit and the exact region boundaries.
+_VGS = st.one_of(st.floats(-3.0, 6.0), st.sampled_from([1.0, 1.0 + 1e-12, 3.0]))
+_VDS = st.one_of(st.floats(0.0, 6.0), st.floats(0.0, V_EPS),
+                 st.sampled_from([0.0, V_EPS, 2.0]))
+_V = st.floats(-6.0, 6.0)
+
+
+def _mos_geq_ref(m, vgs, vds, fc):
+    """Square-law chord conductance of one bias point in plain floats, with
+    the operation order and flop billing of the model."""
+    vov = vgs - m.vth
+    if vov <= 0.0:
+        fc.count(adds=1)
+        return 0.0
+    fc.count(adds=2, muls=3, divs=1)
+    if vds < V_EPS:
+        return m.beta * vov
+    if vds < vov:
+        return m.beta * (vov - 0.5 * vds)
+    return 0.5 * m.beta * vov * vov / max(vds, V_EPS)
+
+
+class TestMosArrays:
+    m = MosModel(k=1e-4, w=2e-6, l=1e-6, vth=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_VGS, _VDS), min_size=1, max_size=40))
+    def test_array_geq_matches_scalar_loop(self, bias):
+        fc_arr, fc_loop, fc_ref = FlopCounter(), FlopCounter(), FlopCounter()
+        arr = mos_geq(self.m, np.array([g for g, _ in bias]),
+                      np.array([d for _, d in bias]), fc_arr)
+        loop = np.array([mos_geq(self.m, g, d, fc_loop) for g, d in bias])
+        ref = np.array([_mos_geq_ref(self.m, g, d, fc_ref) for g, d in bias])
+        assert arr.tobytes() == loop.tobytes() == ref.tobytes()
+        assert fc_arr == fc_loop == fc_ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(_VGS, st.lists(_VDS, min_size=1, max_size=20))
+    def test_scalar_vgs_broadcasts(self, vgs, vds):
+        fc_arr, fc_loop = FlopCounter(), FlopCounter()
+        arr = mos_geq(self.m, vgs, np.array(vds), fc_arr)
+        loop = np.array([mos_geq(self.m, vgs, d, fc_loop) for d in vds])
+        assert arr.tobytes() == loop.tobytes()
+        assert fc_arr == fc_loop
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_V, _V, _V), min_size=1, max_size=40))
+    def test_bias_symmetric_in_drain_and_source(self, terms):
+        vd, vg, vs = (np.array(col) for col in zip(*terms))
+        vgs, vds, rev = mos_bias(vd, vg, vs)
+        vgs_sw, vds_sw, rev_sw = mos_bias(vs, vg, vd)
+        assert np.array_equal(vgs, vgs_sw) and np.array_equal(vds, vds_sw)
+        assert np.array_equal(rev, vd < vs) and not np.any(rev & rev_sw)
+        for k, (d, g, s) in enumerate(terms):
+            assert (vgs[k], vds[k]) == (g - min(d, s), abs(d - s))
+            assert tuple(mos_bias(d, g, s)) == (vgs[k], vds[k], rev[k])
+
+
 class TestNanowire:
     m = NanowireModel(g0=2e-5, vstep=0.5, nsteps=5, smooth=0.025)
 
@@ -217,22 +280,22 @@ class TestNanowire:
 class TestStepBound:
     def test_static_device_unconstrained(self):
         st = DeviceState(v_now=2.0, v_prev=2.0, h_prev=1e-12)
-        assert device_step_bound("rtd", st) == math.inf
+        assert device_step_bound(st, mosfet=False) == math.inf
 
     def test_mos_hand_value(self):
         # overdrive 1 V slewing at 1e9 V/s -> 2e-9 s
         st = DeviceState(ctrl_now=2.0, ctrl_prev=2.0 - 1e-3, h_prev=1e-12,
                          overdrive=1.0)
-        assert device_step_bound("mosfet", st) == pytest.approx(2e-9)
+        assert device_step_bound(st, mosfet=True) == pytest.approx(2e-9)
 
     def test_rtd_hand_value(self):
         # v = 2 V slewing at 4e9 V/s -> 1e-9 s
         st = DeviceState(v_now=2.0, v_prev=2.0 - 4e-3, h_prev=1e-12)
-        assert device_step_bound("rtd", st) == pytest.approx(1e-9)
+        assert device_step_bound(st, mosfet=False) == pytest.approx(1e-9)
 
     def test_off_mosfet_unconstrained(self):
         st = DeviceState(ctrl_now=0.5, ctrl_prev=0.0, h_prev=1e-12, overdrive=-0.5)
-        assert device_step_bound("mosfet", st) == math.inf
+        assert device_step_bound(st, mosfet=True) == math.inf
 
 
 class TestModelValidation:

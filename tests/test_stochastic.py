@@ -178,15 +178,6 @@ class TestEnsemble:
         ratio = spread(4000) / spread(1000)
         assert abs(ratio - 0.5) <= 0.2 * 0.5 + 0.1
 
-    def test_reproducible_across_threads(self):
-        a = ensemble(_ou_free(), 1e-8, 2e-6, paths=600, seed=11, threads=1)
-        b = ensemble(_ou_free(), 1e-8, 2e-6, paths=600, seed=11, threads=4)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
-        for q in a.quantiles:
-            assert np.array_equal(a.quantiles[q], b.quantiles[q])
-        assert np.array_equal(a.peak_mean, b.peak_mean)
-
     def test_window_peaks(self):
         stats = ensemble(_ou_free(), 1e-8, 2e-6, paths=100, seed=2,
                          window=(1e-6, 2e-6))
