@@ -1,11 +1,12 @@
 """Command-line front end: nanosim op|dc|tran|stoch <deck.ckt> [flags].
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (settle failure,
-singular system, a device driven to a non-finite voltage), 3 success with
-warnings (e.g. the transient hit its minimum step with the error budget
-still exceeded). Waveforms go to CSV with full round-trip precision; --plot
-writes a gnuplot script alongside the data. Deck directives provide the
-defaults; command-line flags win on conflict.
+singular system, a device driven to a non-finite voltage, a stochastic
+state that diverged), 3 success with warnings (e.g. the transient hit its
+minimum step with the error budget still exceeded). Waveforms go to CSV
+with full round-trip precision; --plot writes a gnuplot script alongside
+the data. Deck directives provide the defaults; command-line flags win on
+conflict.
 """
 
 from __future__ import annotations

@@ -8,6 +8,18 @@ one linear solve per step, with no Newton iterations.
 
 All evaluation functions accept scalars or numpy arrays for the voltage
 argument and an optional flop counter used by the performance comparisons.
+
+The per-step engines evaluate one bias point at a time, so a Python float
+(``np.float64`` included) takes a scalar path in the RTD kernels and in
+``mos_geq`` (there both ``vgs`` and ``vds`` must be floats): the arithmetic
+stays on Python floats and a float comes back, with no array, mask or
+``np.where``. Anything else, such as the ensemble drift or the swept
+currents, takes the array path. The path follows the argument type alone.
+Both paths give the same bits and bill the same flops. That is why the
+scalar path still calls the numpy ufuncs (``np.exp``, ``np.arctan``, ...)
+on its floats: ``math.exp`` and ``math.expm1`` round differently from
+numpy's kernels in the last bit for a few per cent of arguments, while a
+ufunc on a float runs the same kernel as on an array.
 """
 
 from __future__ import annotations
@@ -150,12 +162,43 @@ def _as_array(v):
     return arr.ndim == 0, np.atleast_1d(arr)
 
 
-def _restore(scalar: bool, arr: np.ndarray):
-    return float(arr[0]) if scalar else arr
+def _operand(v):
+    """``(scalar, va)`` for a kernel argument: a float stays a Python float
+    (the scalar path); anything else becomes a 1-d array, with ``scalar``
+    marking a 0-d input."""
+    if isinstance(v, float):
+        return True, float(v)
+    return _as_array(v)
 
 
-def _log1pexp(x: np.ndarray) -> np.ndarray:
+def _restore(scalar: bool, out):
+    if isinstance(out, float):
+        return float(out)
+    return float(out[0]) if scalar else out
+
+
+def _size(va) -> int:
+    return 1 if isinstance(va, float) else va.size
+
+
+def _ufunc(f, x):
+    """Numpy ufunc ``f`` at ``x``; a float argument gives a Python float."""
+    return float(f(x)) if isinstance(x, float) else f(x)
+
+
+def _clamped(f, x):
+    """``f`` (``np.exp`` or ``np.expm1``) of ``x`` clamped to +-_EXP_CLAMP."""
+    if isinstance(x, float):
+        return float(f(min(max(x, -_EXP_CLAMP), _EXP_CLAMP)))
+    return f(np.clip(x, -_EXP_CLAMP, _EXP_CLAMP))
+
+
+def _log1pexp(x):
     """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x."""
+    if isinstance(x, float):
+        if x > 30.0:
+            return x + float(np.log1p(np.exp(-x)))
+        return float(np.log1p(np.exp(x)))
     out = np.empty_like(x)
     big = x > 30.0
     out[big] = x[big] + np.log1p(np.exp(-x[big]))
@@ -164,8 +207,13 @@ def _log1pexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x):
     """Overflow-safe logistic function."""
+    if isinstance(x, float):
+        if x >= 0.0:
+            return 1.0 / (1.0 + float(np.exp(-x)))
+        ex = float(np.exp(x))
+        return ex / (1.0 + ex)
     out = np.empty_like(x)
     pos = x >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -174,8 +222,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(v: np.ndarray):
-    if not np.all(np.isfinite(v)):
+def _check_finite(v):
+    if not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
         raise DeviceError("device voltage must be finite")
 
 
@@ -185,43 +233,50 @@ def _count(fc: "FlopCounter | None", n: int, adds=0, muls=0, divs=0, transcenden
                  transcendentals=transcendentals * n)
 
 
-def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
-    """Terminal current of the RTD at voltage ``v`` (amps).
-
-    Sum of the resonance term (log-ratio times the atan window) and the
-    exponential valley term, scaled by ``area``. Exactly zero at v = 0.
-    """
-    scalar, va = _as_array(v)
-    _check_finite(va)
-    u = m.thermal_exponent
-    n1v = m.n1 * va
-    x1 = (m.b - m.cp + n1v) * u
-    x2 = (m.b - m.cp - n1v) * u
-    log_ratio = _log1pexp(x1) - _log1pexp(x2)
-    window = 0.5 * math.pi + np.arctan((m.cp - n1v) / m.d)
-    j1 = m.a * log_ratio * window
-    j2 = m.h * np.expm1(np.clip(m.n2 * u * va, -_EXP_CLAMP, _EXP_CLAMP))
-    _count(fc, va.size, adds=8, muls=9, divs=2, transcendentals=6)
-    return _restore(scalar, m.area * (j1 + j2))
-
-
-def rtd_didv(m: RtdModel, v, fc: "FlopCounter | None" = None):
-    """Differential conductance dJ/dV (the slope a Newton solver stamps)."""
-    scalar, va = _as_array(v)
-    _check_finite(va)
+def _rtd_resonance(m: RtdModel, va):
+    """Terms shared by the RTD kernels at voltage ``va``: the thermal
+    exponent u, the Fermi arguments x1 and x2, their log-ratio term,
+    w = cp - n1*v and the atan window."""
     u = m.thermal_exponent
     n1v = m.n1 * va
     x1 = (m.b - m.cp + n1v) * u
     x2 = (m.b - m.cp - n1v) * u
     log_ratio = _log1pexp(x1) - _log1pexp(x2)
     w = m.cp - n1v
-    window = 0.5 * math.pi + np.arctan(w / m.d)
+    window = 0.5 * math.pi + _ufunc(np.arctan, w / m.d)
+    return u, x1, x2, log_ratio, w, window
+
+
+def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
+    """Terminal current of the RTD at voltage ``v`` (amps).
+
+    Sum of the resonance term (log-ratio times the atan window) and the
+    exponential valley term, scaled by ``area``. Exactly zero at v = 0.
+    """
+    scalar, va = _operand(v)
+    _check_finite(va)
+    u, _, _, log_ratio, _, window = _rtd_resonance(m, va)
+    j1 = m.a * log_ratio * window
+    j2 = m.h * _clamped(np.expm1, m.n2 * u * va)
+    _count(fc, _size(va), adds=8, muls=9, divs=2, transcendentals=6)
+    return _restore(scalar, m.area * (j1 + j2))
+
+
+def rtd_didv(m: RtdModel, v, fc: "FlopCounter | None" = None):
+    """Differential conductance dJ/dV (the slope a Newton solver stamps)."""
+    scalar, va = _operand(v)
+    _check_finite(va)
+    u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
     d_log = m.n1 * u * (_sigmoid(x1) + _sigmoid(x2))
     d_window = -m.n1 * m.d / (m.d * m.d + w * w)
     dj1 = m.a * (d_log * window + log_ratio * d_window)
-    dj2 = m.h * m.n2 * u * np.exp(np.clip(m.n2 * u * va, -_EXP_CLAMP, _EXP_CLAMP))
-    _count(fc, va.size, adds=10, muls=16, divs=4, transcendentals=8)
+    dj2 = m.h * m.n2 * u * _clamped(np.exp, m.n2 * u * va)
+    _count(fc, _size(va), adds=10, muls=16, divs=4, transcendentals=8)
     return _restore(scalar, m.area * (dj1 + dj2))
+
+
+def _rtd_slope_at_origin(m: RtdModel, fc: "FlopCounter | None") -> float:
+    return (rtd_current(m, _FD_STEP, fc) - rtd_current(m, -_FD_STEP, fc)) / (2.0 * _FD_STEP)
 
 
 def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
@@ -230,13 +285,18 @@ def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Below ``V_EPS`` the 0/0 limit is replaced by the small-signal slope at
     the origin, evaluated by a central difference of :func:`rtd_current`.
     """
-    scalar, va = _as_array(v)
+    scalar, va = _operand(v)
     _check_finite(va)
+    if isinstance(va, float):
+        if abs(va) < V_EPS:
+            return _rtd_slope_at_origin(m, fc)
+        g = rtd_current(m, va, fc) / va
+        _count(fc, 1, divs=1)
+        return g
     out = np.empty_like(va)
     tiny = np.abs(va) < V_EPS
     if np.any(tiny):
-        g0 = (rtd_current(m, _FD_STEP, fc) - rtd_current(m, -_FD_STEP, fc)) / (2.0 * _FD_STEP)
-        out[tiny] = g0
+        out[tiny] = _rtd_slope_at_origin(m, fc)
     big = ~tiny
     if np.any(big):
         out[big] = rtd_current(m, va[big], fc) / va[big]
@@ -250,23 +310,17 @@ def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Only defined away from the origin; callers must fall back to direct
     conductance evaluation when |v| < V_EPS.
     """
-    scalar, va = _as_array(v)
+    scalar, va = _operand(v)
     _check_finite(va)
-    if np.any(np.abs(va) < V_EPS):
+    if abs(va) < V_EPS if isinstance(va, float) else np.any(np.abs(va) < V_EPS):
         raise DeviceError("rtd_dgeq_dv undefined for |v| < V_EPS; evaluate directly")
-    u = m.thermal_exponent
-    n1v = m.n1 * va
-    x1 = (m.b - m.cp + n1v) * u
-    x2 = (m.b - m.cp - n1v) * u
-    log_ratio = _log1pexp(x1) - _log1pexp(x2)
-    w = m.cp - n1v
-    window = 0.5 * math.pi + np.arctan(w / m.d)
-    ey = np.exp(np.clip(m.n2 * u * va, -_EXP_CLAMP, _EXP_CLAMP))
+    u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
+    ey = _clamped(np.exp, m.n2 * u * va)
     term1 = (m.n1 * u * m.a) * (_sigmoid(x1) + _sigmoid(x2)) * window
     term2 = m.a * log_ratio * (-m.d * m.n1) / (m.d * m.d + w * w)
     term3 = u * m.h * m.n2 * ey
     j = m.a * log_ratio * window + m.h * (ey - 1.0)
-    _count(fc, va.size, adds=12, muls=18, divs=6, transcendentals=8)
+    _count(fc, _size(va), adds=12, muls=18, divs=6, transcendentals=8)
     return _restore(scalar, m.area * ((term1 + term2 + term3) / va - j / (va * va)))
 
 
@@ -311,6 +365,22 @@ def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     which is returned below V_EPS. ``vgs`` and ``vds`` are each a scalar or
     an array of one common shape.
     """
+    if isinstance(vgs, float) and isinstance(vds, float):
+        vgs, vds = float(vgs), float(vds)
+        _check_finite(vds)
+        if vds < 0.0:
+            raise DeviceError("mos_geq requires vds >= 0")
+        vov = vgs - m.vth
+        if vov <= 0.0:
+            _count(fc, 1, adds=1)
+            return 0.0
+        _count(fc, 1, adds=2, muls=3, divs=1)
+        beta = m.beta
+        if vds < V_EPS:
+            return beta * vov
+        if vds < vov:
+            return beta * (vov - 0.5 * vds)
+        return 0.5 * beta * vov * vov / vds
     scalar, vda = _as_array(vds)
     _check_finite(vda)
     if np.any(vda < 0.0):
@@ -400,9 +470,11 @@ def nanowire_dgeq_dv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     return _restore(scalar, dg)
 
 
-def nanowire_didv(m: NanowireModel, v) -> float:
+def nanowire_didv(m: NanowireModel, v, fc: "FlopCounter | None" = None) -> float:
     """Differential conductance d(G(v)*v)/dv for the Newton baseline."""
-    return float(nanowire_geq(m, v) + v * nanowire_dgeq_dv(m, v))
+    g = nanowire_geq(m, v, fc) + v * nanowire_dgeq_dv(m, v, fc)
+    _count(fc, 1, adds=1, muls=1)
+    return float(g)
 
 
 def device_step_bound(state: DeviceState, mosfet: bool) -> float:

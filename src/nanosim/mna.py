@@ -10,6 +10,18 @@ analyses can be compared by operation count. Device-model evaluations count
 their own operations (see ``devices``); matrix stamping and bookkeeping are
 not billed. exp/ln/atan calls are reported as separate "transcendental"
 units rather than being converted to some flop equivalent.
+
+:func:`solve` is a dense LU with partial pivoting. The elimination runs on
+Python floats (``G.tolist()``), because on the small systems the engines
+solve once per step the per-call cost of numpy slicing outweighs the
+arithmetic. Measured per solve against the same elimination on numpy rows
+(2-core VM, Python 3.11, numpy 2.4.6): 3 unknowns 30 vs 71 us, 5 unknowns
+58 vs 132 us, 10 unknowns 161 vs 259 us, 20 unknowns about equal, 30
+unknowns 1377 vs 866 us. The crossover is about 15-20 unknowns; every
+shipped deck has at most 5. There is one code path for all sizes. The
+forward and back substitutions stay numpy dot products: BLAS sums a row in
+its own order, which a Python loop does not reproduce, and keeping it keeps
+every solution bit for bit.
 """
 
 from __future__ import annotations
@@ -159,41 +171,47 @@ def assemble(net: Netlist, geq: Mapping[str, float],
 def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
     """LU factorization with partial pivoting; returns node voltages followed
     by source branch currents. Raises :class:`SingularSystemError` when a
-    pivot falls below 1e-14 of its row scale."""
-    A = sys.G.copy()
-    x = sys.rhs.copy()
+    pivot falls below 1e-14 of its row scale. The module docstring says
+    why the elimination runs on Python lists."""
     size = sys.size
-    row_scale = np.max(np.abs(A), axis=1)
-    if np.any(row_scale == 0.0):
+    a = sys.G.tolist()
+    row_scale = [max(map(abs, row)) for row in a]
+    if 0.0 in row_scale:
         raise SingularSystemError("structurally singular system (empty row)")
 
-    perm = np.arange(size)
+    perm = list(range(size))
     for k in range(size - 1):
-        col = np.abs(A[k:, k])
-        p = k + int(np.argmax(col))
-        if abs(A[p, k]) <= _PIVOT_RTOL * row_scale[perm[p]]:
+        # partial pivoting: the first row holding the largest |a_ik|
+        p, big = k, abs(a[k][k])
+        for i in range(k + 1, size):
+            if abs(a[i][k]) > big:
+                p, big = i, abs(a[i][k])
+        if big <= _PIVOT_RTOL * row_scale[perm[p]]:
             raise SingularSystemError(f"singular pivot at column {k}")
         if p != k:
-            A[[k, p]] = A[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        rk = a[k]
+        pivot = rk[k]
+        for ri in a[k + 1:]:
+            lik = ri[k] = ri[k] / pivot
+            for j in range(k + 1, size):
+                ri[j] -= lik * rk[j]
         c = size - k - 1
-        if c:
-            A[k + 1:, k] /= A[k, k]
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-            fc.count(adds=c * c, muls=c * c, divs=c)
-    if abs(A[size - 1, size - 1]) <= _PIVOT_RTOL * row_scale[perm[size - 1]]:
+        fc.count(adds=c * c, muls=c * c, divs=c)
+    if abs(a[size - 1][size - 1]) <= _PIVOT_RTOL * row_scale[perm[size - 1]]:
         raise SingularSystemError("singular pivot at last column")
 
-    x = x[perm]
+    A = np.array(a)
+    x = sys.rhs[perm]
     # forward substitution (unit lower triangle)
     for k in range(1, size):
         x[k] -= A[k, :k] @ x[:k]
-        fc.count(adds=k, muls=k)
     # back substitution
     for k in range(size - 1, -1, -1):
         if k < size - 1:
             x[k] -= A[k, k + 1:] @ x[k + 1:]
-            fc.count(adds=size - k - 1, muls=size - k - 1)
         x[k] /= A[k, k]
-        fc.count(divs=1)
+    tri = size * (size - 1) // 2
+    fc.count(adds=2 * tri, muls=2 * tri, divs=size)
     return x

@@ -57,7 +57,7 @@ class FlopCompare:
 def _device_iv(el: Element, model, vbr: float, fc: FlopCounter) -> Tuple[float, float]:
     if el.kind is ElementKind.RTD:
         return (float(rtd_current(model, vbr, fc)), float(rtd_didv(model, vbr, fc)))
-    return (float(nanowire_current(model, vbr, fc)), float(nanowire_didv(model, vbr)))
+    return (float(nanowire_current(model, vbr, fc)), float(nanowire_didv(model, vbr, fc)))
 
 
 def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,

@@ -21,6 +21,7 @@ across runs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ import numpy as np
 from .devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from .mna import FlopCounter
 from .netlist import NONLINEAR_KINDS, Element, ElementKind, Netlist, eval_waveform
-from .swec import WaveformSeries
+from .swec import SimulationError, WaveformSeries
 
 _CHUNK = 256          # paths per vectorized block, fixed for determinism
 _MAX_STORE = 2 * 10**8   # refuse ensembles that would not fit in memory
@@ -220,11 +221,38 @@ def _build_state_system(net: Netlist) -> _StateSystem:
 def _fastest_time_constant(ss: _StateSystem) -> float:
     tau = math.inf
     for i in range(len(ss.state_nodes)):
-        g = ss.g_static[i, i] + sum(g for j, _, g in ss.drive_static if j == i)
+        # the diagonal already holds every resistor at the node, including
+        # those to a source-pinned node
+        g = ss.g_static[i, i]
         c = ss.cap[i, i]
         if g > 0.0:
             tau = min(tau, c / g)
     return tau
+
+
+@contextlib.contextmanager
+def _explicit_drift(ss: _StateSystem, dt: float):
+    """Run Euler-Maruyama paths at step ``dt``.
+
+    Warns when dt is not small against the fastest RC time constant, and
+    turns a state that overflows (floating-point overflow or invalid
+    operation while stepping) into a :class:`SimulationError` naming dt and
+    that time constant instead of a numpy warning.
+    """
+    tau = _fastest_time_constant(ss)
+    if math.isfinite(tau):
+        limit = f"fastest time constant {tau:g}"
+        if dt >= 0.5 * tau:
+            warnings.warn(f"dt={dt:g} is not small vs {limit}; "
+                          "the explicit drift may be unstable", RuntimeWarning)
+    else:
+        limit = "no static RC time constant"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError:
+        raise SimulationError(f"stochastic state diverged: dt={dt:g} is too large "
+                              f"for the explicit drift ({limit})") from None
 
 
 def _path_voltage(ss: _StateSystem, x: np.ndarray, node: str, t: float):
@@ -322,18 +350,16 @@ def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
     """Single Euler-Maruyama sample path on a fixed grid.
 
     ``x0`` optionally sets initial state-node voltages (zeros by default).
-    Warns when dt is not small against the fastest RC time constant.
+    Warns when dt is not small against the fastest RC time constant and
+    raises :class:`SimulationError` if the state diverges.
     """
     ss = _build_state_system(net)
     steps = _step_count(dt, t_stop)
-    tau = _fastest_time_constant(ss)
-    if math.isfinite(tau) and dt >= 0.5 * tau:
-        warnings.warn(f"dt={dt:g} is not small vs fastest time constant {tau:g}; "
-                      "the explicit drift may be unstable", RuntimeWarning)
     x_init = _initial_state(ss, x0)
     out = np.empty((1, steps + 1, len(ss.out_nodes)))
     fc = FlopCounter()
-    _run_paths(ss, dt, steps, seed, 0, 1, x_init, out, fc)
+    with _explicit_drift(ss, dt):
+        _run_paths(ss, dt, steps, seed, 0, 1, x_init, out, fc)
     times = np.arange(steps + 1) * dt
     return WaveformSeries(times=times, voltages=out[0], nodes=list(ss.out_nodes),
                           steps_taken=steps, n_solves=0, flops=fc)
@@ -366,7 +392,8 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     """Monte-Carlo ensemble of EM paths with pointwise and window-peak stats.
 
     Paths run in fixed-size vectorized chunks, one after another; every path
-    draws from its own (seed, path-index) substream.
+    draws from its own (seed, path-index) substream. The step-size warning
+    and the divergence error are those of :func:`em_transient`.
     """
     if paths < 2:
         raise ValueError("ensemble requires at least 2 paths")
@@ -384,8 +411,9 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     out = np.empty((paths, steps + 1, n_out))
     x_init = _initial_state(ss, x0)
 
-    for lo in range(0, paths, _CHUNK):
-        _run_paths(ss, dt, steps, seed, lo, min(lo + _CHUNK, paths), x_init, out)
+    with _explicit_drift(ss, dt):
+        for lo in range(0, paths, _CHUNK):
+            _run_paths(ss, dt, steps, seed, lo, min(lo + _CHUNK, paths), x_init, out)
 
     times = np.arange(steps + 1) * dt
     mean = out.mean(axis=0)

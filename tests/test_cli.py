@@ -176,17 +176,24 @@ class TestStoch:
         assert main(args + ["--out", str(b)]) == 0
         assert _read(str(a)) == _read(str(b))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runaway_device_exit_code(self, tmp_path, capsys):
-        # the explicit drift is unstable at this dt: the RTD voltage overflows
+        # dt = 10 ns is twice the 5 ns RC time constant: the explicit drift
+        # is unstable and the state overflows
         deck = tmp_path / "runaway.ckt"
         deck.write_text(
             "V1 1 0 DC 12\nR1 1 2 1k\nXRTD1 2 0 M1\nC1 2 0 5p\nN1 2 0 1e-7\n"
             ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
             ".stoch 1e-6 1e-8 4 seed=1\n.end\n")
-        code = main(["stoch", str(deck), "--out", str(tmp_path / "r.csv")])
+        with pytest.warns(RuntimeWarning) as rec:
+            code = main(["stoch", str(deck), "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert "numerical failure: device voltage must be finite" in capsys.readouterr().err
+        assert ("numerical failure: stochastic state diverged: dt=1e-08 is too large "
+                "for the explicit drift (fastest time constant 5e-09)"
+                in capsys.readouterr().err)
+        # the step-size warning only, no numpy overflow warning
+        assert [str(w.message) for w in rec] == [
+            "dt=1e-08 is not small vs fastest time constant 5e-09; "
+            "the explicit drift may be unstable"]
 
     def test_bad_model_card_exit_code(self, tmp_path, capsys):
         deck = tmp_path / "badmodel.ckt"

@@ -1,12 +1,15 @@
 """Device model tests: currents, chord conductances, derivatives, bounds."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanosim import devices
 from nanosim.devices import (DeviceError, DeviceState, G_FLOOR, MosModel,
                              NanowireModel, RtdModel, V_EPS, device_step_bound,
                              geq_predict, mos_bias, mos_current, mos_didv,
@@ -127,6 +130,65 @@ class TestRtdDerivatives:
             assert rtd_didv(rtd, v) == pytest.approx(fd, rel=1e-6)
 
 
+# Voltages over every branch of the RTD kernels: the working range, the
+# |v| < V_EPS fallback and its edge, the exp clamp (n2*q/kT*|v| > 700: above
+# 1.05 kV for the first model, 1.2 V for the second), signed zeros and
+# non-finite input.
+_RTD_V = st.one_of(st.floats(-20.0, 20.0), st.floats(-2 * V_EPS, 2 * V_EPS),
+                   st.floats(1e3, 1e6), st.floats(-1e6, -1e3),
+                   st.sampled_from([0.0, -0.0, V_EPS, -V_EPS, 1e-6, 1052.0,
+                                    math.inf, -math.inf, math.nan]))
+_RTD_MODELS = [RtdModel(a=1e-4, b=2.0, cp=1.5, d=0.3, h=1.43e-8, n1=0.35,
+                        n2=0.0172, area=2.0),
+               RtdModel(a=3e-3, b=0.1, cp=0.2, d=0.05, h=1e-6, n1=1.2, n2=4.0,
+                        temp=77.0)]
+
+
+def _no_array_path():
+    """Fail any call that converts its argument to an array."""
+    return mock.patch.object(devices, "_as_array",
+                             side_effect=AssertionError("float took the array path"))
+
+
+def _outcome(f, m, v):
+    """Result (or DeviceError text) and flop bill of one kernel call."""
+    fc = FlopCounter()
+    try:
+        return f(m, v, fc), fc
+    except DeviceError as exc:
+        return f"DeviceError: {exc}", fc
+
+
+class TestRtdFloatPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_RTD_V, st.sampled_from(_RTD_MODELS),
+           st.sampled_from([rtd_current, rtd_geq, rtd_dgeq_dv, rtd_didv]))
+    def test_float_matches_one_element_array(self, v, m, f):
+        arr, fc_arr = _outcome(f, m, np.array([v]))
+        for arg in (v, np.float64(v)):
+            with _no_array_path():
+                got, fc = _outcome(f, m, arg)
+            if isinstance(arr, str):
+                assert got == arr
+            else:
+                assert type(got) is float
+                assert np.array([got]).tobytes() == arr.tobytes()
+            assert fc == fc_arr
+
+    def test_float_helpers_match_array_kernels(self):
+        # a dense grid: math.exp differs from np.exp for ~5 % of arguments,
+        # but only ~0.06 % of them survive into the logistic function
+        x = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, 20000),
+                            np.linspace(-800.0, 800.0, 2001)])
+        for helper in (devices._sigmoid, devices._log1pexp,
+                       functools.partial(devices._clamped, np.exp),
+                       functools.partial(devices._clamped, np.expm1),
+                       functools.partial(devices._ufunc, np.arctan)):
+            scalars = [helper(v) for v in x.tolist()]
+            assert all(type(g) is float for g in scalars)
+            assert np.array(scalars).tobytes() == helper(x).tobytes()
+
+
 class TestGeqPredict:
     def test_zero_slew_keeps_value(self):
         st = DeviceState(v_now=1.0, v_prev=1.0, h_prev=1e-12, geq_now=1e-3)
@@ -217,7 +279,10 @@ class TestMosArrays:
         fc_arr, fc_loop, fc_ref = FlopCounter(), FlopCounter(), FlopCounter()
         arr = mos_geq(self.m, np.array([g for g, _ in bias]),
                       np.array([d for _, d in bias]), fc_arr)
-        loop = np.array([mos_geq(self.m, g, d, fc_loop) for g, d in bias])
+        with _no_array_path():
+            scalars = [mos_geq(self.m, g, d, fc_loop) for g, d in bias]
+        assert all(type(g) is float for g in scalars)
+        loop = np.array(scalars)
         ref = np.array([_mos_geq_ref(self.m, g, d, fc_ref) for g, d in bias])
         assert arr.tobytes() == loop.tobytes() == ref.tobytes()
         assert fc_arr == fc_loop == fc_ref

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanosim.devices import G_FLOOR
-from nanosim.mna import (FlopCounter, MnaError, MnaSystem, SingularSystemError,
-                         assemble, solve)
+from nanosim.mna import (_PIVOT_RTOL, FlopCounter, MnaError, MnaSystem,
+                         SingularSystemError, assemble, solve)
 from nanosim.netlist import parse_netlist
 
 
@@ -112,6 +114,110 @@ class TestSolve:
             totals.append(fc.total())
         slope = np.polyfit(np.log(sizes), np.log(totals), 1)[0]
         assert 2.7 <= slope <= 3.2
+
+
+def _solve_ref(sys, fc):
+    """Reference LU: the elimination on numpy rows that ``solve`` replaced,
+    with the same pivoting, singularity tests, update order and billing."""
+    A = sys.G.copy()
+    x = sys.rhs.copy()
+    size = sys.size
+    row_scale = np.max(np.abs(A), axis=1)
+    if np.any(row_scale == 0.0):
+        raise SingularSystemError("structurally singular system (empty row)")
+    perm = np.arange(size)
+    for k in range(size - 1):
+        col = np.abs(A[k:, k])
+        p = k + int(np.argmax(col))
+        if abs(A[p, k]) <= _PIVOT_RTOL * row_scale[perm[p]]:
+            raise SingularSystemError(f"singular pivot at column {k}")
+        if p != k:
+            A[[k, p]] = A[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        c = size - k - 1
+        if c:
+            A[k + 1:, k] /= A[k, k]
+            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
+            fc.count(adds=c * c, muls=c * c, divs=c)
+    if abs(A[size - 1, size - 1]) <= _PIVOT_RTOL * row_scale[perm[size - 1]]:
+        raise SingularSystemError("singular pivot at last column")
+    x = x[perm]
+    for k in range(1, size):
+        x[k] -= A[k, :k] @ x[:k]
+        fc.count(adds=k, muls=k)
+    for k in range(size - 1, -1, -1):
+        if k < size - 1:
+            x[k] -= A[k, k + 1:] @ x[k + 1:]
+            fc.count(adds=size - k - 1, muls=size - k - 1)
+        x[k] /= A[k, k]
+        fc.count(divs=1)
+    return x
+
+
+def _outcome(solver, G, rhs):
+    fc = FlopCounter()
+    sys = MnaSystem(n=len(rhs), m=0, G=G, rhs=rhs, node_index={}, source_index={})
+    try:
+        return solver(sys, fc).tobytes(), fc
+    except SingularSystemError as exc:
+        return f"SingularSystemError: {exc}", fc
+
+
+@st.composite
+def _systems(draw):
+    """Dense systems of 1-12 unknowns: random, small-integer entries (ties
+    between pivot candidates, exact cancellation), rows shuffled away from
+    a dominant diagonal (row swaps at every column), rows of very different
+    scale, and singular ones."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "integer", "shuffled", "scaled",
+                                 "zero_col", "empty_row", "dependent"]))
+    if kind == "integer":
+        G = rng.integers(-2, 3, (n, n)).astype(float)
+    else:
+        G = rng.uniform(-1.0, 1.0, (n, n))
+        G[rng.uniform(size=(n, n)) < 0.3] = 0.0
+    if kind == "shuffled":
+        G = (G + n * np.eye(n))[rng.permutation(n)]
+    elif kind == "scaled":
+        G *= 10.0 ** rng.uniform(-12.0, 12.0, (n, 1))
+    elif kind == "zero_col":
+        G[:, rng.integers(n)] = 0.0
+    elif kind == "empty_row":
+        G[rng.integers(n)] = 0.0
+    elif kind == "dependent":
+        G[-1] = G[0] - 2.0 * G[rng.integers(n)]
+    return G, rng.uniform(-1.0, 1.0, n)
+
+
+class TestSolveMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_systems())
+    def test_bit_identical_to_numpy_lu(self, system):
+        G, rhs = system
+        assert _outcome(solve, G, rhs) == _outcome(_solve_ref, G, rhs)
+
+    @pytest.mark.parametrize("G, message", [
+        ([[1.0, 2.0], [0.0, 0.0]], "structurally singular system (empty row)"),
+        ([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 1.0, 1.0]],
+         "singular pivot at column 0"),
+        ([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 0.0, 1.0]],
+         "singular pivot at column 1"),
+        ([[1.0, 2.0], [2.0, 4.0]], "singular pivot at last column"),
+        # the pivot is judged by the scale of its original row (1e10), not
+        # of the row it was swapped with
+        ([[0.0, 1e-6, 1e10], [0.0, 1e-7, 1.0], [1.0, 0.0, 0.0]],
+         "singular pivot at column 1"),
+        # a pivot exactly at the 1e-14 threshold is singular
+        ([[1.0, 0.0], [1.0, 1e-14]], "singular pivot at last column"),
+    ])
+    def test_singular_messages(self, G, message):
+        G = np.array(G)
+        rhs = np.ones(len(G))
+        got = _outcome(solve, G, rhs)
+        assert got == _outcome(_solve_ref, G, rhs)
+        assert got[0] == f"SingularSystemError: {message}"
 
 
 class TestKcl:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from nanosim.netlist import parse_netlist
+from nanosim import nr
+from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
+from nanosim.mna import FlopCounter
+from nanosim.netlist import ElementKind, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
-from nanosim.swec import SimConfig, operating_point
+from nanosim.swec import SimConfig, operating_point, pin_source
 
 from conftest import deck_text
 
@@ -108,6 +111,29 @@ class TestFlopCompare:
         assert cmp_.swec_flops > 0
         assert cmp_.nr_flops > 0
         assert cmp_.speedup == pytest.approx(cmp_.nr_flops / cmp_.swec_flops)
+
+    def test_nanowire_derivative_flops_billed(self, monkeypatch):
+        net = pin_source(parse_netlist(deck_text("nanowire_divider.ckt")), "V1", 2.0)
+        model = net.model_of(net.elements_of(ElementKind.NANOWIRE)[0])
+        didv = nr.nanowire_didv
+        calls = []
+
+        def counted(m, v, fc=None):
+            calls.append(v)
+            return didv(m, v, fc)
+
+        monkeypatch.setattr(nr, "nanowire_didv", counted)
+        billed = nr_dc(net).flops
+        monkeypatch.setattr(nr, "nanowire_didv", lambda m, v, fc=None: didv(m, v))
+        unbilled = nr_dc(net).flops
+        # per derivative call: the geq and dgeq_dv tallies plus G + v*dG/dv
+        one = FlopCounter(adds=1, muls=1)
+        nanowire_geq(model, 1.0, one)
+        nanowire_dgeq_dv(model, 1.0, one)
+        n = len(calls)
+        assert n > 1
+        assert billed - unbilled == FlopCounter(n * one.adds, n * one.muls,
+                                                n * one.divs, n * one.transcendentals)
 
     def test_unknown_analysis(self):
         net = parse_netlist(deck_text("divider.ckt"))

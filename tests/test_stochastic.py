@@ -1,6 +1,7 @@
 """Stochastic engine tests: Wiener paths, Ito sums, EM integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nanosim.netlist import parse_netlist
 from nanosim.stochastic import (StochasticError, em_transient, ensemble,
                                 ito_sum, wiener_increments)
+from nanosim.swec import SimulationError
 
 from conftest import deck_text
 
@@ -15,6 +17,11 @@ from conftest import deck_text
 LAM = 1.0 / (1e3 * 1e-9)
 SIGMA = 1e-7 / 1e-9
 STAT_VAR = SIGMA ** 2 / (2 * LAM)
+
+
+# a source-driven RC node: tau = 1k * 5p = 5 ns
+_RC_5NS = ("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 5p\nN1 2 0 1e-9\n"
+           ".stoch 1e-7 1e-9 4\n.end\n")
 
 
 def _ou_free(intensity="1e-7"):
@@ -111,6 +118,109 @@ class TestEmTransient:
     def test_stability_warning(self):
         with pytest.warns(RuntimeWarning):
             em_transient(_ou_free(), 9e-7, 9e-6)
+
+    def test_time_constant_counts_each_resistor_once(self):
+        # no warning below dt = tau / 2 = 2.5 ns, one above
+        net = parse_netlist(_RC_5NS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            em_transient(net, 2e-9, 1e-7)
+            ensemble(net, 2e-9, 1e-7, paths=4)
+        with pytest.warns(RuntimeWarning, match="time constant 5e-09"):
+            em_transient(net, 3e-9, 1e-7)
+        with pytest.warns(RuntimeWarning, match="time constant 5e-09"):
+            ensemble(net, 3e-9, 1e-7, paths=4)
+
+    def test_divergence_names_dt_and_tau(self):
+        with pytest.warns(RuntimeWarning) as rec, \
+                pytest.raises(SimulationError, match=r"diverged: dt=2e-08 .*"
+                                                     r"fastest time constant 5e-09"):
+            ensemble(parse_netlist(_RC_5NS), 2e-8, 2e-5, paths=4)
+        assert all("not small vs fastest time constant" in str(w.message) for w in rec)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            wiener_increments(0, 1e-3)
+        with pytest.raises(ValueError):
+            wiener_increments(10, 0.0)
+
+
+class TestItoSum:
+    def test_zero_integrand(self):
+        path = wiener_increments(500, 1e-3, seed=2)
+        assert ito_sum(np.zeros(500), path) == 0.0
+
+    def test_telescoping(self):
+        path = wiener_increments(500, 1e-3, seed=2)
+        assert ito_sum(np.ones(500), path) == pytest.approx(path.values()[-1],
+                                                            rel=1e-10)
+
+    def test_length_mismatch(self):
+        path = wiener_increments(10, 1e-3, seed=2)
+        with pytest.raises(ValueError):
+            ito_sum(np.ones(9), path)
+
+    def test_left_endpoint_discipline(self):
+        # E[sum W dW] = 0 for the Ito rule; the midpoint rule gives T/2
+        n, dt, paths = 256, 1.0 / 256, 4000
+        sums = np.empty(paths)
+        for k in range(paths):
+            path = wiener_increments(n, dt, seed=k)
+            w = path.values()
+            sums[k] = ito_sum(w[:-1], path)
+        se = sums.std(ddof=1) / math.sqrt(paths)
+        assert abs(sums.mean()) <= 3 * se
+        assert abs(sums.mean() - 0.5) >= 5 * se
+
+
+class TestEmTransient:
+    def test_zero_noise_is_forward_euler(self):
+        net = parse_netlist("V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1n\n"
+                            "N1 out 0 0\n.stoch 2e-6 1e-8 4\n.end\n")
+        series = em_transient(net, 1e-8, 2e-6, seed=3)
+        g, c, dt = 1e-3, 1e-9, 1e-8
+        x = 0.0
+        ref = [x]
+        for _ in range(200):
+            acc = 0.0
+            acc += g * x
+            drift = -acc
+            drift += g * 1.0
+            x = x + dt * (drift / c)
+            ref.append(x)
+        assert np.array_equal(series.v("out"), np.array(ref))
+
+    def test_decays_not_explodes(self):
+        series = em_transient(_ou_free("0"), 1e-8, 5e-6, x0=np.array([1.0]))
+        v = series.v("1")
+        assert v[0] == 1.0
+        assert abs(v[-1]) < 0.01
+        assert np.all(np.abs(v) <= 1.0)
+
+    def test_stability_warning(self):
+        with pytest.warns(RuntimeWarning):
+            em_transient(_ou_free(), 9e-7, 9e-6)
+
+    def test_time_constant_counts_each_resistor_once(self):
+        # no warning below dt = tau / 2 = 2.5 ns, one above
+        net = parse_netlist("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 5p\nN1 2 0 1e-9\n"
+                            ".stoch 1e-7 1e-9 4\n.end\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            em_transient(net, 2e-9, 1e-7)
+            ensemble(net, 2e-9, 1e-7, paths=4)
+        for run in (em_transient, ensemble):
+            with pytest.warns(RuntimeWarning, match="time constant 5e-09"):
+                run(net, 3e-9, 1e-7, **({"paths": 4} if run is ensemble else {}))
+
+    def test_divergence_names_dt_and_tau(self):
+        net = parse_netlist("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 5p\nN1 2 0 1e-9\n"
+                            ".stoch 1e-5 2e-8 4\n.end\n")
+        with pytest.warns(RuntimeWarning) as rec, \
+                pytest.raises(SimulationError, match=r"diverged: dt=2e-08 .*"
+                                                     r"fastest time constant 5e-09"):
+            ensemble(net, 2e-8, 2e-5, paths=4)
+        assert all("not small vs fastest time constant" in str(w.message) for w in rec)
 
     def test_validation(self):
         net = parse_netlist(deck_text("rc_lowpass.ckt"))
