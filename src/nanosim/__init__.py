@@ -9,7 +9,8 @@ from .devices import (DeviceState, G_FLOOR, MosModel, NanowireModel, RtdModel,
                       V_EPS, device_step_bound, geq_predict, mos_current,
                       mos_geq, nanowire_current, nanowire_geq, rtd_current,
                       rtd_didv, rtd_dgeq_dv, rtd_geq)
-from .mna import FlopCounter, MnaSystem, SingularSystemError, assemble, solve
+from .mna import (Circuit, FlopCounter, MnaSystem, SingularSystemError, assemble,
+                  solve)
 from .netlist import (Dc, Element, ElementKind, Netlist, NetlistError, Pulse,
                       Pwl, eval_waveform, parse_netlist, parse_netlist_file,
                       parse_value, pretty_print)

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 input error, 2 numerical failure (settle failure,
 singular system, a device driven to a non-finite voltage, a stochastic
 state that diverged), 3 success with warnings (e.g. the transient hit its
-minimum step with the error budget still exceeded). Waveforms go to CSV
-with full round-trip precision; --plot writes a gnuplot script alongside
-the data. Deck directives provide the defaults; command-line flags win on
-conflict.
+minimum step with the error budget still exceeded, or a stochastic dt is
+not small against the fastest RC time constant), each warning printed as
+one "warning: ..." line on stderr. Waveforms go to CSV with full
+round-trip precision; --plot writes a gnuplot script alongside the data.
+Deck directives provide the defaults; command-line flags win on conflict.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -225,7 +227,15 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
         raise NetlistError("stochastic run needs --tstop/--dt/--paths "
                            "or a .stoch card in the deck")
     window = tuple(args.window) if args.window else None
-    stats = ensemble(net, dt, t_stop, int(paths), seed=int(seed), window=window)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stats = ensemble(net, dt, t_stop, int(paths), seed=int(seed), window=window)
+        finally:
+            # the step-size warning, also ahead of a divergence failure
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+                report.warnings.append(str(w.message))
     report.wall_time = time.perf_counter() - t0
 
     header = ["t"]
@@ -251,6 +261,8 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
     print(f"wrote {out} ({stats.paths} paths)")
     for line in peak_bits:
         print(line)
+    if report.warnings:
+        report.exit_code = EXIT_WARN
     return report
 
 

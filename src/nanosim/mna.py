@@ -5,6 +5,16 @@ auxiliary row per voltage source. Capacitors enter through backward-Euler
 companion stamps (g = C/h into the matrix, i = (C/h)*v_prev into the right
 hand side); with h = +inf they vanish, which is the resistive DC assembly.
 
+A deck is compiled once into a :class:`Circuit`, which the SWEC engine,
+the DC sweep and the Newton baseline share. :func:`assemble` copies its
+static G (resistor stamps in element order, source incidence) and stamps
+the floored device conductances in element order, then the capacitor
+companions, then the source values at ``t``. A float sum depends on its
+order, so this equals stamping every element in deck order bit for bit
+when, at every node, the deck lists resistors before devices and devices
+before capacitors, as every shipped deck does; a resistor after a device,
+or a capacitor before a device, at one node may change the last bit of G.
+
 Arithmetic inside :func:`solve` is tallied into a :class:`FlopCounter` so
 analyses can be compared by operation count. Device-model evaluations count
 their own operations (see ``devices``); matrix stamping and bookkeeping are
@@ -28,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .devices import G_FLOOR
-from .netlist import ElementKind, Netlist, eval_waveform
+from .netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist, Waveform,
+                      eval_waveform)
 
 _PIVOT_RTOL = 1e-14
 
@@ -90,13 +101,19 @@ class MnaSystem:
         return self.n + self.m
 
 
-def node_order(net: Netlist) -> Dict[str, int]:
-    """Dense node indices in first-appearance order, ground excluded."""
-    return {name: i for i, name in enumerate(net.nodes)}
+class Branch(NamedTuple):
+    """An element with its stamped branch (``Element.branch``) as dense node
+    indices, -1 for ground; ``gate`` is a MOSFET's gate node (-1 otherwise)."""
+
+    el: Element
+    a: int
+    b: int
+    gate: int
 
 
-def _idx(node_index: Mapping[str, int], node: str) -> int:
-    return -1 if node == "0" else node_index[node]
+def vnode(x: np.ndarray, i: int) -> float:
+    """Voltage of dense node index ``i`` in ``x``; -1 is ground (0 V)."""
+    return 0.0 if i < 0 else float(x[i])
 
 
 def stamp_conductance(G: np.ndarray, a: int, b: int, g: float) -> None:
@@ -110,62 +127,99 @@ def stamp_conductance(G: np.ndarray, a: int, b: int, g: float) -> None:
         G[b, a] -= g
 
 
-def assemble(net: Netlist, geq: Mapping[str, float],
+class Circuit:
+    """A netlist compiled once: index maps, the static G and its node
+    diagonal, grounded capacitance per node, :class:`Branch` lists, and one
+    waveform per source row, which callers may replace between assemblies."""
+
+    def __init__(self, net: Netlist):
+        self.nodes = list(net.nodes)
+        self.n = n = len(self.nodes)
+        self.node_index = {name: i for i, name in enumerate(self.nodes)}
+
+        def idx(node: str) -> int:
+            return -1 if node == "0" else self.node_index[node]
+
+        self.branches = [Branch(el, *map(idx, el.branch),
+                                idx(el.nodes[1]) if el.kind is ElementKind.MOSFET else -1)
+                         for el in net.elements]
+        self.sources = self._of(ElementKind.VSOURCE)
+        self.capacitors = self._of(ElementKind.CAPACITOR)
+        self.devices = self._of(*NONLINEAR_KINDS)
+        self.m = len(self.sources)
+        self.source_index = {br.el.name: n + i for i, br in enumerate(self.sources)}
+        self.waveforms = [br.el.waveform for br in self.sources]
+
+        self.G = np.zeros((self.size, self.size))
+        for br in self._of(ElementKind.RESISTOR):
+            stamp_conductance(self.G, br.a, br.b, 1.0 / br.el.value)
+        for row, br in enumerate(self.sources, start=n):
+            if br.a >= 0:
+                self.G[row, br.a] = self.G[br.a, row] = 1.0
+            if br.b >= 0:
+                self.G[row, br.b] = self.G[br.b, row] = -1.0
+        self.gsum_static = self.G.diagonal()[:n].copy()
+        self.grounded_cap = np.zeros(n)
+        for br in self.capacitors:
+            if br.b < 0 <= br.a:
+                self.grounded_cap[br.a] += br.el.value
+            elif br.a < 0 <= br.b:
+                self.grounded_cap[br.b] += br.el.value
+
+    @property
+    def size(self) -> int:
+        return self.n + self.m
+
+    def _of(self, *kinds: ElementKind) -> List[Branch]:
+        return [br for br in self.branches if br.el.kind in kinds]
+
+    def set_source(self, name: str, waveform: Waveform) -> None:
+        self.waveforms[self.source_index[name] - self.n] = waveform
+
+    def source_levels(self, t: float) -> List[float]:
+        return [eval_waveform(w, t) for w in self.waveforms]
+
+    def system(self, t: float) -> MnaSystem:
+        """A fresh system: a copy of the static G, the source values at
+        time ``t`` on the right-hand side."""
+        rhs = np.zeros(self.size)
+        rhs[self.n:] = self.source_levels(t)
+        return MnaSystem(self.n, self.m, self.G.copy(), rhs, self.node_index,
+                         self.source_index)
+
+
+def assemble(circuit: Circuit, geq: Mapping[str, float],
              vstate: Optional[np.ndarray] = None, h: float = math.inf,
              t: float = 0.0) -> MnaSystem:
-    """Stamp the netlist into a dense MNA system at time ``t``.
+    """The MNA system of ``circuit`` at time ``t``.
 
-    ``geq`` must supply an equivalent conductance for every nonlinear
-    element (RTD, nanowire, MOSFET). ``vstate`` holds the previous node
-    voltages used by the capacitor companion stamps; ``h`` is the backward
-    Euler step (+inf for DC). Noise sources stamp nothing here.
+    On a copy of the static G this stamps the floored conductances ``geq``
+    (one per nonlinear element, by name) in element order, then the
+    capacitor companions of the step ``h`` from the previous node voltages
+    ``vstate`` (none when ``h`` is +inf, the DC assembly); the right-hand
+    side carries the companion currents and the source values at ``t``.
+    Noise sources stamp nothing here.
     """
-    node_index = node_order(net)
-    n = len(node_index)
-    sources = [el for el in net.elements if el.kind is ElementKind.VSOURCE]
-    m = len(sources)
-    source_index = {el.name: n + i for i, el in enumerate(sources)}
-    size = n + m
-    G = np.zeros((size, size))
-    rhs = np.zeros(size)
-    if vstate is None:
-        vstate = np.zeros(n)
-
-    def vprev(i: int) -> float:
-        return 0.0 if i < 0 else float(vstate[i])
-
-    for el in net.elements:
-        kind = el.kind
-        if kind is ElementKind.NOISE or (kind is ElementKind.CAPACITOR
-                                         and not math.isfinite(h)):
-            continue
-        a, b = (_idx(node_index, nd) for nd in el.branch)
-        if kind is ElementKind.RESISTOR:
-            stamp_conductance(G, a, b, 1.0 / el.value)
-        elif kind is ElementKind.CAPACITOR:
-            g = el.value / h
-            i_eq = g * (vprev(a) - vprev(b))
-            stamp_conductance(G, a, b, g)
-            if a >= 0:
-                rhs[a] += i_eq
-            if b >= 0:
-                rhs[b] -= i_eq
-        elif kind is ElementKind.VSOURCE:
-            row = source_index[el.name]
-            if a >= 0:
-                G[row, a] = G[a, row] = 1.0
-            if b >= 0:
-                G[row, b] = G[b, row] = -1.0
-            rhs[row] = eval_waveform(el.waveform, t)
-        else:
-            try:
-                g = geq[el.name]
-            except KeyError:
-                raise MnaError(f"no equivalent conductance supplied for '{el.name}'")
-            stamp_conductance(G, a, b, max(g, G_FLOOR))
-
-    return MnaSystem(n=n, m=m, G=G, rhs=rhs, node_index=node_index,
-                     source_index=source_index)
+    sys = circuit.system(t)
+    G, rhs = sys.G, sys.rhs
+    for br in circuit.devices:
+        try:
+            g = geq[br.el.name]
+        except KeyError:
+            raise MnaError(f"no equivalent conductance supplied for '{br.el.name}'")
+        stamp_conductance(G, br.a, br.b, max(g, G_FLOOR))
+    if math.isfinite(h):
+        if vstate is None:
+            vstate = np.zeros(circuit.n)
+        for br in circuit.capacitors:
+            g = br.el.value / h
+            i_eq = g * (vnode(vstate, br.a) - vnode(vstate, br.b))
+            stamp_conductance(G, br.a, br.b, g)
+            if br.a >= 0:
+                rhs[br.a] += i_eq
+            if br.b >= 0:
+                rhs[br.b] -= i_eq
+    return sys
 
 
 def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:

@@ -19,10 +19,9 @@ import numpy as np
 
 from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
-from .mna import (FlopCounter, MnaSystem, SingularSystemError, node_order, solve,
-                  stamp_conductance)
-from .netlist import (NONLINEAR_KINDS, DcAnalysis, Element, ElementKind, Netlist,
-                      eval_waveform)
+from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
+                  stamp_conductance, vnode)
+from .netlist import NONLINEAR_KINDS, DcAnalysis, ElementKind, Netlist
 from .swec import SimConfig, dc_sweep, operating_point, pin_source
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
@@ -54,64 +53,58 @@ class FlopCompare:
     speedup: float
 
 
-def _device_iv(el: Element, model, vbr: float, fc: FlopCounter) -> Tuple[float, float]:
-    if el.kind is ElementKind.RTD:
+def _device_iv(br: Branch, model, vbr: float, fc: FlopCounter) -> Tuple[float, float]:
+    if br.el.kind is ElementKind.RTD:
         return (float(rtd_current(model, vbr, fc)), float(rtd_didv(model, vbr, fc)))
     return (float(nanowire_current(model, vbr, fc)), float(nanowire_didv(model, vbr, fc)))
+
+
+
+def _mos_terminals(br: Branch, xv: np.ndarray) -> Tuple[float, float, int, int]:
+    """Bias (vgs, vds) and the nodes acting as drain and source."""
+    vgs, vds, rev = mos_bias(vnode(xv, br.a), vnode(xv, br.gate), vnode(xv, br.b))
+    return (vgs, vds, br.b, br.a) if rev else (vgs, vds, br.a, br.b)
 
 
 def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
           max_iter: int = 100, tol: float = 1e-9) -> NrReport:
     """Plain Newton-Raphson DC solve on the nonlinear nodal equations.
 
-    Capacitors are open circuits; noise sources are rejected. Converged
-    means the largest nodal KCL residual is at most ``tol`` amps. A
-    detected 2-cycle sets ``oscillation_detected`` (iteration continues to
-    ``max_iter`` so failed runs carry their full cost).
+    Capacitors are open circuits; noise sources are rejected. Each iteration
+    starts from the circuit's static G and source values and stamps the
+    device Jacobians on top. Converged means the largest nodal KCL residual
+    is at most ``tol`` amps. A detected 2-cycle sets ``oscillation_detected``
+    (iteration continues to ``max_iter`` so failed runs carry their full
+    cost).
     """
     if net.elements_of(ElementKind.NOISE):
         raise ValueError("nr_dc does not handle noise sources")
-    node_index = node_order(net)
-    n = len(node_index)
-    sources = net.elements_of(ElementKind.VSOURCE)
-    m = len(sources)
-    size = n + m
-    source_index = {el.name: n + i for i, el in enumerate(sources)}
+    circuit = Circuit(net)
+    n = circuit.n
     fc = FlopCounter()
 
-    def nid(name: str) -> int:
-        return -1 if name == "0" else node_index[name]
-
-    x = np.zeros(size)
+    x = np.zeros(circuit.size)
     if initial_guess is not None:
         x[:len(initial_guess)] = initial_guess
 
-    models = {el.name: net.model_of(el) for el in net.elements_of(*NONLINEAR_KINDS)}
-
-    def vn(xv: np.ndarray, i: int) -> float:
-        return 0.0 if i < 0 else float(xv[i])
-
-    def mos_terminals(xv: np.ndarray, el: Element):
-        """Bias (vgs, vds) and the nodes acting as drain and source."""
-        d, s = (nid(nd) for nd in el.branch)
-        vgs, vds, rev = mos_bias(vn(xv, d), vn(xv, nid(el.nodes[1])), vn(xv, s))
-        return (vgs, vds, s, d) if rev else (vgs, vds, d, s)
+    models = {br.el.name: net.model_of(br.el) for br in circuit.devices}
+    levels = circuit.source_levels(0.0)
 
     def kcl_residual(xv: np.ndarray) -> float:
         """Largest net nodal current imbalance with true device currents."""
         r = np.zeros(n)
-        for el in net.elements:
-            a, b = (nid(nd) for nd in el.branch)
+        for br in circuit.branches:
+            el, a, b = br.el, br.a, br.b
             if el.kind is ElementKind.RESISTOR:
-                i = (vn(xv, a) - vn(xv, b)) / el.value
+                i = (vnode(xv, a) - vnode(xv, b)) / el.value
                 fc.count(adds=1, divs=1)
             elif el.kind is ElementKind.VSOURCE:
-                i = float(xv[source_index[el.name]])
+                i = float(xv[circuit.source_index[el.name]])
             elif el.kind is ElementKind.MOSFET:
-                vgs, vds, a, b = mos_terminals(xv, el)
+                vgs, vds, a, b = _mos_terminals(br, xv)
                 i = float(mos_current(models[el.name], vgs, vds, fc))
             elif el.kind in NONLINEAR_KINDS:
-                vbr = vn(xv, a) - vn(xv, b)
+                vbr = vnode(xv, a) - vnode(xv, b)
                 mdl = models[el.name]
                 if el.kind is ElementKind.RTD:
                     i = float(rtd_current(mdl, vbr, fc))
@@ -127,10 +120,8 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
 
     def source_violation(xv: np.ndarray) -> float:
         worst = 0.0
-        for el in sources:
-            a, b = (nid(nd) for nd in el.branch)
-            dv = vn(xv, a) - vn(xv, b) - eval_waveform(el.waveform, 0.0)
-            worst = max(worst, abs(dv))
+        for br, level in zip(circuit.sources, levels):
+            worst = max(worst, abs(vnode(xv, br.a) - vnode(xv, br.b) - level))
         return worst
 
     trajectory = [x.copy()]
@@ -145,23 +136,13 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
             converged = True
             break
         iters = k
-        G = np.zeros((size, size))
-        rhs = np.zeros(size)
-        for el in net.elements:
-            a, b = (nid(nd) for nd in el.branch)
-            if el.kind is ElementKind.RESISTOR:
-                stamp_conductance(G, a, b, 1.0 / el.value)
-            elif el.kind is ElementKind.VSOURCE:
-                row = source_index[el.name]
-                if a >= 0:
-                    G[row, a] = G[a, row] = 1.0
-                if b >= 0:
-                    G[row, b] = G[b, row] = -1.0
-                rhs[row] = eval_waveform(el.waveform, 0.0)
-            elif el.kind is ElementKind.MOSFET:
-                mdl = models[el.name]
-                vgs, vds, d_node, s_node = mos_terminals(x, el)
-                g_node = nid(el.nodes[1])
+        sys = circuit.system(0.0)
+        G, rhs = sys.G, sys.rhs
+        for br in circuit.devices:
+            mdl = models[br.el.name]
+            if br.el.kind is ElementKind.MOSFET:
+                vgs, vds, d_node, s_node = _mos_terminals(br, x)
+                g_node = br.gate
                 i0 = float(mos_current(mdl, vgs, vds, fc))
                 gds = mos_didv(mdl, vgs, vds)
                 gm = mos_gm(mdl, vgs, vds)
@@ -182,18 +163,16 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
                     if g_node >= 0:
                         G[s_node, g_node] -= gm
                     rhs[s_node] += ieq
-            elif el.kind in NONLINEAR_KINDS:
-                vbr = vn(x, a) - vn(x, b)
-                i0, gd = _device_iv(el, models[el.name], vbr, fc)
-                stamp_conductance(G, a, b, gd)
+            else:
+                vbr = vnode(x, br.a) - vnode(x, br.b)
+                i0, gd = _device_iv(br, mdl, vbr, fc)
+                stamp_conductance(G, br.a, br.b, gd)
                 ieq = i0 - gd * vbr
                 fc.count(adds=1, muls=1)
-                if a >= 0:
-                    rhs[a] -= ieq
-                if b >= 0:
-                    rhs[b] += ieq
-        sys = MnaSystem(n=n, m=m, G=G, rhs=rhs, node_index=node_index,
-                        source_index=source_index)
+                if br.a >= 0:
+                    rhs[br.a] -= ieq
+                if br.b >= 0:
+                    rhs[br.b] += ieq
         try:
             x = solve(sys, fc)
         except SingularSystemError:

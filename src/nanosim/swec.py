@@ -30,9 +30,9 @@ import numpy as np
 from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predict,
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
-from .mna import FlopCounter, assemble, node_order, solve
-from .netlist import (NONLINEAR_KINDS, Dc, Element, ElementKind, Netlist, Pwl,
-                      TranAnalysis, eval_waveform, waveform_breakpoints)
+from .mna import Branch, Circuit, FlopCounter, assemble, solve, vnode
+from .netlist import (NONLINEAR_KINDS, Dc, ElementKind, Netlist, Pwl, TranAnalysis,
+                      waveform_breakpoints)
 
 # Nodes whose computed voltage change is below this are skipped by the local
 # error test (the relative measure is meaningless at quiescent nodes).
@@ -52,7 +52,6 @@ class SimConfig:
     h_max: Optional[float] = None
     t_stop: Optional[float] = None
     op_ramp: float = 1e-9
-    op_settle_tol: Optional[float] = None
     max_steps: int = 200_000
     start_from_op: bool = False
 
@@ -127,104 +126,84 @@ class _Engine:
     def __init__(self, net: Netlist, cfg: SimConfig, fc: Optional[FlopCounter] = None):
         if net.elements_of(ElementKind.NOISE):
             raise SimulationError("deck contains noise sources; use the stochastic engine")
-        self.net = net
+        self.circuit = Circuit(net)
         self.cfg = cfg
         self.fc = fc if fc is not None else FlopCounter()
-        self.node_index = node_order(net)
-        self.n = len(self.node_index)
-        self.nodes = list(net.nodes)
-        self.nonlinear = net.elements_of(*NONLINEAR_KINDS)
-        self.models = {el.name: net.model_of(el) for el in self.nonlinear}
-        self.states: Dict[str, DeviceState] = {el.name: DeviceState()
-                                               for el in self.nonlinear}
-        self.grounded_cap = np.zeros(self.n)
-        self.gsum_static = np.zeros(self.n)
-        for el in net.elements:
-            if el.kind is ElementKind.CAPACITOR and "0" in el.nodes:
-                other = el.nodes[0] if el.nodes[1] == "0" else el.nodes[1]
-                if other != "0":
-                    self.grounded_cap[self.node_index[other]] += el.value
-            elif el.kind is ElementKind.RESISTOR:
-                g = 1.0 / el.value
-                for nd in el.nodes:
-                    if nd != "0":
-                        self.gsum_static[self.node_index[nd]] += g
+        self.n = self.circuit.n
+        self.nodes = self.circuit.nodes
+        self.devices = self.circuit.devices
+        self.models = {br.el.name: net.model_of(br.el) for br in self.devices}
+        self.states: Dict[str, DeviceState] = {br.el.name: DeviceState()
+                                               for br in self.devices}
         # nodes held by a source cannot respond to a conductance change, so
         # the local error test is meaningless there
-        self.source_nodes = {nd for el in net.elements_of(ElementKind.VSOURCE)
-                             for nd in el.nodes if nd != "0"}
-        self.n_solves = 0
+        self.source_nodes = {i for br in self.circuit.sources
+                             for i in (br.a, br.b) if i >= 0}
 
-    def _vn(self, x: np.ndarray, node: str) -> float:
-        return 0.0 if node == "0" else float(x[self.node_index[node]])
-
-    def bias(self, el: Element, x: np.ndarray) -> Tuple[float, float]:
+    def bias(self, br: Branch, x: np.ndarray) -> Tuple[float, float]:
         """(branch voltage, controlling voltage) of a device at solution x:
         (vds, vgs) for a MOSFET, the terminal voltage twice otherwise."""
-        a, b = el.branch
-        va, vb = self._vn(x, a), self._vn(x, b)
-        if el.kind is ElementKind.MOSFET:
-            vgs, vds, _ = mos_bias(va, self._vn(x, el.nodes[1]), vb)
+        va, vb = vnode(x, br.a), vnode(x, br.b)
+        if br.el.kind is ElementKind.MOSFET:
+            vgs, vds, _ = mos_bias(va, vnode(x, br.gate), vb)
             return float(vds), float(vgs)
         return va - vb, va - vb
 
-    def direct_geq(self, el: Element, x: np.ndarray) -> float:
-        m = self.models[el.name]
-        v, ctrl = self.bias(el, x)
-        if el.kind is ElementKind.RTD:
+    def direct_geq(self, br: Branch, x: np.ndarray) -> float:
+        m = self.models[br.el.name]
+        v, ctrl = self.bias(br, x)
+        if br.el.kind is ElementKind.RTD:
             return float(rtd_geq(m, v, self.fc))
-        if el.kind is ElementKind.NANOWIRE:
+        if br.el.kind is ElementKind.NANOWIRE:
             return float(nanowire_geq(m, v, self.fc))
         return float(mos_geq(m, ctrl, v, self.fc))
 
-    def predicted_geq(self, el: Element, x: np.ndarray, h: float) -> float:
-        st = self.states[el.name]
-        m = self.models[el.name]
+    def predicted_geq(self, br: Branch, x: np.ndarray, h: float) -> float:
+        st = self.states[br.el.name]
+        m = self.models[br.el.name]
         if st.h_prev <= 0.0:
-            return self.direct_geq(el, x)
-        if el.kind is ElementKind.MOSFET:
+            return self.direct_geq(br, x)
+        if br.el.kind is ElementKind.MOSFET:
             # stepwise-constant prediction at half-step extrapolated bias
             vgs = st.ctrl_now + 0.5 * h * st.ctrl_slew()
             vds = max(st.v_now + 0.5 * h * st.slew(), 0.0)
             return float(mos_geq(m, vgs, vds, self.fc))
         if abs(st.v_now) < V_EPS:
-            return self.direct_geq(el, x)
-        if el.kind is ElementKind.RTD:
+            return self.direct_geq(br, x)
+        if br.el.kind is ElementKind.RTD:
             dg = float(rtd_dgeq_dv(m, st.v_now, self.fc))
         else:
             dg = float(nanowire_dgeq_dv(m, st.v_now, self.fc))
         return geq_predict(st, dg, h, self.fc)
 
     def gsum_now(self) -> np.ndarray:
-        g = self.gsum_static.copy()
-        for el in self.nonlinear:
-            geq = self.states[el.name].geq_now
-            for nd in el.branch:
-                if nd != "0":
-                    g[self.node_index[nd]] += geq
+        g = self.circuit.gsum_static.copy()
+        for br in self.devices:
+            geq = self.states[br.el.name].geq_now
+            for i in (br.a, br.b):
+                if i >= 0:
+                    g[i] += geq
         return g
 
     def step_size(self, h_max: float, with_device_bounds: bool = True) -> float:
-        bounds = [device_step_bound(self.states[el.name],
-                                    el.kind is ElementKind.MOSFET)
-                  for el in self.nonlinear] if with_device_bounds else []
-        return next_step_size(self.grounded_cap, self.gsum_now(), bounds,
+        bounds = [device_step_bound(self.states[br.el.name],
+                                    br.el.kind is ElementKind.MOSFET)
+                  for br in self.devices] if with_device_bounds else []
+        return next_step_size(self.circuit.grounded_cap, self.gsum_now(), bounds,
                               self.cfg.eps, self.cfg.h_min, h_max)
 
-    def local_error(self, el: Element, g_pred: float, g_act: float,
+    def local_error(self, br: Branch, g_pred: float, g_act: float,
                     x_old: np.ndarray, x_new: np.ndarray, h: float) -> float:
         """Worst relative mismatch, over the device's terminals, between the
         solved voltage change and the change the re-evaluated conductance
         implies with the rest of the circuit frozen."""
-        a_name, b_name = el.branch
         err = 0.0
-        for me, other in ((a_name, b_name), (b_name, a_name)):
-            if me == "0" or me in self.source_nodes:
+        for j, other in ((br.a, br.b), (br.b, br.a)):
+            if j < 0 or j in self.source_nodes:
                 continue
-            j = self.node_index[me]
             vj_old, vj_new = float(x_old[j]), float(x_new[j])
-            vo_new = self._vn(x_new, other)
-            cjh = self.grounded_cap[j] / h
+            vo_new = vnode(x_new, other)
+            cjh = self.circuit.grounded_cap[j] / h
             i_other = cjh * (vj_new - vj_old) + g_pred * (vj_new - vo_new)
             v_act = (i_other + cjh * vj_old + g_act * vo_new) / (cjh + g_act)
             dv_act = v_act - vj_old
@@ -236,20 +215,20 @@ class _Engine:
     def commit_states(self, x_new: np.ndarray, g_act: Dict[str, float], h: float):
         """Record the accepted solution, its conductances and the step ``h``
         in every device history; ``h = 0`` starts a history with no slew."""
-        for el in self.nonlinear:
-            st = self.states[el.name]
-            v, ctrl = self.bias(el, x_new)
+        for br in self.devices:
+            st = self.states[br.el.name]
+            v, ctrl = self.bias(br, x_new)
             st.v_prev, st.v_now = (st.v_now if h > 0.0 else v), v
             st.ctrl_prev, st.ctrl_now = (st.ctrl_now if h > 0.0 else ctrl), ctrl
-            if el.kind is ElementKind.MOSFET:
-                st.overdrive = ctrl - self.models[el.name].vth
+            if br.el.kind is ElementKind.MOSFET:
+                st.overdrive = ctrl - self.models[br.el.name].vth
             st.h_prev = h
-            st.geq_now = max(g_act[el.name], G_FLOOR)
+            st.geq_now = max(g_act[br.el.name], G_FLOOR)
 
     def seed_states(self, x: np.ndarray):
         """Initialize device histories at the starting solution (no slew)."""
-        self.commit_states(x, {el.name: self.direct_geq(el, x)
-                               for el in self.nonlinear}, 0.0)
+        self.commit_states(x, {br.el.name: self.direct_geq(br, x)
+                               for br in self.devices}, 0.0)
 
     def run(self, t_stop: float, h_max: float, x0: Optional[np.ndarray] = None,
             settle_after: Optional[float] = None, settle_tol: float = 0.0,
@@ -259,14 +238,12 @@ class _Engine:
         # conductance is evaluated directly each step and the slew-based
         # device bounds (which would choke on a bouncing iterate) are skipped.
         predictive = error_control
-        net = self.net
-        n_unknowns = self.n + len(net.elements_of(ElementKind.VSOURCE))
-        x = np.zeros(n_unknowns) if x0 is None else x0.copy()
-        breakpoints = sorted({bp for el in net.elements_of(ElementKind.VSOURCE)
-                              for bp in waveform_breakpoints(el.waveform, t_stop)})
+        x = np.zeros(self.circuit.size) if x0 is None else x0.copy()
+        breakpoints = sorted({bp for w in self.circuit.waveforms
+                              for bp in waveform_breakpoints(w, t_stop)})
         times = [0.0]
         trace = [x[:self.n].copy()]
-        steps = rejected = warnings = 0
+        steps = rejected = warnings = solves = 0
         settled = False
         t = 0.0
         h_last = math.inf
@@ -284,26 +261,26 @@ class _Engine:
                     break
             while True:
                 if predictive:
-                    g_pred = {el.name: max(self.predicted_geq(el, x, h), G_FLOOR)
-                              for el in self.nonlinear}
+                    g_pred = {br.el.name: max(self.predicted_geq(br, x, h), G_FLOOR)
+                              for br in self.devices}
                 else:
                     # committed geq_now is the direct evaluation at the
                     # current state, so no fresh device call is needed
-                    g_pred = {el.name: (self.states[el.name].geq_now
-                                        if self.states[el.name].h_prev > 0.0
-                                        else max(self.direct_geq(el, x), G_FLOOR))
-                              for el in self.nonlinear}
-                sys = assemble(net, g_pred, vstate=x[:self.n], h=h, t=t + h)
+                    g_pred = {br.el.name: (self.states[br.el.name].geq_now
+                                           if self.states[br.el.name].h_prev > 0.0
+                                           else max(self.direct_geq(br, x), G_FLOOR))
+                              for br in self.devices}
+                sys = assemble(self.circuit, g_pred, vstate=x[:self.n], h=h, t=t + h)
                 x_new = solve(sys, self.fc)
-                self.n_solves += 1
-                g_act = {el.name: max(self.direct_geq(el, x_new), G_FLOOR)
-                         for el in self.nonlinear}
+                solves += 1
+                g_act = {br.el.name: max(self.direct_geq(br, x_new), G_FLOOR)
+                         for br in self.devices}
                 if not error_control:
                     break
                 err = 0.0
-                for el in self.nonlinear:
-                    err = max(err, self.local_error(el, g_pred[el.name],
-                                                    g_act[el.name], x, x_new, h))
+                for br in self.devices:
+                    err = max(err, self.local_error(br, g_pred[br.el.name],
+                                                    g_act[br.el.name], x, x_new, h))
                 if err <= self.cfg.eps:
                     break
                 if h <= self.cfg.h_min * (1.0 + 1e-12):
@@ -324,7 +301,7 @@ class _Engine:
                 break
         series = WaveformSeries(times=np.array(times), voltages=np.array(trace),
                                 nodes=self.nodes, steps_taken=steps,
-                                steps_rejected=rejected, n_solves=self.n_solves,
+                                steps_rejected=rejected, n_solves=solves,
                                 hmin_warnings=warnings, flops=self.fc)
         return series, x, settled
 
@@ -351,25 +328,11 @@ def transient(net: Netlist, cfg: SimConfig,
     x0 = None
     eng = _Engine(net, cfg, fc)
     if cfg.start_from_op:
-        op = operating_point(net, cfg, fc=eng.fc)
-        x0 = np.zeros(eng.n + len(net.elements_of(ElementKind.VSOURCE)))
-        x0[:eng.n] = op.voltages
+        x0 = np.zeros(eng.circuit.size)
+        x0[:eng.n] = _settle(eng).voltages
         eng.seed_states(x0)
     series, _, _ = eng.run(t_stop, _resolved_h_max(cfg, t_stop), x0=x0)
     return series
-
-
-def _ramped(net: Netlist, ramp: float) -> Netlist:
-    """Copy of the deck with every source ramped 0 -> value(t=0) over ``ramp``."""
-    elements = []
-    for el in net.elements:
-        if el.kind is ElementKind.VSOURCE:
-            w0 = eval_waveform(el.waveform, 0.0)
-            wave = Pwl(((0.0, 0.0), (ramp, w0)))
-            elements.append(replace(el, waveform=wave))
-        else:
-            elements.append(el)
-    return replace(net, elements=tuple(elements))
 
 
 def pin_source(net: Netlist, source: str, level: float) -> Netlist:
@@ -382,46 +345,46 @@ def pin_source(net: Netlist, source: str, level: float) -> Netlist:
     return replace(net, elements=tuple(elements))
 
 
-def _settle_tol(net: Netlist, cfg: SimConfig) -> float:
-    if cfg.op_settle_tol is not None:
-        return cfg.op_settle_tol
-    scale = 1.0
-    for el in net.elements_of(ElementKind.VSOURCE):
-        scale = max(scale, abs(eval_waveform(el.waveform, 0.0)))
-    return 1.0 * scale
+def _settle_tol(levels: Sequence[float]) -> float:
+    return max([1.0] + [abs(v) for v in levels])
 
 
-def _linear_op(net: Netlist, fc: FlopCounter) -> OperatingPoint:
+def _linear_op(circuit: Circuit, fc: FlopCounter) -> OperatingPoint:
     """A circuit without nonlinear devices needs exactly one DC solve."""
-    sys = assemble(net, {}, h=math.inf, t=0.0)
-    x = solve(sys, fc)
-    n = len(net.nodes)
+    x = solve(assemble(circuit, {}, h=math.inf, t=0.0), fc)
+    n = circuit.n
     series = WaveformSeries(times=np.array([0.0]), voltages=x[:n].reshape(1, -1),
-                            nodes=list(net.nodes), steps_taken=1, n_solves=1,
+                            nodes=circuit.nodes, steps_taken=1, n_solves=1,
                             flops=fc)
-    return OperatingPoint(voltages=x[:n].copy(), nodes=list(net.nodes),
+    return OperatingPoint(voltages=x[:n].copy(), nodes=circuit.nodes,
                           settled=True, series=series)
+
+
+def _settle(eng: _Engine) -> OperatingPoint:
+    """Pseudo-transient DC solution on the engine's circuit: ramp every
+    source from 0 to its t = 0 level over ``op_ramp``, then integrate until
+    node voltages stop moving (or 100 ramps elapse). A circuit without
+    nonlinear devices takes a single resistive solve."""
+    circuit, ramp = eng.circuit, eng.cfg.op_ramp
+    if not circuit.devices:
+        return _linear_op(circuit, eng.fc)
+    levels = circuit.source_levels(0.0)
+    held = circuit.waveforms
+    circuit.waveforms = [Pwl(((0.0, 0.0), (ramp, v))) for v in levels]
+    try:
+        series, x, settled = eng.run(
+            t_stop=100.0 * ramp, h_max=ramp / 10.0, settle_after=ramp,
+            settle_tol=_settle_tol(levels), error_control=False)
+    finally:
+        circuit.waveforms = held
+    return OperatingPoint(voltages=x[:eng.n].copy(), nodes=eng.nodes,
+                          settled=settled, series=series)
 
 
 def operating_point(net: Netlist, cfg: SimConfig,
                     fc: Optional[FlopCounter] = None) -> OperatingPoint:
-    """Pseudo-transient DC solution: ramp sources over ``cfg.op_ramp``,
-    integrate until node voltages stop moving (or 100 ramps elapse).
-    Linear decks short-circuit to a single resistive solve."""
-    fc = fc if fc is not None else FlopCounter()
-    if not net.elements_of(*NONLINEAR_KINDS):
-        if net.elements_of(ElementKind.NOISE):
-            raise SimulationError("deck contains noise sources; "
-                                  "use the stochastic engine")
-        return _linear_op(net, fc)
-    ramped = _ramped(net, cfg.op_ramp)
-    eng = _Engine(ramped, cfg, fc)
-    series, x, settled = eng.run(
-        t_stop=100.0 * cfg.op_ramp, h_max=cfg.op_ramp / 10.0,
-        settle_after=cfg.op_ramp, settle_tol=_settle_tol(net, cfg),
-        error_control=False)
-    return OperatingPoint(voltages=x[:eng.n].copy(), nodes=eng.nodes,
-                          settled=settled, series=series)
+    """Pseudo-transient DC solution (see :func:`_settle`)."""
+    return _settle(_Engine(net, cfg, fc))
 
 
 def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
@@ -429,8 +392,9 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
     """Swept operating points with previous-point continuation.
 
     The first bias is solved by a full source ramp; each later bias starts
-    from the previous solution and settles in place. RTD and nanowire
-    terminal currents are recorded per point.
+    from the previous solution and settles in place. One compiled circuit
+    serves every point: only the swept source's level changes. RTD and
+    nanowire terminal currents are recorded per point.
     """
     if points < 2:
         raise ValueError("dc_sweep requires at least 2 points")
@@ -443,58 +407,47 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
     fc = fc if fc is not None else FlopCounter()
     biases = np.linspace(start, stop, points)
     if not net.elements_of(*NONLINEAR_KINDS):
-        volts = np.zeros((points, len(net.nodes)))
-        n_solves = 0
+        circuit = Circuit(net)
+        volts = np.zeros((points, circuit.n))
         for k, b in enumerate(biases):
-            op = _linear_op(pin_source(net, source, b), fc)
-            volts[k] = op.voltages
-            n_solves += 1
+            circuit.set_source(src.name, Dc(b))
+            volts[k] = _linear_op(circuit, fc).voltages
         return DcSweep(biases=biases, voltages=volts, currents={},
                        settled=np.ones(points, dtype=bool),
-                       nodes=list(net.nodes), flops=fc, n_solves=n_solves)
-    first = operating_point(pin_source(net, source, biases[0]), cfg, fc=fc)
-    nodes = first.nodes
-    n = len(nodes)
+                       nodes=circuit.nodes, flops=fc, n_solves=points)
+    eng = _Engine(net, cfg, fc)
+    circuit, n = eng.circuit, eng.n
+    # points after the first settle against the deck's own source levels
+    tol = _settle_tol(circuit.source_levels(0.0))
     volts = np.zeros((points, n))
     settled = np.zeros(points, dtype=bool)
-    volts[0] = first.voltages
-    settled[0] = first.settled
-    n_solves = first.series.n_solves
-
-    # carry the full unknown vector and device states across points
-    eng = None
-    x = None
-    tol = _settle_tol(net, cfg)
-    prev_states = None
-    for k in range(1, points):
-        pinned = pin_source(net, source, biases[k])
-        eng = _Engine(pinned, cfg, fc)
-        nv = len(pinned.elements_of(ElementKind.VSOURCE))
-        x0 = np.zeros(eng.n + nv)
-        x0[:n] = volts[k - 1]
-        if prev_states is None:
-            eng.seed_states(x0)
+    n_solves = 0
+    # the unknown vector and device states carry over from point to point
+    x = np.zeros(circuit.size)
+    for k, bias in enumerate(biases):
+        circuit.set_source(src.name, Dc(bias))
+        if k == 0:
+            op = _settle(eng)
+            series, x[:n], ok = op.series, op.voltages, op.settled
+            eng.seed_states(x)
         else:
-            eng.states = prev_states
-        series, x, ok = eng.run(t_stop=100.0 * cfg.op_ramp,
-                                h_max=cfg.op_ramp / 10.0, x0=x0,
-                                settle_after=0.0, settle_tol=tol,
-                                error_control=False)
-        volts[k] = x[:n]
-        settled[k] = ok
-        prev_states = eng.states
+            series, x, ok = eng.run(t_stop=100.0 * cfg.op_ramp,
+                                    h_max=cfg.op_ramp / 10.0, x0=x,
+                                    settle_after=0.0, settle_tol=tol,
+                                    error_control=False)
+        volts[k], settled[k] = x[:n], ok
         n_solves += series.n_solves
 
     currents: Dict[str, np.ndarray] = {}
-    idx = {name: i for i, name in enumerate(nodes)}
-    for el in net.elements_of(ElementKind.RTD, ElementKind.NANOWIRE):
-        m = net.model_of(el)
-        va, vb = (volts[:, idx[nd]] if nd != "0" else np.zeros(points)
-                  for nd in el.branch)
+    for br in eng.devices:
+        if br.el.kind is ElementKind.MOSFET:
+            continue
+        m = eng.models[br.el.name]
+        va, vb = (volts[:, i] if i >= 0 else np.zeros(points) for i in (br.a, br.b))
         vbr = va - vb
-        if el.kind is ElementKind.RTD:
-            currents[el.name] = np.asarray(rtd_current(m, vbr))
+        if br.el.kind is ElementKind.RTD:
+            currents[br.el.name] = np.asarray(rtd_current(m, vbr))
         else:
-            currents[el.name] = np.asarray(nanowire_current(m, vbr))
+            currents[br.el.name] = np.asarray(nanowire_current(m, vbr))
     return DcSweep(biases=biases, voltages=volts, currents=currents,
-                   settled=settled, nodes=nodes, flops=fc, n_solves=n_solves)
+                   settled=settled, nodes=eng.nodes, flops=fc, n_solves=n_solves)

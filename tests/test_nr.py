@@ -135,6 +135,14 @@ class TestFlopCompare:
         assert billed - unbilled == FlopCounter(n * one.adds, n * one.muls,
                                                 n * one.divs, n * one.transcendentals)
 
+    @pytest.mark.parametrize("deck, swec, newton", [
+        ("rtd_divider.ckt", 37458, 18660),        # 60 points
+        ("nanowire_divider.ckt", 20274, 13798),   # 40 points
+    ])
+    def test_deck_sweep_totals(self, deck, swec, newton):
+        cmp_ = flop_compare(parse_netlist(deck_text(deck)))
+        assert (cmp_.swec_flops, cmp_.nr_flops) == (swec, newton)
+
     def test_unknown_analysis(self):
         net = parse_netlist(deck_text("divider.ckt"))
         with pytest.raises(ValueError):

@@ -116,11 +116,12 @@ class TestOperatingPoint:
         assert min(abs(op.v("2") - v) for v in stable) <= 1e-3
 
     def test_geq_floor_respected(self):
+        from nanosim.netlist import Pwl
         from nanosim.swec import _Engine
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
         cfg = SimConfig()
-        from nanosim.swec import _ramped
-        eng = _Engine(_ramped(net, cfg.op_ramp), cfg)
+        eng = _Engine(net, cfg)
+        eng.circuit.set_source("V1", Pwl(((0.0, 0.0), (cfg.op_ramp, 12.0))))
         eng.run(t_stop=100 * cfg.op_ramp, h_max=cfg.op_ramp / 10,
                 settle_after=cfg.op_ramp, settle_tol=12.0, error_control=False)
         assert all(st.geq_now >= G_FLOOR for st in eng.states.values())
