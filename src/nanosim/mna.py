@@ -6,7 +6,9 @@ companion stamps (g = C/h into the matrix, i = (C/h)*v_prev into the right
 hand side); with h = +inf they vanish, which is the resistive DC assembly.
 
 A deck is compiled once into a :class:`Circuit`, which the SWEC engine,
-the DC sweep and the Newton baseline share. :func:`assemble` copies its
+the DC sweep, the Newton baseline and the stochastic engine share; the
+stochastic engine takes its state-space G and C from the circuit's static
+G and dense node capacitance matrix ``C``. :func:`assemble` copies its
 static G (resistor stamps in element order, source incidence) and stamps
 the floored device conductances in element order, then the capacitor
 companions, then the source values at ``t``. A float sum depends on its
@@ -129,8 +131,10 @@ def stamp_conductance(G: np.ndarray, a: int, b: int, g: float) -> None:
 
 class Circuit:
     """A netlist compiled once: index maps, the static G and its node
-    diagonal, grounded capacitance per node, :class:`Branch` lists, and one
-    waveform per source row, which callers may replace between assemblies."""
+    diagonal, the node capacitance matrix ``C`` (every capacitor stamped
+    like a conductance, in element order), grounded capacitance per node,
+    :class:`Branch` lists, and one waveform per source row, which callers
+    may replace between assemblies."""
 
     def __init__(self, net: Netlist):
         self.nodes = list(net.nodes)
@@ -159,6 +163,9 @@ class Circuit:
             if br.b >= 0:
                 self.G[row, br.b] = self.G[br.b, row] = -1.0
         self.gsum_static = self.G.diagonal()[:n].copy()
+        self.C = np.zeros((n, n))
+        for br in self.capacitors:
+            stamp_conductance(self.C, br.a, br.b, br.el.value)
         self.grounded_cap = np.zeros(n)
         for br in self.capacitors:
             if br.b < 0 <= br.a:

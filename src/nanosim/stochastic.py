@@ -14,6 +14,18 @@ with G(t_{j-1}) including the equivalent conductances of any nonlinear
 devices evaluated at X_{j-1}. The grid is uniform (no adaptive stepping
 here), and with zero noise the recurrence is exactly forward Euler.
 
+The state space comes from the compiled :class:`~nanosim.mna.Circuit`
+the other analyses use. G and C over the state nodes are the non-pinned
+rows and columns of the circuit's static G (resistors) and of its node
+capacitance matrix ``C``; b(t) is the pinned-node columns of G times the
+source levels at t, one term per source; B has one column per noise
+source, stamped from its terminals. Sources must be grounded at their
+negative terminal and may pin a node only once, every state node needs
+grounded capacitance, and no capacitor or noise source may touch a
+pinned node. Every step writes all node voltages (the state and the
+source levels) into the output array, and the next step's drift reads
+the device terminals from that row.
+
 Paths are reproducible: path k of a run with seed s draws its increments
 from an independent substream keyed by (s, k), so results are bit-identical
 across runs.
@@ -30,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
-from .mna import FlopCounter
-from .netlist import NONLINEAR_KINDS, Element, ElementKind, Netlist, eval_waveform
+from .mna import Branch, Circuit, FlopCounter
+from .netlist import ElementKind, ModelCard, Netlist
 from .swec import SimulationError, WaveformSeries
 
 _CHUNK = 256          # paths per vectorized block, fixed for determinism
@@ -107,102 +119,62 @@ def ito_sum(h_samples: Sequence[float], path: WienerPath) -> float:
 
 @dataclass
 class _StateSystem:
-    net: Netlist
-    state_nodes: List[str]
-    pinned: Dict[str, Element]            # node -> source pinning it
+    circuit: Circuit
+    state: np.ndarray                     # node column of each state row
+    pinned: np.ndarray                    # node column of each source, in source order
     cap: np.ndarray                       # dense C over state nodes
     cap_diag: Optional[np.ndarray]        # fast path when C is diagonal
     cap_inv: Optional[np.ndarray]
-    g_static: np.ndarray                  # resistor block over state nodes
-    drive_static: List[Tuple[int, Element, float]]   # (state idx, source el, g)
+    g_static: np.ndarray                  # static G over state nodes
+    g_drive: np.ndarray                   # -G from state rows to pinned columns
     noise_cols: np.ndarray                # state x noise sources
-    nonlinear: List[Element]
-    out_nodes: List[str]
-
-    def index(self, node: str) -> int:
-        return self.state_nodes.index(node)
+    # nonlinear branch, its model, the state rows of its a and b terminals
+    # (-1 for ground or a pinned node)
+    devices: List[Tuple[Branch, ModelCard, int, int]]
 
 
 def _build_state_system(net: Netlist) -> _StateSystem:
-    noise = net.elements_of(ElementKind.NOISE)
+    circuit = Circuit(net)
+    noise = [br for br in circuit.branches if br.el.kind is ElementKind.NOISE]
     if not noise:
         raise StochasticError("stochastic run requires at least one noise source")
-    pinned: Dict[str, Element] = {}
-    for el in net.elements_of(ElementKind.VSOURCE):
-        a, b = el.nodes
-        if b == "0" and a != "0":
-            node = a
-        elif a == "0" and b != "0":
+    pinned: List[int] = []
+    for br in circuit.sources:
+        if br.a < 0 <= br.b:
             raise StochasticError(
-                f"source '{el.name}' must have its negative terminal at ground")
-        else:
+                f"source '{br.el.name}' must have its negative terminal at ground")
+        if not br.b < 0 <= br.a:
             raise StochasticError(
-                f"source '{el.name}' must be grounded for the stochastic engine")
-        if node in pinned:
-            raise StochasticError(f"node '{node}' pinned by two sources")
-        pinned[node] = el
+                f"source '{br.el.name}' must be grounded for the stochastic engine")
+        if br.a in pinned:
+            raise StochasticError(f"node '{circuit.nodes[br.a]}' pinned by two sources")
+        pinned.append(br.a)
 
-    state_nodes = [nd for nd in net.nodes if nd not in pinned]
-    ns = len(state_nodes)
-    if ns == 0:
+    state = [i for i in range(circuit.n) if i not in pinned]
+    if not state:
         raise StochasticError("no state nodes: every node is source-pinned")
-    sidx = {nd: i for i, nd in enumerate(state_nodes)}
+    row = {i: r for r, i in enumerate(state)}     # node column -> state row
 
-    cap = np.zeros((ns, ns))
-    grounded = np.zeros(ns)
-    for el in net.elements_of(ElementKind.CAPACITOR):
-        a, b = el.nodes
-        if (a != "0" and a in pinned) or (b != "0" and b in pinned):
+    for br in circuit.capacitors:
+        if br.a in pinned or br.b in pinned:
             raise StochasticError(
-                f"capacitor '{el.name}' may not couple to a source-pinned node")
-        ia = sidx[a] if a != "0" else None
-        ib = sidx[b] if b != "0" else None
-        if ia is not None:
-            cap[ia, ia] += el.value
-        if ib is not None:
-            cap[ib, ib] += el.value
-        if ia is not None and ib is not None:
-            cap[ia, ib] -= el.value
-            cap[ib, ia] -= el.value
-        if ia is not None and ib is None:
-            grounded[ia] += el.value
-        if ib is not None and ia is None:
-            grounded[ib] += el.value
+                f"capacitor '{br.el.name}' may not couple to a source-pinned node")
+    for i in state:
+        if circuit.grounded_cap[i] <= 0.0:
+            raise StochasticError(f"state node '{circuit.nodes[i]}' has no grounded "
+                                  "capacitance; C is singular")
 
-    for i, nd in enumerate(state_nodes):
-        if grounded[i] <= 0.0:
+    noise_cols = np.zeros((len(state), len(noise)))
+    for j, br in enumerate(noise):
+        if br.a in pinned or br.b in pinned:
             raise StochasticError(
-                f"state node '{nd}' has no grounded capacitance; C is singular")
+                f"noise source '{br.el.name}' drives a source-pinned node")
+        if br.a >= 0:
+            noise_cols[row[br.a], j] += br.el.value
+        if br.b >= 0:
+            noise_cols[row[br.b], j] -= br.el.value
 
-    g_static = np.zeros((ns, ns))
-    drive_static: List[Tuple[int, Element, float]] = []
-    for el in net.elements_of(ElementKind.RESISTOR):
-        a, b = el.nodes
-        g = 1.0 / el.value
-        for me, other in ((a, b), (b, a)):
-            if me == "0" or me in pinned:
-                continue
-            i = sidx[me]
-            g_static[i, i] += g
-            if other == "0":
-                continue
-            if other in pinned:
-                drive_static.append((i, pinned[other], g))
-            else:
-                g_static[i, sidx[other]] -= g
-
-    noise_cols = np.zeros((ns, len(noise)))
-    for j, el in enumerate(noise):
-        a, b = el.nodes
-        for nd in (a, b):
-            if nd != "0" and nd in pinned:
-                raise StochasticError(
-                    f"noise source '{el.name}' drives a source-pinned node")
-        if a != "0":
-            noise_cols[sidx[a], j] += el.value
-        if b != "0":
-            noise_cols[sidx[b], j] -= el.value
-
+    cap = circuit.C[np.ix_(state, state)]
     off_diag = cap - np.diag(np.diag(cap))
     if not off_diag.any():
         cap_diag = np.diag(cap).copy()
@@ -211,16 +183,19 @@ def _build_state_system(net: Netlist) -> _StateSystem:
         cap_diag = None
         cap_inv = np.linalg.inv(cap)
 
-    nonlinear = net.elements_of(*NONLINEAR_KINDS)
-    return _StateSystem(net=net, state_nodes=state_nodes, pinned=pinned, cap=cap,
-                        cap_diag=cap_diag, cap_inv=cap_inv, g_static=g_static,
-                        drive_static=drive_static, noise_cols=noise_cols,
-                        nonlinear=nonlinear, out_nodes=list(net.nodes))
+    devices = [(br, net.model_of(br.el), row.get(br.a, -1), row.get(br.b, -1))
+               for br in circuit.devices]
+    return _StateSystem(circuit=circuit, state=np.array(state),
+                        pinned=np.array(pinned, dtype=int), cap=cap,
+                        cap_diag=cap_diag, cap_inv=cap_inv,
+                        g_static=circuit.G[np.ix_(state, state)],
+                        g_drive=-circuit.G[np.ix_(state, pinned)],
+                        noise_cols=noise_cols, devices=devices)
 
 
 def _fastest_time_constant(ss: _StateSystem) -> float:
     tau = math.inf
-    for i in range(len(ss.state_nodes)):
+    for i in range(len(ss.state)):
         # the diagonal already holds every resistor at the node, including
         # those to a source-pinned node
         g = ss.g_static[i, i]
@@ -255,51 +230,41 @@ def _explicit_drift(ss: _StateSystem, dt: float):
                               f"for the explicit drift ({limit})") from None
 
 
-def _path_voltage(ss: _StateSystem, x: np.ndarray, node: str, t: float):
-    """Voltage of ``node`` given state matrix x (paths x ns); ground is 0."""
-    if node == "0":
-        return 0.0
-    if node in ss.pinned:
-        return eval_waveform(ss.pinned[node].waveform, t)
-    return x[:, ss.index(node)]
-
-
-def _drift(ss: _StateSystem, x: np.ndarray, t: float,
+def _drift(ss: _StateSystem, v: np.ndarray,
            fc: Optional[FlopCounter] = None) -> np.ndarray:
-    """b(t) - G(t) x for every path row of x, with chord conductances of the
-    nonlinear devices evaluated at the path's own state."""
-    paths, ns = x.shape
-    drift = np.zeros_like(x)
+    """b(t) - G(t) x for every path row of ``v``, the node voltages of one
+    output row (paths x nodes, pinned columns holding the source levels),
+    with chord conductances of the nonlinear devices evaluated at the path's
+    own voltages."""
+    paths = v.shape[0]
+    drift = np.empty((paths, len(ss.state)))
     # linear conductance block; explicit column loop keeps accumulation order
     # independent of path-chunk geometry
-    for i in range(ns):
+    for i in range(len(ss.state)):
         acc = np.zeros(paths)
-        row = ss.g_static[i]
-        for j in range(ns):
-            gij = row[j]
+        for gij, col in zip(ss.g_static[i], ss.state):
             if gij != 0.0:
-                acc += gij * x[:, j]
+                acc += gij * v[:, col]
         drift[:, i] = -acc
-    for i, src, g in ss.drive_static:
-        drift[:, i] += g * eval_waveform(src.waveform, t)
-    for el in ss.nonlinear:
-        m = ss.net.model_of(el)
-        a_name, b_name = el.branch
-        va = _path_voltage(ss, x, a_name, t)
-        vb = _path_voltage(ss, x, b_name, t)
-        if el.kind is ElementKind.MOSFET:
-            vg = _path_voltage(ss, x, el.nodes[1], t)
+        for g, col in zip(ss.g_drive[i], ss.pinned):
+            if g != 0.0:
+                drift[:, i] += g * v[:, col]
+    for br, m, row_a, row_b in ss.devices:
+        va = v[:, br.a] if br.a >= 0 else 0.0
+        vb = v[:, br.b] if br.b >= 0 else 0.0
+        if br.el.kind is ElementKind.MOSFET:
+            vg = v[:, br.gate] if br.gate >= 0 else 0.0
             vgs, vds, _ = mos_bias(va, vg, vb)
             geq = mos_geq(m, vgs, vds, fc)
-        elif el.kind is ElementKind.RTD:
+        elif br.el.kind is ElementKind.RTD:
             geq = rtd_geq(m, va - vb, fc)
         else:
             geq = nanowire_geq(m, va - vb, fc)
         i_dev = np.maximum(geq, G_FLOOR) * (va - vb)
-        if a_name != "0" and a_name not in ss.pinned:
-            drift[:, ss.index(a_name)] -= i_dev
-        if b_name != "0" and b_name not in ss.pinned:
-            drift[:, ss.index(b_name)] += i_dev
+        if row_a >= 0:
+            drift[:, row_a] -= i_dev
+        if row_b >= 0:
+            drift[:, row_b] += i_dev
     return drift
 
 
@@ -312,9 +277,10 @@ def _apply_cinv(ss: _StateSystem, rhs: np.ndarray) -> np.ndarray:
 def _run_paths(ss: _StateSystem, dt: float, steps: int, seed: int,
                path_lo: int, path_hi: int, x0: np.ndarray,
                out: np.ndarray, fc: Optional[FlopCounter] = None) -> None:
-    """Integrate paths [path_lo, path_hi) and write voltages into ``out``."""
+    """Integrate paths [path_lo, path_hi) and write their node voltages
+    into ``out``, whose previous row each step's drift reads."""
+    rows = out[path_lo:path_hi]
     npaths = path_hi - path_lo
-    ns = len(ss.state_nodes)
     nnoise = ss.noise_cols.shape[1]
     dws = np.empty((npaths, steps, nnoise))
     for p in range(npaths):
@@ -325,24 +291,12 @@ def _run_paths(ss: _StateSystem, dt: float, steps: int, seed: int,
         cinv_b = (ss.noise_cols / ss.cap_diag[:, None]).T    # nnoise x ns
     else:
         cinv_b = (ss.cap_inv @ ss.noise_cols).T
-    col = {nd: i for i, nd in enumerate(ss.out_nodes)}
-    _write_out(ss, out, 0, path_lo, x, 0.0, col)
-    for j in range(1, steps + 1):
-        t_prev = (j - 1) * dt
-        drift = _drift(ss, x, t_prev, fc)
-        x = x + dt * _apply_cinv(ss, drift) + dws[:, j - 1, :] @ cinv_b
-        _write_out(ss, out, j, path_lo, x, j * dt, col)
-
-
-def _write_out(ss: _StateSystem, out: np.ndarray, j: int, path_lo: int,
-               x: np.ndarray, t: float, col: Dict[str, int]) -> None:
-    for nd in ss.out_nodes:
-        c = col[nd]
-        if nd in ss.pinned:
-            out[path_lo:path_lo + x.shape[0], j, c] = eval_waveform(
-                ss.pinned[nd].waveform, t)
-        else:
-            out[path_lo:path_lo + x.shape[0], j, c] = x[:, ss.index(nd)]
+    for j in range(steps + 1):
+        if j:
+            drift = _drift(ss, rows[:, j - 1], fc)
+            x = x + dt * _apply_cinv(ss, drift) + dws[:, j - 1, :] @ cinv_b
+        rows[:, j, ss.state] = x
+        rows[:, j, ss.pinned] = ss.circuit.source_levels(j * dt)
 
 
 def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
@@ -356,12 +310,12 @@ def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
     ss = _build_state_system(net)
     steps = _step_count(dt, t_stop)
     x_init = _initial_state(ss, x0)
-    out = np.empty((1, steps + 1, len(ss.out_nodes)))
+    out = np.empty((1, steps + 1, ss.circuit.n))
     fc = FlopCounter()
     with _explicit_drift(ss, dt):
         _run_paths(ss, dt, steps, seed, 0, 1, x_init, out, fc)
     times = np.arange(steps + 1) * dt
-    return WaveformSeries(times=times, voltages=out[0], nodes=list(ss.out_nodes),
+    return WaveformSeries(times=times, voltages=out[0], nodes=list(ss.circuit.nodes),
                           steps_taken=steps, n_solves=0, flops=fc)
 
 
@@ -375,13 +329,13 @@ def _step_count(dt: float, t_stop: float) -> int:
 
 
 def _initial_state(ss: _StateSystem, x0: Optional[np.ndarray]) -> np.ndarray:
-    ns = len(ss.state_nodes)
+    ns = len(ss.state)
     if x0 is None:
         return np.zeros(ns)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (ns,):
         raise ValueError(f"x0 must have shape ({ns},) over state nodes "
-                         f"{ss.state_nodes}")
+                         f"{[ss.circuit.nodes[i] for i in ss.state]}")
     return x0.copy()
 
 
@@ -404,7 +358,7 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     t_a, t_b = window
     if not (0.0 <= t_a < t_b <= t_stop * (1 + 1e-12)):
         raise ValueError("window must satisfy 0 <= t_a < t_b <= t_stop")
-    n_out = len(ss.out_nodes)
+    n_out = ss.circuit.n
     if paths * (steps + 1) * n_out > _MAX_STORE:
         raise StochasticError("ensemble too large to hold in memory; "
                               "reduce paths or increase dt")
@@ -423,7 +377,7 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     peaks = out[:, in_win, :].max(axis=1)        # paths x nodes
     peak_mean = peaks.mean(axis=0)
     peak_quantiles = {q: np.quantile(peaks, q, axis=0) for q in quantile_levels}
-    return EnsembleStats(times=times, nodes=list(ss.out_nodes), mean=mean,
+    return EnsembleStats(times=times, nodes=list(ss.circuit.nodes), mean=mean,
                          variance=variance, quantiles=quantiles, window=window,
                          peak_mean=peak_mean, peak_quantiles=peak_quantiles,
                          paths=paths, seed=seed)
