@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (settle failure,
 singular system, a device driven to a non-finite voltage, a stochastic
-state that diverged), 3 success with warnings (e.g. the transient hit its
-minimum step with the error budget still exceeded, or a stochastic dt is
-not small against the fastest RC time constant), each warning printed as
-one "warning: ..." line on stderr. Waveforms go to CSV with full
-round-trip precision; --plot writes a gnuplot script alongside the data.
-Deck directives provide the defaults; command-line flags win on conflict.
+state that diverged, a run that does not fit in memory), 3 success with
+warnings (e.g. the transient hit its minimum step with the error budget
+still exceeded, or a stochastic dt is not small against the fastest RC
+time constant), each warning printed as one "warning: ..." line on stderr.
+Waveforms go to CSV with full round-trip precision; --plot writes a
+gnuplot script alongside the data. Deck directives provide the defaults;
+command-line flags win on conflict.
 """
 
 from __future__ import annotations
@@ -320,8 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         report = args.func(args)
-    except (SimulationError, MnaError, DeviceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (SimulationError, MnaError, DeviceError, MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
     except (NetlistError, StochasticError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

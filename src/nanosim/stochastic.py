@@ -20,15 +20,16 @@ rows and columns of the circuit's static G (resistors) and of its node
 capacitance matrix ``C``; b(t) is the pinned-node columns of G times the
 source levels at t, one term per source; B has one column per noise
 source, stamped from its terminals. Sources must be grounded at their
-negative terminal and may pin a node only once, every state node needs
-grounded capacitance, and no capacitor or noise source may touch a
-pinned node. Every step writes all node voltages (the state and the
-source levels) into the output array, and the next step's drift reads
-the device terminals from that row.
+negative terminal and may pin a node only once, C over the state nodes
+must be positive definite, and no capacitor or noise source may touch a
+pinned node. All paths advance in lockstep, a block of steps at a time,
+through one buffer of node voltages (the state and the source levels):
+each step's drift reads the device terminals from the previous row, and
+a block is reduced or copied out before the next one overwrites it.
 
 Paths are reproducible: path k of a run with seed s draws its increments
 from an independent substream keyed by (s, k), so results are bit-identical
-across runs.
+across runs and block sizes.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ from .mna import Branch, Circuit, FlopCounter
 from .netlist import ElementKind, ModelCard, Netlist
 from .swec import SimulationError, WaveformSeries
 
-_CHUNK = 256          # paths per vectorized block, fixed for determinism
-_MAX_STORE = 2 * 10**8   # refuse ensembles that would not fit in memory
+# doubles of state rows and noise increments per block of lockstep steps;
+# sets the block length, never a result
+_BLOCK_DOUBLES = 2**20
 
 
 class StochasticError(RuntimeError):
@@ -159,10 +161,6 @@ def _build_state_system(net: Netlist) -> _StateSystem:
         if br.a in pinned or br.b in pinned:
             raise StochasticError(
                 f"capacitor '{br.el.name}' may not couple to a source-pinned node")
-    for i in state:
-        if circuit.grounded_cap[i] <= 0.0:
-            raise StochasticError(f"state node '{circuit.nodes[i]}' has no grounded "
-                                  "capacitance; C is singular")
 
     noise_cols = np.zeros((len(state), len(noise)))
     for j, br in enumerate(noise):
@@ -175,34 +173,22 @@ def _build_state_system(net: Netlist) -> _StateSystem:
             noise_cols[row[br.b], j] -= br.el.value
 
     cap = circuit.C[np.ix_(state, state)]
-    off_diag = cap - np.diag(np.diag(cap))
-    if not off_diag.any():
-        cap_diag = np.diag(cap).copy()
-        cap_inv = None
-    else:
-        cap_diag = None
-        cap_inv = np.linalg.inv(cap)
+    try:
+        np.linalg.cholesky(cap)
+    except np.linalg.LinAlgError:
+        raise StochasticError("state capacitance matrix is not positive definite: "
+                              "every state node needs a capacitive path to ground") from None
+    diagonal = not (cap - np.diag(np.diag(cap))).any()
 
     devices = [(br, net.model_of(br.el), row.get(br.a, -1), row.get(br.b, -1))
                for br in circuit.devices]
     return _StateSystem(circuit=circuit, state=np.array(state),
                         pinned=np.array(pinned, dtype=int), cap=cap,
-                        cap_diag=cap_diag, cap_inv=cap_inv,
+                        cap_diag=np.diag(cap).copy() if diagonal else None,
+                        cap_inv=None if diagonal else np.linalg.inv(cap),
                         g_static=circuit.G[np.ix_(state, state)],
                         g_drive=-circuit.G[np.ix_(state, pinned)],
                         noise_cols=noise_cols, devices=devices)
-
-
-def _fastest_time_constant(ss: _StateSystem) -> float:
-    tau = math.inf
-    for i in range(len(ss.state)):
-        # the diagonal already holds every resistor at the node, including
-        # those to a source-pinned node
-        g = ss.g_static[i, i]
-        c = ss.cap[i, i]
-        if g > 0.0:
-            tau = min(tau, c / g)
-    return tau
 
 
 @contextlib.contextmanager
@@ -214,7 +200,10 @@ def _explicit_drift(ss: _StateSystem, dt: float):
     operation while stepping) into a :class:`SimulationError` naming dt and
     that time constant instead of a numpy warning.
     """
-    tau = _fastest_time_constant(ss)
+    # the diagonal of G already holds every resistor at the node, including
+    # those to a source-pinned node
+    g, c = np.diag(ss.g_static), np.diag(ss.cap)
+    tau = float(np.min(c[g > 0.0] / g[g > 0.0], initial=math.inf))
     if math.isfinite(tau):
         limit = f"fastest time constant {tau:g}"
         if dt >= 0.5 * tau:
@@ -239,7 +228,7 @@ def _drift(ss: _StateSystem, v: np.ndarray,
     paths = v.shape[0]
     drift = np.empty((paths, len(ss.state)))
     # linear conductance block; explicit column loop keeps accumulation order
-    # independent of path-chunk geometry
+    # independent of the number of paths
     for i in range(len(ss.state)):
         acc = np.zeros(paths)
         for gij, col in zip(ss.g_static[i], ss.state):
@@ -274,29 +263,33 @@ def _apply_cinv(ss: _StateSystem, rhs: np.ndarray) -> np.ndarray:
     return rhs @ ss.cap_inv.T
 
 
-def _run_paths(ss: _StateSystem, dt: float, steps: int, seed: int,
-               path_lo: int, path_hi: int, x0: np.ndarray,
-               out: np.ndarray, fc: Optional[FlopCounter] = None) -> None:
-    """Integrate paths [path_lo, path_hi) and write their node voltages
-    into ``out``, whose previous row each step's drift reads."""
-    rows = out[path_lo:path_hi]
-    npaths = path_hi - path_lo
-    nnoise = ss.noise_cols.shape[1]
-    dws = np.empty((npaths, steps, nnoise))
-    for p in range(npaths):
-        rng = _rng_for_path(seed, path_lo + p)
-        dws[p] = rng.standard_normal((steps, nnoise)) * math.sqrt(dt)
-    x = np.tile(x0, (npaths, 1))
-    if ss.cap_diag is not None:
-        cinv_b = (ss.noise_cols / ss.cap_diag[:, None]).T    # nnoise x ns
-    else:
-        cinv_b = (ss.cap_inv @ ss.noise_cols).T
-    for j in range(steps + 1):
-        if j:
-            drift = _drift(ss, rows[:, j - 1], fc)
-            x = x + dt * _apply_cinv(ss, drift) + dws[:, j - 1, :] @ cinv_b
-        rows[:, j, ss.state] = x
-        rows[:, j, ss.pinned] = ss.circuit.source_levels(j * dt)
+def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
+              x0: np.ndarray, fc: Optional[FlopCounter] = None):
+    """Advance ``paths`` paths together, a block of steps at a time, and
+    yield ``(j0, rows)``, the node voltages (paths x rows x nodes) of grid
+    points j0, j0 + 1, ...: at least two rows, the first being the last row
+    of the block before. Reduce or copy ``rows`` before the next block."""
+    n, nnoise = ss.circuit.n, ss.noise_cols.shape[1]
+    block = max(1, min(steps, _BLOCK_DOUBLES // (paths * (n + nnoise))))
+    buf = np.empty((paths, block + 1, n))
+    rngs = [_rng_for_path(seed, p) for p in range(paths)]
+    cinv_b = _apply_cinv(ss, ss.noise_cols.T)                 # nnoise x ns
+    x = np.tile(x0, (paths, 1))
+    buf[:, 0, ss.state] = x
+    buf[:, 0, ss.pinned] = ss.circuit.source_levels(0.0)
+    for j0 in range(0, steps, block):
+        b = min(block, steps - j0)
+        dws = np.empty((paths, b, nnoise))
+        for p, rng in enumerate(rngs):
+            rng.standard_normal(out=dws[p])
+        dws *= math.sqrt(dt)
+        for k in range(1, b + 1):
+            drift = _drift(ss, buf[:, k - 1], fc)
+            x = x + dt * _apply_cinv(ss, drift) + dws[:, k - 1, :] @ cinv_b
+            buf[:, k, ss.state] = x
+            buf[:, k, ss.pinned] = ss.circuit.source_levels((j0 + k) * dt)
+        yield j0, buf[:, :b + 1]
+        buf[:, 0] = buf[:, b]
 
 
 def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
@@ -310,12 +303,13 @@ def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
     ss = _build_state_system(net)
     steps = _step_count(dt, t_stop)
     x_init = _initial_state(ss, x0)
-    out = np.empty((1, steps + 1, ss.circuit.n))
+    voltages = np.empty((steps + 1, ss.circuit.n))
     fc = FlopCounter()
     with _explicit_drift(ss, dt):
-        _run_paths(ss, dt, steps, seed, 0, 1, x_init, out, fc)
+        for j0, rows in _lockstep(ss, dt, steps, seed, 1, x_init, fc):
+            voltages[j0:j0 + rows.shape[1]] = rows[0]
     times = np.arange(steps + 1) * dt
-    return WaveformSeries(times=times, voltages=out[0], nodes=list(ss.circuit.nodes),
+    return WaveformSeries(times=times, voltages=voltages, nodes=list(ss.circuit.nodes),
                           steps_taken=steps, n_solves=0, flops=fc)
 
 
@@ -345,9 +339,11 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
              quantile_levels: Sequence[float] = (0.05, 0.5, 0.95)) -> EnsembleStats:
     """Monte-Carlo ensemble of EM paths with pointwise and window-peak stats.
 
-    Paths run in fixed-size vectorized chunks, one after another; every path
-    draws from its own (seed, path-index) substream. The step-size warning
-    and the divergence error are those of :func:`em_transient`.
+    All paths advance together, a block of steps at a time; every path
+    draws from its own (seed, path-index) substream. Each block is reduced
+    over the path axis before the next one overwrites it, so memory does
+    not grow with the step count. The step-size warning and the divergence
+    error are those of :func:`em_transient`.
     """
     if paths < 2:
         raise ValueError("ensemble requires at least 2 paths")
@@ -358,23 +354,27 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     t_a, t_b = window
     if not (0.0 <= t_a < t_b <= t_stop * (1 + 1e-12)):
         raise ValueError("window must satisfy 0 <= t_a < t_b <= t_stop")
-    n_out = ss.circuit.n
-    if paths * (steps + 1) * n_out > _MAX_STORE:
-        raise StochasticError("ensemble too large to hold in memory; "
-                              "reduce paths or increase dt")
-    out = np.empty((paths, steps + 1, n_out))
+    times = np.arange(steps + 1) * dt
+    in_win = (times >= t_a) & (times <= t_b)
+    if not in_win.any():
+        raise ValueError("window holds no time step")
     x_init = _initial_state(ss, x0)
 
+    n_out = ss.circuit.n
+    mean, variance = np.empty((2, steps + 1, n_out))
+    quantiles = {q: np.empty((steps + 1, n_out)) for q in quantile_levels}
+    peaks = np.full((paths, n_out), -np.inf)
     with _explicit_drift(ss, dt):
-        for lo in range(0, paths, _CHUNK):
-            _run_paths(ss, dt, steps, seed, lo, min(lo + _CHUNK, paths), x_init, out)
-
-    times = np.arange(steps + 1) * dt
-    mean = out.mean(axis=0)
-    variance = out.var(axis=0, ddof=1)
-    quantiles = {q: np.quantile(out, q, axis=0) for q in quantile_levels}
-    in_win = (times >= t_a) & (times <= t_b)
-    peaks = out[:, in_win, :].max(axis=1)        # paths x nodes
+        for j0, rows in _lockstep(ss, dt, steps, seed, paths, x_init):
+            # each statistic reduces the path axis alone, over two or more rows
+            # (numpy sums a lone row pairwise), so no row depends on its block
+            at = slice(j0, j0 + rows.shape[1])
+            mean[at] = rows.mean(axis=0)
+            variance[at] = rows.var(axis=0, ddof=1)
+            for q in quantile_levels:
+                quantiles[q][at] = np.quantile(rows, q, axis=0)
+            if in_win[at].any():
+                np.maximum(peaks, rows[:, in_win[at]].max(axis=1), out=peaks)
     peak_mean = peaks.mean(axis=0)
     peak_quantiles = {q: np.quantile(peaks, q, axis=0) for q in quantile_levels}
     return EnsembleStats(times=times, nodes=list(ss.circuit.nodes), mean=mean,

@@ -182,6 +182,22 @@ class TestStoch:
             "numerical failure: stochastic state diverged: dt=1e-08 is too large "
             "for the explicit drift (fastest time constant 5e-09)"]
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # no ensemble is refused up front; running out of memory is one
+        # line and exit 2, never a traceback
+        import nanosim.cli as climod
+        out = tmp_path / "oom.csv"
+        for raised, shown in ((MemoryError("Unable to allocate 1.00 TiB"),
+                               "Unable to allocate 1.00 TiB"),
+                              (MemoryError(), "out of memory")):
+            def exhausted(*args, **kwargs):
+                raise raised
+            monkeypatch.setattr(climod, "ensemble", exhausted)
+            code = main(["stoch", deck_path("ou_step.ckt"), "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [f"numerical failure: {shown}"]
+            assert not out.exists()
+
     def test_step_size_warning_exit_code(self, tmp_path, capsys):
         # dt = 0.6 tau: stable, but not small against the 1 us RC constant
         code = main(["stoch", deck_path("ou_step.ckt"), "--dt", "600n",

@@ -1,6 +1,7 @@
 """Stochastic engine tests: Wiener paths, Ito sums, EM integration."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanosim import stochastic
 from nanosim.devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from nanosim.mna import FlopCounter
 from nanosim.netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist,
@@ -30,6 +32,14 @@ STAT_VAR = SIGMA ** 2 / (2 * LAM)
 # a source-driven RC node: tau = 1k * 5p = 5 ns
 _RC_5NS = ("V1 1 0 DC 1\nR1 1 2 1k\nC1 2 0 5p\nN1 2 0 1e-9\n"
            ".stoch 1e-7 1e-9 4\n.end\n")
+
+
+# three noise sources, coupled capacitors, an RTD and a MOSFET
+_COUPLED = ("V1 vdd 0 DC 1.2\nV2 in 0 PWL(0 0 2n 2)\nR1 vdd a 1k\nC1 a 0 1p\n"
+            "C2 a b 0.5p\nC3 b 0 2p\nR2 b c 2k\nC4 c 0 1p\nC5 b c 0.3p\n"
+            "XRTD1 a b M1\nM1 c in 0 0 MFET\nN1 a 0 1e-8\nN2 b c 2e-8\nN3 c 0 5e-9\n"
+            ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+            ".model MFET NMOS (k=1e-4 W=2u L=1u Vth=1)\n.end\n")
 
 
 def _ou_free(intensity="1e-7"):
@@ -122,6 +132,25 @@ class TestEmTransient:
             assert np.array_equal(series.v("out"), np.array(ref))
             assert np.array_equal(series.v("in"), np.array(level))
 
+    def test_floating_capacitor_is_forward_euler(self):
+        # c's only capacitor floats to b; C over (b, c) is [[2p, -1p],
+        # [-1p, 1p]], positive definite, so the deck runs
+        net = parse_netlist("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\nC2 b c 1p\n"
+                            "R2 c 0 1k\nN1 b 0 0\n.end\n")
+        dt, steps = 1e-11, 3000
+        series = em_transient(net, dt, steps * dt)
+        cap = np.array([[2e-12, -1e-12], [-1e-12, 1e-12]])
+        g = np.array([[1e-3, 0.0], [0.0, 1e-3]])
+        drive = np.array([1e-3, 0.0])
+        x, ref = np.zeros(2), [np.zeros(2)]
+        for _ in range(steps):
+            x = x + dt * np.linalg.solve(cap, drive - g @ x)
+            ref.append(x)
+        ref = np.array(ref)
+        got = np.column_stack([series.v("b"), series.v("c")])
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert got[-1, 0] > 0.99 and abs(got[-1, 1]) < 0.01
+
     def test_decays_not_explodes(self):
         series = em_transient(_ou_free("0"), 1e-8, 5e-6, x0=np.array([1.0]))
         v = series.v("1")
@@ -174,8 +203,10 @@ class TestEmTransient:
                  "N1 b 0 1e-9\n", "source 'V1' must be grounded"),
                 ("V1 a 0 DC 1\nR1 a 0 1k\nN1 a 0 1e-9\n",
                  "no state nodes: every node is source-pinned"),
-                ("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\nC2 b c 1p\nR2 c 0 1k\n"
-                 "N1 b 0 1e-9\n", "state node 'c' has no grounded capacitance")]:
+                ("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\nR2 b c 1k\nR3 c 0 1k\n"
+                 "N1 b 0 1e-9\n", "state capacitance matrix is not positive definite"),
+                ("V1 a 0 DC 1\nR1 a b 1k\nC1 b c 1p\nR2 c 0 1k\nN1 b 0 1e-9\n",
+                 "state capacitance matrix is not positive definite")]:
             with pytest.raises(StochasticError, match=message):
                 em_transient(parse_netlist(deck + ".end\n"), 1e-12, 1e-10)
 
@@ -248,11 +279,52 @@ class TestEnsemble:
         assert np.all(q05 <= q50) and np.all(q50 <= q95)
         assert np.all(stats.variance >= 0.0)
 
+    @pytest.mark.parametrize("deck, dt, window", [
+        (deck_text("ou_step.ckt"), 1e-8, (0.33e-6, 1.01e-6)),
+        (deck_text("ou_free.ckt"), 1e-8, (0.33e-6, 1.01e-6)),
+        (_COUPLED, 2e-11, (0.5e-9, 3.3e-9))], ids=["ou_step", "ou_free", "coupled"])
+    def test_block_geometry_leaves_results_unchanged(self, monkeypatch, deck, dt, window):
+        # one step per block, then 7 steps per block with an uneven last
+        # block of 4 (200 steps): every number keeps its bits. On one node
+        # (ou_free) numpy sums a single-row block pairwise, not path by
+        # path, so each block must hold at least two rows
+        net = parse_netlist(deck)
+        ss = _build_state_system(net)
+        per_step = ss.circuit.n + ss.noise_cols.shape[1]
+
+        def run():
+            stats = ensemble(net, dt, 200 * dt, paths=37, seed=4, window=window)
+            path = em_transient(net, dt, 200 * dt, seed=4)
+            return [stats.mean, stats.variance, stats.peak_mean, path.voltages,
+                    *stats.quantiles.values(), *stats.peak_quantiles.values()]
+
+        want = run()
+        for steps_per_block in (1, 7):
+            for budget in (37 * per_step, per_step):     # ensemble, em_transient
+                monkeypatch.setattr(stochastic, "_BLOCK_DOUBLES", steps_per_block * budget)
+                got = run()
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_memory_does_not_grow_with_steps(self):
+        # storing every path x step x node would take 78 MB more at 40000
+        # steps than at 2000
+        peaks = []
+        for steps in (2000, 40000):
+            tracemalloc.start()
+            try:
+                ensemble(_ou_free(), 1e-8, steps * 1e-8, paths=256, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4e6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ensemble(_ou_free(), 1e-8, 1e-6, paths=1)
         with pytest.raises(ValueError):
             ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(2e-6, 1e-6))
+        with pytest.raises(ValueError, match="window holds no time step"):
+            ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(1.5e-8, 1.7e-8))
 
 
 class TestWeakOrder:
