@@ -10,23 +10,27 @@ All evaluation functions accept scalars or numpy arrays for the voltage
 argument and an optional flop counter used by the performance comparisons.
 
 The per-step engines evaluate one bias point at a time, so a Python float
-(``np.float64`` included) takes a scalar path in the RTD kernels and in
-``mos_geq`` (there both ``vgs`` and ``vds`` must be floats): the arithmetic
-stays on Python floats and a float comes back, with no array, mask or
-``np.where``. Anything else, such as the ensemble drift or the swept
-currents, takes the array path. The path follows the argument type alone.
-Both paths give the same bits and bill the same flops. That is why the
-scalar path still calls the numpy ufuncs (``np.exp``, ``np.arctan``, ...)
-on its floats: ``math.exp`` and ``math.expm1`` round differently from
-numpy's kernels in the last bit for a few per cent of arguments, while a
-ufunc on a float runs the same kernel as on an array.
+(``np.float64`` included) takes a scalar path in every kernel (in
+``mos_geq`` and ``mos_current`` both voltages must be floats): the
+arithmetic stays on Python floats and a float comes back, with no array,
+mask or ``np.where``, and one ``FlopCounter.count`` per call. Anything
+else, such as the ensemble drift or the swept currents, takes the array
+path. The path follows the argument type alone. Both paths give the same
+bits and bill the same flops. That is why the scalar path still calls the
+numpy ufuncs (``np.exp``, ``np.arctan``, ...) on its floats: ``math.exp``
+and ``math.expm1`` round differently from numpy's kernels in the last bit
+for a few per cent of arguments, while a ufunc on a float runs the same
+kernel as on an array. The model-only subexpressions of the RTD kernels
+are computed once per model (``RtdModel.consts``), and scalar sums over
+nanowire steps follow numpy's order (:func:`_np_sum`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
@@ -53,6 +57,19 @@ _EXP_CLAMP = 700.0
 
 class DeviceError(ValueError):
     """Invalid model parameters or evaluation arguments."""
+
+
+class RtdConsts(NamedTuple):
+    """Subexpressions of the RTD kernels that depend on the model alone,
+    each in the association the kernels use."""
+
+    u: float        # q/kT
+    b_cp: float     # b - cp
+    n2u: float      # n2*u
+    n1ua: float     # n1*u*a
+    neg_dn1: float  # -d*n1
+    dd: float       # d*d
+    uhn2: float     # u*h*n2
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,14 @@ class RtdModel:
     def thermal_exponent(self) -> float:
         """q/kT in 1/V."""
         return Q_ELECTRON / (K_BOLTZMANN * self.temp)
+
+    @functools.cached_property
+    def consts(self) -> RtdConsts:
+        """The model-only subexpressions of the RTD kernels, computed once."""
+        u = self.thermal_exponent
+        return RtdConsts(u=u, b_cp=self.b - self.cp, n2u=self.n2 * u,
+                         n1ua=self.n1 * u * self.a, neg_dn1=-self.d * self.n1,
+                         dd=self.d * self.d, uhn2=u * self.h * self.n2)
 
 
 @dataclass(frozen=True)
@@ -122,6 +147,11 @@ class NanowireModel:
             raise DeviceError("nanowire g0, vstep, smooth must be positive")
         if self.nsteps < 1:
             raise DeviceError("nanowire nsteps must be >= 1")
+
+    @functools.cached_property
+    def step_voltages(self) -> list:
+        """The step positions i*vstep, i = 1..nsteps, as floats."""
+        return (np.arange(1, self.nsteps + 1) * self.vstep).tolist()
 
 
 DeviceModel = Union[RtdModel, MosModel, NanowireModel]
@@ -162,43 +192,32 @@ def _as_array(v):
     return arr.ndim == 0, np.atleast_1d(arr)
 
 
-def _operand(v):
-    """``(scalar, va)`` for a kernel argument: a float stays a Python float
-    (the scalar path); anything else becomes a 1-d array, with ``scalar``
-    marking a 0-d input."""
-    if isinstance(v, float):
-        return True, float(v)
-    return _as_array(v)
-
-
 def _restore(scalar: bool, out):
-    if isinstance(out, float):
-        return float(out)
     return float(out[0]) if scalar else out
 
 
-def _size(va) -> int:
-    return 1 if isinstance(va, float) else va.size
-
-
-def _ufunc(f, x):
-    """Numpy ufunc ``f`` at ``x``; a float argument gives a Python float."""
-    return float(f(x)) if isinstance(x, float) else f(x)
+def _finite(v: float) -> float:
+    """A scalar-path voltage as a Python float; raises if it is not finite."""
+    if not math.isfinite(v):
+        raise DeviceError("device voltage must be finite")
+    return float(v)
 
 
 def _clamped(f, x):
     """``f`` (``np.exp`` or ``np.expm1``) of ``x`` clamped to +-_EXP_CLAMP."""
     if isinstance(x, float):
-        return float(f(min(max(x, -_EXP_CLAMP), _EXP_CLAMP)))
+        # conditionals, not min/max: on floats those cost about as much as the ufunc
+        if x > _EXP_CLAMP:
+            x = _EXP_CLAMP
+        elif x < -_EXP_CLAMP:
+            x = -_EXP_CLAMP
+        return float(f(x))
     return f(np.clip(x, -_EXP_CLAMP, _EXP_CLAMP))
 
 
-def _log1pexp(x):
-    """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x."""
-    if isinstance(x, float):
-        if x > 30.0:
-            return x + float(np.log1p(np.exp(-x)))
-        return float(np.log1p(np.exp(x)))
+def _log1pexp(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x.
+    :func:`_log1pexp_sigmoid` is its float twin."""
     out = np.empty_like(x)
     big = x > 30.0
     out[big] = x[big] + np.log1p(np.exp(-x[big]))
@@ -222,8 +241,20 @@ def _sigmoid(x):
     return out
 
 
-def _check_finite(v):
-    if not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
+def _np_sum(terms: list) -> float:
+    """Sum of floats in the order ``np.sum`` takes along a row: left to
+    right below eight terms; from eight on numpy's pairwise sum splits the
+    row over eight accumulators, so numpy itself sums them."""
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    return float(np.sum(terms))
+
+
+def _check_finite(va: np.ndarray) -> None:
+    if not np.all(np.isfinite(va)):
         raise DeviceError("device voltage must be finite")
 
 
@@ -233,18 +264,56 @@ def _count(fc: "FlopCounter | None", n: int, adds=0, muls=0, divs=0, transcenden
                  transcendentals=transcendentals * n)
 
 
-def _rtd_resonance(m: RtdModel, va):
-    """Terms shared by the RTD kernels at voltage ``va``: the thermal
+_HALF_PI = 0.5 * math.pi
+
+
+def _rtd_resonance(m: RtdModel, va: np.ndarray):
+    """Terms shared by the RTD kernels at voltages ``va``: the thermal
     exponent u, the Fermi arguments x1 and x2, their log-ratio term,
     w = cp - n1*v and the atan window."""
-    u = m.thermal_exponent
+    c = m.consts
+    u, b_cp = c.u, c.b_cp
     n1v = m.n1 * va
-    x1 = (m.b - m.cp + n1v) * u
-    x2 = (m.b - m.cp - n1v) * u
+    x1 = (b_cp + n1v) * u
+    x2 = (b_cp - n1v) * u
     log_ratio = _log1pexp(x1) - _log1pexp(x2)
     w = m.cp - n1v
-    window = 0.5 * math.pi + _ufunc(np.arctan, w / m.d)
+    window = _HALF_PI + np.arctan(w / m.d)
     return u, x1, x2, log_ratio, w, window
+
+
+def _log1pexp_sigmoid(x: float, sigmoid: bool):
+    """``(_log1pexp(x), _sigmoid(x))`` at a float, the second 0.0 unless
+    ``sigmoid``; where both need the same exponential it is computed once."""
+    if x > 30.0:
+        en = np.exp(-x)
+        return x + float(np.log1p(en)), 1.0 / (1.0 + float(en)) if sigmoid else 0.0
+    e = np.exp(x)
+    lg = float(np.log1p(e))
+    if not sigmoid:
+        return lg, 0.0
+    if x < 0.0:
+        e = float(e)
+        return lg, e / (1.0 + e)
+    return lg, 1.0 / (1.0 + float(np.exp(-x)))
+
+
+def _rtd_resonance_f(m: RtdModel, v: float, sigmoids: bool):
+    """Float twin of :func:`_rtd_resonance` at a finite ``v``: (log ratio,
+    w, window, s), where s is sigmoid(x1) + sigmoid(x2) if ``sigmoids``."""
+    c = m.consts
+    u, b_cp = c.u, c.b_cp
+    n1v = m.n1 * v
+    l1, s1 = _log1pexp_sigmoid((b_cp + n1v) * u, sigmoids)
+    l2, s2 = _log1pexp_sigmoid((b_cp - n1v) * u, sigmoids)
+    w = m.cp - n1v
+    return l1 - l2, w, _HALF_PI + float(np.arctan(w / m.d)), s1 + s2
+
+
+def _rtd_current_f(m: RtdModel, v: float) -> float:
+    log_ratio, _, window, _ = _rtd_resonance_f(m, v, False)
+    return m.area * (m.a * log_ratio * window
+                     + m.h * _clamped(np.expm1, m.consts.n2u * v))
 
 
 def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
@@ -253,26 +322,42 @@ def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Sum of the resonance term (log-ratio times the atan window) and the
     exponential valley term, scaled by ``area``. Exactly zero at v = 0.
     """
-    scalar, va = _operand(v)
+    if isinstance(v, float):
+        j = _rtd_current_f(m, _finite(v))
+        if fc is not None:
+            fc.count(8, 9, 2, 6)
+        return j
+    scalar, va = _as_array(v)
     _check_finite(va)
-    u, _, _, log_ratio, _, window = _rtd_resonance(m, va)
+    _, _, _, log_ratio, _, window = _rtd_resonance(m, va)
     j1 = m.a * log_ratio * window
-    j2 = m.h * _clamped(np.expm1, m.n2 * u * va)
-    _count(fc, _size(va), adds=8, muls=9, divs=2, transcendentals=6)
+    j2 = m.h * _clamped(np.expm1, m.consts.n2u * va)
+    _count(fc, va.size, adds=8, muls=9, divs=2, transcendentals=6)
     return _restore(scalar, m.area * (j1 + j2))
 
 
 def rtd_didv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     """Differential conductance dJ/dV (the slope a Newton solver stamps)."""
-    scalar, va = _operand(v)
-    _check_finite(va)
-    u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
-    d_log = m.n1 * u * (_sigmoid(x1) + _sigmoid(x2))
+    if isinstance(v, float):
+        scalar, va = None, _finite(v)
+        u = m.consts.u
+        log_ratio, w, window, sig = _rtd_resonance_f(m, va, True)
+    else:
+        scalar, va = _as_array(v)
+        _check_finite(va)
+        u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
+        sig = _sigmoid(x1) + _sigmoid(x2)
+    d_log = m.n1 * u * sig
     d_window = -m.n1 * m.d / (m.d * m.d + w * w)
     dj1 = m.a * (d_log * window + log_ratio * d_window)
     dj2 = m.h * m.n2 * u * _clamped(np.exp, m.n2 * u * va)
-    _count(fc, _size(va), adds=10, muls=16, divs=4, transcendentals=8)
-    return _restore(scalar, m.area * (dj1 + dj2))
+    out = m.area * (dj1 + dj2)
+    if scalar is None:
+        if fc is not None:
+            fc.count(10, 16, 4, 8)
+        return out
+    _count(fc, va.size, adds=10, muls=16, divs=4, transcendentals=8)
+    return _restore(scalar, out)
 
 
 def _rtd_slope_at_origin(m: RtdModel, fc: "FlopCounter | None") -> float:
@@ -285,14 +370,15 @@ def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Below ``V_EPS`` the 0/0 limit is replaced by the small-signal slope at
     the origin, evaluated by a central difference of :func:`rtd_current`.
     """
-    scalar, va = _operand(v)
-    _check_finite(va)
-    if isinstance(va, float):
-        if abs(va) < V_EPS:
+    if isinstance(v, float):
+        v = _finite(v)
+        if abs(v) < V_EPS:
             return _rtd_slope_at_origin(m, fc)
-        g = rtd_current(m, va, fc) / va
-        _count(fc, 1, divs=1)
-        return g
+        if fc is not None:
+            fc.count(8, 9, 3, 6)
+        return _rtd_current_f(m, v) / v
+    scalar, va = _as_array(v)
+    _check_finite(va)
     out = np.empty_like(va)
     tiny = np.abs(va) < V_EPS
     if np.any(tiny):
@@ -310,18 +396,34 @@ def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Only defined away from the origin; callers must fall back to direct
     conductance evaluation when |v| < V_EPS.
     """
-    scalar, va = _operand(v)
-    _check_finite(va)
-    if abs(va) < V_EPS if isinstance(va, float) else np.any(np.abs(va) < V_EPS):
+    if isinstance(v, float):
+        scalar, va = None, _finite(v)
+        near_origin = abs(va) < V_EPS
+    else:
+        scalar, va = _as_array(v)
+        _check_finite(va)
+        near_origin = np.any(np.abs(va) < V_EPS)
+    if near_origin:
         raise DeviceError("rtd_dgeq_dv undefined for |v| < V_EPS; evaluate directly")
-    u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
-    ey = _clamped(np.exp, m.n2 * u * va)
-    term1 = (m.n1 * u * m.a) * (_sigmoid(x1) + _sigmoid(x2)) * window
-    term2 = m.a * log_ratio * (-m.d * m.n1) / (m.d * m.d + w * w)
-    term3 = u * m.h * m.n2 * ey
-    j = m.a * log_ratio * window + m.h * (ey - 1.0)
-    _count(fc, _size(va), adds=12, muls=18, divs=6, transcendentals=8)
-    return _restore(scalar, m.area * ((term1 + term2 + term3) / va - j / (va * va)))
+    if scalar is None:
+        log_ratio, w, window, sig = _rtd_resonance_f(m, va, True)
+    else:
+        _, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
+        sig = _sigmoid(x1) + _sigmoid(x2)
+    c = m.consts
+    ey = _clamped(np.exp, c.n2u * va)
+    a_log = m.a * log_ratio
+    term1 = c.n1ua * sig * window
+    term2 = a_log * c.neg_dn1 / (c.dd + w * w)
+    term3 = c.uhn2 * ey
+    j = a_log * window + m.h * (ey - 1.0)
+    out = m.area * ((term1 + term2 + term3) / va - j / (va * va))
+    if scalar is None:
+        if fc is not None:
+            fc.count(12, 18, 6, 8)
+        return out
+    _count(fc, va.size, adds=12, muls=18, divs=6, transcendentals=8)
+    return _restore(scalar, out)
 
 
 def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
@@ -337,12 +439,28 @@ def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
         raise DeviceError("prediction step must be positive")
     dvdt = (state.v_now - state.v_prev) / state.h_prev
     g = state.geq_now + 0.5 * h * dgeq_dv * dvdt
-    _count(fc, 1, adds=2, muls=3, divs=1)
-    return max(g, G_FLOOR)
+    if fc is not None:
+        fc.count(2, 3, 1)
+    return G_FLOOR if g < G_FLOOR else g
 
 
-def mos_current(m: MosModel, vgs: float, vds, fc: "FlopCounter | None" = None):
+def mos_current(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     """Square-law NMOS drain current; requires vds >= 0 (callers normalize)."""
+    if isinstance(vgs, float) and isinstance(vds, float):
+        vgs, vds = float(vgs), _finite(vds)
+        if vds < 0.0:
+            raise DeviceError("mos_current requires vds >= 0")
+        vov = vgs - m.vth
+        if vov <= 0.0:
+            if fc is not None:
+                fc.count(1)
+            return 0.0
+        if fc is not None:
+            fc.count(2, 4, 1)
+        beta = m.beta
+        if vds < vov:
+            return beta * (vov * vds - 0.5 * vds * vds)
+        return 0.5 * beta * vov * vov
     scalar, vda = _as_array(vds)
     _check_finite(vda)
     if np.any(vda < 0.0):
@@ -366,15 +484,16 @@ def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     an array of one common shape.
     """
     if isinstance(vgs, float) and isinstance(vds, float):
-        vgs, vds = float(vgs), float(vds)
-        _check_finite(vds)
+        vgs, vds = float(vgs), _finite(vds)
         if vds < 0.0:
             raise DeviceError("mos_geq requires vds >= 0")
         vov = vgs - m.vth
         if vov <= 0.0:
-            _count(fc, 1, adds=1)
+            if fc is not None:
+                fc.count(1)
             return 0.0
-        _count(fc, 1, adds=2, muls=3, divs=1)
+        if fc is not None:
+            fc.count(2, 3, 1)
         beta = m.beta
         if vds < V_EPS:
             return beta * vov
@@ -408,8 +527,12 @@ def mos_bias(vd, vg, vs):
 
     The channel is symmetric, so the lower of drain and source acts as the
     source and ``vds >= 0``; ``reversed`` is true where that is the drain
-    terminal. Takes floats or arrays.
+    terminal. Takes floats or arrays; on floats the lower terminal is
+    picked as ``np.minimum`` picks it (NaN wins, a tie gives ``vs``).
     """
+    if isinstance(vd, float) and isinstance(vs, float):
+        low = vd if vd < vs or vd != vd else vs
+        return vg - low, abs(vd - vs), vd < vs
     return vg - np.minimum(vd, vs), abs(vd - vs), vd < vs
 
 
@@ -437,20 +560,36 @@ def mos_gm(m: MosModel, vgs: float, vds: float) -> float:
     return m.beta * vov
 
 
+def _nanowire_steps(m: NanowireModel, av: float) -> list:
+    """The logistic step terms of the staircase at |v| = ``av``, as floats."""
+    return [_sigmoid((av - step) / m.smooth) for step in m.step_voltages]
+
+
 def nanowire_geq(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Staircase conductance: monotone nondecreasing in |v|, symmetric in sign."""
+    n = m.nsteps
+    if isinstance(v, float):
+        g = m.g0 * _np_sum(_nanowire_steps(m, abs(_finite(v))))
+        if fc is not None:
+            fc.count(2 * n, n + 1, n, n)
+        return g
     scalar, va = _as_array(v)
     _check_finite(va)
     av = np.abs(va)
-    steps = np.arange(1, m.nsteps + 1) * m.vstep
+    steps = np.arange(1, n + 1) * m.vstep
     g = m.g0 * np.sum(_sigmoid((av[..., None] - steps) / m.smooth), axis=-1)
-    _count(fc, va.size, adds=2 * m.nsteps, muls=m.nsteps + 1,
-           divs=m.nsteps, transcendentals=m.nsteps)
+    _count(fc, va.size, adds=2 * n, muls=n + 1, divs=n, transcendentals=n)
     return _restore(scalar, g)
 
 
 def nanowire_current(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Terminal current G(v) * v of the staircase nanowire."""
+    if isinstance(v, float):
+        v = float(v)
+        g = nanowire_geq(m, v, fc)
+        if fc is not None:
+            fc.count(muls=1)
+        return g * v
     scalar, va = _as_array(v)
     g = nanowire_geq(m, va, fc)
     _count(fc, va.size, muls=1)
@@ -459,14 +598,22 @@ def nanowire_current(m: NanowireModel, v, fc: "FlopCounter | None" = None):
 
 def nanowire_dgeq_dv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """dG/dV of the staircase conductance (odd in v)."""
+    n = m.nsteps
+    if isinstance(v, float):
+        v = _finite(v)
+        s = _nanowire_steps(m, abs(v))
+        sign = 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
+        dg = (m.g0 / m.smooth) * _np_sum([x * (1.0 - x) for x in s]) * sign
+        if fc is not None:
+            fc.count(2 * n, 2 * n + 2, 1, n)
+        return dg
     scalar, va = _as_array(v)
     _check_finite(va)
     av = np.abs(va)
-    steps = np.arange(1, m.nsteps + 1) * m.vstep
+    steps = np.arange(1, n + 1) * m.vstep
     s = _sigmoid((av[..., None] - steps) / m.smooth)
     dg = (m.g0 / m.smooth) * np.sum(s * (1.0 - s), axis=-1) * np.sign(va)
-    _count(fc, va.size, adds=2 * m.nsteps, muls=2 * m.nsteps + 2,
-           divs=1, transcendentals=m.nsteps)
+    _count(fc, va.size, adds=2 * n, muls=2 * n + 2, divs=1, transcendentals=n)
     return _restore(scalar, dg)
 
 

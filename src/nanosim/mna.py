@@ -23,24 +23,37 @@ their own operations (see ``devices``); matrix stamping and bookkeeping are
 not billed. exp/ln/atan calls are reported as separate "transcendental"
 units rather than being converted to some flop equivalent.
 
-:func:`solve` is a dense LU with partial pivoting. The elimination runs on
-Python floats (``G.tolist()``), because on the small systems the engines
-solve once per step the per-call cost of numpy slicing outweighs the
-arithmetic. Measured per solve against the same elimination on numpy rows
-(2-core VM, Python 3.11, numpy 2.4.6): 3 unknowns 30 vs 71 us, 5 unknowns
-58 vs 132 us, 10 unknowns 161 vs 259 us, 20 unknowns about equal, 30
-unknowns 1377 vs 866 us. The crossover is about 15-20 unknowns; every
-shipped deck has at most 5. There is one code path for all sizes. The
-forward and back substitutions stay numpy dot products: BLAS sums a row in
-its own order, which a Python loop does not reproduce, and keeping it keeps
-every solution bit for bit.
+:func:`solve` is a dense LU with partial pivoting. An assembled
+:class:`MnaSystem` holds G as Python row lists and the right-hand side as a
+list, and the elimination and both substitutions run on them, because on
+the small systems the engines solve once per step the per-call cost of
+numpy slicing outweighs the arithmetic. Measured per solve of a dense
+system against the same LU on numpy rows (2-core VM, Python 3.11, numpy
+2.4.6): 3 unknowns 19 vs 50 us, 5 unknowns 40 vs 85 us, 10 unknowns 114 vs
+195 us, 20 unknowns 457 vs 542 us, 30 unknowns 1230 vs 545 us. The
+crossover is about 20 unknowns; every shipped deck has at most 5. There is
+one code path for all sizes.
+
+Each substitution row subtracts a dot product, and its rounding is kept
+bit for bit equal to numpy's ``A[k, :k] @ x[:k]``. A Python sum does not
+reproduce that: numpy runs the short product as a chain of fused
+multiply-adds, which differs from a plain sum in the last bit for about a
+quarter of random length-2 rows. So :func:`_subtract_dot` forms the
+products in Python and, when at most one is nonzero, subtracts that one
+directly: a rounded product plus exact zeros has the same value under any
+summation order, FMA included. A product counts as nonzero by its value,
+so ``0 * inf = nan`` counts; a product that underflows to zero is not an
+exact zero and counts too. Rows with two or more nonzero products go to
+``np.matmul``, as does a -0.0 entry whose products are all zero (the sign
+of its result depends on the sign of the zero the dot returns). MNA rows
+are sparse: on ``fet_rtd_inverter`` about 1 row in 8 needs the matmul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,18 +102,30 @@ class FlopCounter:
 
 @dataclass
 class MnaSystem:
-    """Assembled dense system G x = rhs with its node/source index maps."""
+    """Assembled dense system G x = rhs with its node/source index maps.
+
+    G is held as Python row lists (``rows``) and the right-hand side as a
+    list (``b``), which :func:`solve` eliminates on; ``G`` and ``rhs`` give
+    numpy copies for reading."""
 
     n: int
     m: int
-    G: np.ndarray
-    rhs: np.ndarray
+    rows: List[List[float]]
+    b: List[float]
     node_index: Dict[str, int]
     source_index: Dict[str, int]
 
     @property
     def size(self) -> int:
         return self.n + self.m
+
+    @property
+    def G(self) -> np.ndarray:
+        return np.array(self.rows, dtype=float).reshape(self.size, self.size)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.array(self.b, dtype=float)
 
 
 class Branch(NamedTuple):
@@ -118,23 +143,24 @@ def vnode(x: np.ndarray, i: int) -> float:
     return 0.0 if i < 0 else float(x[i])
 
 
-def stamp_conductance(G: np.ndarray, a: int, b: int, g: float) -> None:
-    """Symmetric two-terminal conductance stamp; index -1 means ground."""
+def stamp_conductance(G, a: int, b: int, g: float) -> None:
+    """Symmetric two-terminal conductance stamp into a 2-d array or a list
+    of row lists; index -1 means ground."""
     if a >= 0:
-        G[a, a] += g
+        G[a][a] += g
     if b >= 0:
-        G[b, b] += g
+        G[b][b] += g
     if a >= 0 and b >= 0:
-        G[a, b] -= g
-        G[b, a] -= g
+        G[a][b] -= g
+        G[b][a] -= g
 
 
 class Circuit:
-    """A netlist compiled once: index maps, the static G and its node
-    diagonal, the node capacitance matrix ``C`` (every capacitor stamped
-    like a conductance, in element order), grounded capacitance per node,
-    :class:`Branch` lists, and one waveform per source row, which callers
-    may replace between assemblies."""
+    """A netlist compiled once: index maps, the static G (also as row
+    lists, ``G_rows``) and its node diagonal, the node capacitance matrix
+    ``C`` (every capacitor stamped like a conductance, in element order),
+    grounded capacitance per node, :class:`Branch` lists, and one waveform
+    per source row, which callers may replace between assemblies."""
 
     def __init__(self, net: Netlist):
         self.nodes = list(net.nodes)
@@ -162,6 +188,7 @@ class Circuit:
                 self.G[row, br.a] = self.G[br.a, row] = 1.0
             if br.b >= 0:
                 self.G[row, br.b] = self.G[br.b, row] = -1.0
+        self.G_rows = self.G.tolist()
         self.gsum_static = self.G.diagonal()[:n].copy()
         self.C = np.zeros((n, n))
         for br in self.capacitors:
@@ -189,58 +216,84 @@ class Circuit:
     def system(self, t: float) -> MnaSystem:
         """A fresh system: a copy of the static G, the source values at
         time ``t`` on the right-hand side."""
-        rhs = np.zeros(self.size)
-        rhs[self.n:] = self.source_levels(t)
-        return MnaSystem(self.n, self.m, self.G.copy(), rhs, self.node_index,
-                         self.source_index)
+        return MnaSystem(self.n, self.m, [row.copy() for row in self.G_rows],
+                         [0.0] * self.n + self.source_levels(t),
+                         self.node_index, self.source_index)
 
 
-def assemble(circuit: Circuit, geq: Mapping[str, float],
-             vstate: Optional[np.ndarray] = None, h: float = math.inf,
+def assemble(circuit: Circuit, geq: Sequence[float],
+             vstate: Optional[Sequence[float]] = None, h: float = math.inf,
              t: float = 0.0) -> MnaSystem:
     """The MNA system of ``circuit`` at time ``t``.
 
     On a copy of the static G this stamps the floored conductances ``geq``
-    (one per nonlinear element, by name) in element order, then the
-    capacitor companions of the step ``h`` from the previous node voltages
-    ``vstate`` (none when ``h`` is +inf, the DC assembly); the right-hand
-    side carries the companion currents and the source values at ``t``.
-    Noise sources stamp nothing here.
+    (one per nonlinear element, in ``circuit.devices`` order) in element
+    order, then the capacitor companions of the step ``h`` from the previous
+    node voltages ``vstate`` (none when ``h`` is +inf, the DC assembly); the
+    right-hand side carries the companion currents and the source values at
+    ``t``. Noise sources stamp nothing here.
     """
+    if len(geq) != len(circuit.devices):
+        names = ", ".join(f"'{br.el.name}'" for br in circuit.devices)
+        raise MnaError(f"{len(geq)} equivalent conductances supplied for "
+                       f"the {len(circuit.devices)} devices ({names})")
     sys = circuit.system(t)
-    G, rhs = sys.G, sys.rhs
-    for br in circuit.devices:
-        try:
-            g = geq[br.el.name]
-        except KeyError:
-            raise MnaError(f"no equivalent conductance supplied for '{br.el.name}'")
-        stamp_conductance(G, br.a, br.b, max(g, G_FLOOR))
+    G, rhs = sys.rows, sys.b
+    for br, g in zip(circuit.devices, geq):
+        stamp_conductance(G, br.a, br.b, G_FLOOR if g < G_FLOOR else g)
     if math.isfinite(h):
         if vstate is None:
-            vstate = np.zeros(circuit.n)
+            vstate = [0.0] * circuit.n
         for br in circuit.capacitors:
+            a, b = br.a, br.b
+            va = vstate[a] if a >= 0 else 0.0
+            vb = vstate[b] if b >= 0 else 0.0
             g = br.el.value / h
-            i_eq = g * (vnode(vstate, br.a) - vnode(vstate, br.b))
-            stamp_conductance(G, br.a, br.b, g)
-            if br.a >= 0:
-                rhs[br.a] += i_eq
-            if br.b >= 0:
-                rhs[br.b] -= i_eq
+            i_eq = g * (va - vb)
+            stamp_conductance(G, a, b, g)
+            if a >= 0:
+                rhs[a] += i_eq
+            if b >= 0:
+                rhs[b] -= i_eq
     return sys
+
+
+def _subtract_dot(xk: float, coeffs: List[float], xs: List[float]) -> float:
+    """``xk - coeffs . xs``, rounded as ``xk - A[k, :k] @ x[:k]`` is on
+    numpy arrays (the module docstring says why and how)."""
+    # zero coefficients against finite x give exact zero products; most
+    # MNA rows are all zero, so they skip the loop
+    if any(coeffs) or not math.isfinite(sum(xs)):
+        only = None
+        for c, xj in zip(coeffs, xs):
+            p = c * xj
+            if p != 0.0 or (c != 0.0 and xj != 0.0):
+                if only is not None or p == 0.0:
+                    return xk - float(np.matmul(coeffs, xs))
+                only = p
+        if only is not None:
+            return xk - only
+    # every product is an exact zero: xk - (+-0) is xk, except for a -0.0
+    # xk, whose sign then depends on the sign of the zero the dot returns
+    if xk == 0.0 and math.copysign(1.0, xk) < 0.0:
+        return xk - float(np.matmul(coeffs, xs))
+    return xk
 
 
 def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
     """LU factorization with partial pivoting; returns node voltages followed
     by source branch currents. Raises :class:`SingularSystemError` when a
-    pivot falls below 1e-14 of its row scale. The module docstring says
-    why the elimination runs on Python lists."""
+    pivot falls below 1e-14 of its row scale. ``sys`` is left as it was.
+    The module docstring says why the elimination runs on Python lists and
+    how the substitutions keep numpy's rounding."""
     size = sys.size
-    a = sys.G.tolist()
+    a = [row.copy() for row in sys.rows]
     row_scale = [max(map(abs, row)) for row in a]
     if 0.0 in row_scale:
         raise SingularSystemError("structurally singular system (empty row)")
 
     perm = list(range(size))
+    elim = divs = 0         # elimination flops, billed at the end or on failure
     for k in range(size - 1):
         # partial pivoting: the first row holding the largest |a_ik|
         p, big = k, abs(a[k][k])
@@ -248,31 +301,35 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
             if abs(a[i][k]) > big:
                 p, big = i, abs(a[i][k])
         if big <= _PIVOT_RTOL * row_scale[perm[p]]:
+            fc.count(elim, elim, divs)
             raise SingularSystemError(f"singular pivot at column {k}")
         if p != k:
             a[k], a[p] = a[p], a[k]
             perm[k], perm[p] = perm[p], perm[k]
         rk = a[k]
         pivot = rk[k]
+        cols = range(k + 1, size)
         for ri in a[k + 1:]:
             lik = ri[k] = ri[k] / pivot
-            for j in range(k + 1, size):
+            for j in cols:
                 ri[j] -= lik * rk[j]
         c = size - k - 1
-        fc.count(adds=c * c, muls=c * c, divs=c)
+        elim += c * c
+        divs += c
     if abs(a[size - 1][size - 1]) <= _PIVOT_RTOL * row_scale[perm[size - 1]]:
+        fc.count(elim, elim, divs)
         raise SingularSystemError("singular pivot at last column")
 
-    A = np.array(a)
-    x = sys.rhs[perm]
+    b = sys.b
+    x = [b[i] for i in perm]
     # forward substitution (unit lower triangle)
     for k in range(1, size):
-        x[k] -= A[k, :k] @ x[:k]
+        x[k] = _subtract_dot(x[k], a[k][:k], x[:k])
     # back substitution
     for k in range(size - 1, -1, -1):
         if k < size - 1:
-            x[k] -= A[k, k + 1:] @ x[k + 1:]
-        x[k] /= A[k, k]
+            x[k] = _subtract_dot(x[k], a[k][k + 1:], x[k + 1:])
+        x[k] /= a[k][k]
     tri = size * (size - 1) // 2
-    fc.count(adds=2 * tri, muls=2 * tri, divs=size)
-    return x
+    fc.count(elim + 2 * tri, elim + 2 * tri, divs + size)
+    return np.array(x, dtype=float)

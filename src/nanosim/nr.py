@@ -137,7 +137,7 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
             break
         iters = k
         sys = circuit.system(0.0)
-        G, rhs = sys.G, sys.rhs
+        G, rhs = sys.rows, sys.b
         for br in circuit.devices:
             mdl = models[br.el.name]
             if br.el.kind is ElementKind.MOSFET:
@@ -150,18 +150,18 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
                 # linearized drain current: i0 + gds*dvds + gm*dvgs
                 ieq = i0 - gds * vds - gm * vgs
                 if d_node >= 0:
-                    G[d_node, d_node] += gds
+                    G[d_node][d_node] += gds
                     if s_node >= 0:
-                        G[d_node, s_node] -= gds + gm
+                        G[d_node][s_node] -= gds + gm
                     if g_node >= 0:
-                        G[d_node, g_node] += gm
+                        G[d_node][g_node] += gm
                     rhs[d_node] -= ieq
                 if s_node >= 0:
-                    G[s_node, s_node] += gds + gm
+                    G[s_node][s_node] += gds + gm
                     if d_node >= 0:
-                        G[s_node, d_node] -= gds
+                        G[s_node][d_node] -= gds
                     if g_node >= 0:
-                        G[s_node, g_node] -= gm
+                        G[s_node][g_node] -= gm
                     rhs[s_node] += ieq
             else:
                 vbr = vnode(x, br.a) - vnode(x, br.b)

@@ -131,7 +131,7 @@ class _StateSystem:
     g_drive: np.ndarray                   # -G from state rows to pinned columns
     noise_cols: np.ndarray                # state x noise sources
     # nonlinear branch, its model, the state rows of its a and b terminals
-    # (-1 for ground or a pinned node)
+    # (-1 for ground or a pinned node); only devices with a state row
     devices: List[Tuple[Branch, ModelCard, int, int]]
 
 
@@ -180,8 +180,10 @@ def _build_state_system(net: Netlist) -> _StateSystem:
                               "every state node needs a capacitive path to ground") from None
     diagonal = not (cap - np.diag(np.diag(cap))).any()
 
+    # a device whose current reaches no state row (both branch terminals
+    # pinned or ground) changes no drift, so it is not evaluated at all
     devices = [(br, net.model_of(br.el), row.get(br.a, -1), row.get(br.b, -1))
-               for br in circuit.devices]
+               for br in circuit.devices if br.a in row or br.b in row]
     return _StateSystem(circuit=circuit, state=np.array(state),
                         pinned=np.array(pinned, dtype=int), cap=cap,
                         cap_diag=np.diag(cap).copy() if diagonal else None,
@@ -199,11 +201,19 @@ def _explicit_drift(ss: _StateSystem, dt: float):
     turns a state that overflows (floating-point overflow or invalid
     operation while stepping) into a :class:`SimulationError` naming dt and
     that time constant instead of a numpy warning.
+
+    The fastest time constant is 1 / max eig(C^-1 G) over the state nodes,
+    G being the static (resistor) block, which holds the resistors to
+    source-pinned nodes on its diagonal. Forward Euler on the linear part is
+    stable only for dt < 2 / max eig. With C = L L^T (C is positive
+    definite, G symmetric), C^-1 G has the eigenvalues of the symmetric
+    L^-1 G L^-T, which are real.
     """
-    # the diagonal of G already holds every resistor at the node, including
-    # those to a source-pinned node
-    g, c = np.diag(ss.g_static), np.diag(ss.cap)
-    tau = float(np.min(c[g > 0.0] / g[g > 0.0], initial=math.inf))
+    low = np.linalg.cholesky(ss.cap)
+    half = np.linalg.solve(low, ss.g_static)
+    rates = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+    fastest = float(np.max(rates, initial=0.0))
+    tau = 1.0 / fastest if fastest > 0.0 else math.inf
     if math.isfinite(tau):
         limit = f"fastest time constant {tau:g}"
         if dt >= 0.5 * tau:

@@ -22,6 +22,7 @@ matters for multistable circuits (hysteresis is expected, not hidden).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predict,
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
-from .mna import Branch, Circuit, FlopCounter, assemble, solve, vnode
+from .mna import Circuit, FlopCounter, assemble, solve
 from .netlist import (NONLINEAR_KINDS, Dc, ElementKind, Netlist, Pwl, TranAnalysis,
                       waveform_breakpoints)
 
@@ -109,126 +110,182 @@ def next_step_size(node_caps: Sequence[float], node_gsums: Sequence[float],
     """Adaptive step: eps times the minimum of the node RC terms and the
     device slew terms, clamped to [h_min, h_max]. Nodes without grounded
     capacitance contribute no term."""
+    # conditionals in place of min/max, with the same result (a NaN term is
+    # skipped): the builtins cost more than the comparisons on this path
     best = math.inf
     for c, g in zip(node_caps, node_gsums):
         if c > 0.0 and g > 0.0:
-            best = min(best, c / g)
+            rc = c / g
+            if rc < best:
+                best = rc
     for b in device_bounds:
-        best = min(best, b)
+        if b < best:
+            best = b
     if not math.isfinite(best):
         return h_max
-    return min(max(eps * best, h_min), h_max)
+    h = eps * best
+    h = h_min if h_min > h else h
+    return h_max if h_max < h else h
 
 
 # --- engine internals ---------------------------------------------------------
 
+_MOSFET, _RTD = ElementKind.MOSFET, ElementKind.RTD
+
+
 class _Engine:
+    """One compiled circuit and the history of each nonlinear device.
+
+    Per-device data are lists index-aligned with ``circuit.devices``: kind,
+    model, :class:`DeviceState`, terminal indices, and the terminals the
+    local error test reads (source-held nodes left out once, here). A step
+    attempt works on Python floats and lists from start to finish: the
+    solution of :func:`solve` becomes one list, each device's bias is
+    computed once from it, and the conductances are lists in device order.
+    Device kernels, :func:`assemble` and :func:`solve` are called through
+    this module's globals, once per device or attempt, so a tracer that
+    replaces them sees every call.
+    """
+
     def __init__(self, net: Netlist, cfg: SimConfig, fc: Optional[FlopCounter] = None):
         if net.elements_of(ElementKind.NOISE):
             raise SimulationError("deck contains noise sources; use the stochastic engine")
-        self.circuit = Circuit(net)
+        self.circuit = circuit = Circuit(net)
         self.cfg = cfg
         self.fc = fc if fc is not None else FlopCounter()
-        self.n = self.circuit.n
-        self.nodes = self.circuit.nodes
-        self.devices = self.circuit.devices
-        self.models = {br.el.name: net.model_of(br.el) for br in self.devices}
-        self.states: Dict[str, DeviceState] = {br.el.name: DeviceState()
-                                               for br in self.devices}
+        self.n = circuit.n
+        self.nodes = circuit.nodes
+        self.devices = circuit.devices
+        self.kinds = [br.el.kind for br in self.devices]
+        self.models = [net.model_of(br.el) for br in self.devices]
+        self.dev_states = [DeviceState() for _ in self.devices]
+        self.terminals = [(br.a, br.b, br.gate) for br in self.devices]
+        self.grounded_cap = circuit.grounded_cap.tolist()
+        self.gsum_static = circuit.gsum_static.tolist()
         # nodes held by a source cannot respond to a conductance change, so
         # the local error test is meaningless there
-        self.source_nodes = {i for br in self.circuit.sources
-                             for i in (br.a, br.b) if i >= 0}
+        held = {i for br in circuit.sources for i in (br.a, br.b) if i >= 0}
+        self.error_terminals = [
+            [(j, other, self.grounded_cap[j]) for j, other in ((a, b), (b, a))
+             if j >= 0 and j not in held]
+            for a, b, _ in self.terminals]
 
-    def bias(self, br: Branch, x: np.ndarray) -> Tuple[float, float]:
-        """(branch voltage, controlling voltage) of a device at solution x:
-        (vds, vgs) for a MOSFET, the terminal voltage twice otherwise."""
-        va, vb = vnode(x, br.a), vnode(x, br.b)
-        if br.el.kind is ElementKind.MOSFET:
-            vgs, vds, _ = mos_bias(va, vnode(x, br.gate), vb)
-            return float(vds), float(vgs)
-        return va - vb, va - vb
+    @property
+    def states(self) -> Dict[str, DeviceState]:
+        """Device histories by element name."""
+        return {br.el.name: st for br, st in zip(self.devices, self.dev_states)}
 
-    def direct_geq(self, br: Branch, x: np.ndarray) -> float:
-        m = self.models[br.el.name]
-        v, ctrl = self.bias(br, x)
-        if br.el.kind is ElementKind.RTD:
-            return float(rtd_geq(m, v, self.fc))
-        if br.el.kind is ElementKind.NANOWIRE:
-            return float(nanowire_geq(m, v, self.fc))
-        return float(mos_geq(m, ctrl, v, self.fc))
+    def biases(self, x: List[float]) -> List[Tuple[float, float]]:
+        """(branch voltage, controlling voltage) of every device at solution
+        x: (vds, vgs) for a MOSFET, the terminal voltage twice otherwise."""
+        out = []
+        for kind, (a, b, gate) in zip(self.kinds, self.terminals):
+            va = x[a] if a >= 0 else 0.0
+            vb = x[b] if b >= 0 else 0.0
+            if kind is _MOSFET:
+                vgs, vds, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
+                out.append((vds, vgs))
+            else:
+                out.append((va - vb, va - vb))
+        return out
 
-    def predicted_geq(self, br: Branch, x: np.ndarray, h: float) -> float:
-        st = self.states[br.el.name]
-        m = self.models[br.el.name]
-        if st.h_prev <= 0.0:
-            return self.direct_geq(br, x)
-        if br.el.kind is ElementKind.MOSFET:
-            # stepwise-constant prediction at half-step extrapolated bias
-            vgs = st.ctrl_now + 0.5 * h * st.ctrl_slew()
-            vds = max(st.v_now + 0.5 * h * st.slew(), 0.0)
-            return float(mos_geq(m, vgs, vds, self.fc))
-        if abs(st.v_now) < V_EPS:
-            return self.direct_geq(br, x)
-        if br.el.kind is ElementKind.RTD:
-            dg = float(rtd_dgeq_dv(m, st.v_now, self.fc))
-        else:
-            dg = float(nanowire_dgeq_dv(m, st.v_now, self.fc))
-        return geq_predict(st, dg, h, self.fc)
+    def direct_geq(self, i: int, v: float, ctrl: float) -> float:
+        """Device ``i``'s conductance evaluated at bias (v, ctrl)."""
+        kind, m = self.kinds[i], self.models[i]
+        if kind is _RTD:
+            return rtd_geq(m, v, self.fc)
+        if kind is _MOSFET:
+            return mos_geq(m, ctrl, v, self.fc)
+        return nanowire_geq(m, v, self.fc)
 
-    def gsum_now(self) -> np.ndarray:
-        g = self.circuit.gsum_static.copy()
-        for br in self.devices:
-            geq = self.states[br.el.name].geq_now
-            for i in (br.a, br.b):
-                if i >= 0:
-                    g[i] += geq
-        return g
+    def step_geq(self, x: List[float], h: float, predictive: bool) -> List[float]:
+        """The floored conductance each device is stamped with for a step
+        ``h`` from x. Predictive: the half-step Taylor prediction (MOSFETs:
+        the conductance at the half-step extrapolated bias). Otherwise the
+        committed geq_now, which is the direct evaluation at x, so no fresh
+        device call is needed."""
+        fc, out = self.fc, []
+        at_x = None             # device biases at x, for direct evaluations
+        for i, (kind, m, st) in enumerate(zip(self.kinds, self.models, self.dev_states)):
+            if st.h_prev <= 0.0 or (predictive and kind is not _MOSFET
+                                    and abs(st.v_now) < V_EPS):
+                # no committed step, or a two-terminal device near v = 0,
+                # where its conductance slope is undefined: evaluate at x
+                if at_x is None:
+                    at_x = self.biases(x)
+                g = self.direct_geq(i, *at_x[i])
+            elif not predictive:
+                g = st.geq_now
+            elif kind is _MOSFET:
+                # stepwise-constant prediction at half-step extrapolated bias
+                vgs = st.ctrl_now + 0.5 * h * st.ctrl_slew()
+                vds = st.v_now + 0.5 * h * st.slew()
+                g = mos_geq(m, vgs, 0.0 if vds < 0.0 else vds, fc)
+            else:
+                if kind is _RTD:
+                    dg = rtd_dgeq_dv(m, st.v_now, fc)
+                else:
+                    dg = nanowire_dgeq_dv(m, st.v_now, fc)
+                g = geq_predict(st, dg, h, fc)
+            out.append(G_FLOOR if g < G_FLOOR else g)
+        return out
 
     def step_size(self, h_max: float, with_device_bounds: bool = True) -> float:
-        bounds = [device_step_bound(self.states[br.el.name],
-                                    br.el.kind is ElementKind.MOSFET)
-                  for br in self.devices] if with_device_bounds else []
-        return next_step_size(self.circuit.grounded_cap, self.gsum_now(), bounds,
+        """:func:`next_step_size` from the committed device states: each
+        node's static conductance plus its devices' geq_now, and the device
+        slew bounds unless ``with_device_bounds`` is off."""
+        gsum = self.gsum_static.copy()
+        for (a, b, _), st in zip(self.terminals, self.dev_states):
+            if a >= 0:
+                gsum[a] += st.geq_now
+            if b >= 0:
+                gsum[b] += st.geq_now
+        bounds = [device_step_bound(st, kind is _MOSFET)
+                  for kind, st in zip(self.kinds, self.dev_states)
+                  ] if with_device_bounds else []
+        return next_step_size(self.grounded_cap, gsum, bounds,
                               self.cfg.eps, self.cfg.h_min, h_max)
 
-    def local_error(self, br: Branch, g_pred: float, g_act: float,
-                    x_old: np.ndarray, x_new: np.ndarray, h: float) -> float:
-        """Worst relative mismatch, over the device's terminals, between the
+    def local_error(self, g_pred: List[float], g_act: List[float],
+                    x_old: List[float], x_new: List[float], h: float) -> float:
+        """Worst relative mismatch, over the devices' terminals, between the
         solved voltage change and the change the re-evaluated conductance
         implies with the rest of the circuit frozen."""
         err = 0.0
-        for j, other in ((br.a, br.b), (br.b, br.a)):
-            if j < 0 or j in self.source_nodes:
-                continue
-            vj_old, vj_new = float(x_old[j]), float(x_new[j])
-            vo_new = vnode(x_new, other)
-            cjh = self.circuit.grounded_cap[j] / h
-            i_other = cjh * (vj_new - vj_old) + g_pred * (vj_new - vo_new)
-            v_act = (i_other + cjh * vj_old + g_act * vo_new) / (cjh + g_act)
-            dv_act = v_act - vj_old
-            if abs(dv_act) < _DV_FLOOR:
-                continue
-            err = max(err, abs(dv_act - (vj_new - vj_old)) / abs(dv_act))
+        for pairs, gp, ga in zip(self.error_terminals, g_pred, g_act):
+            for j, other, cap in pairs:
+                vj_old, vj_new = x_old[j], x_new[j]
+                vo_new = x_new[other] if other >= 0 else 0.0
+                cjh = cap / h
+                i_other = cjh * (vj_new - vj_old) + gp * (vj_new - vo_new)
+                v_act = (i_other + cjh * vj_old + ga * vo_new) / (cjh + ga)
+                dv_act = v_act - vj_old
+                if abs(dv_act) < _DV_FLOOR:
+                    continue
+                e = abs(dv_act - (vj_new - vj_old)) / abs(dv_act)
+                if e > err:
+                    err = e
         return err
 
-    def commit_states(self, x_new: np.ndarray, g_act: Dict[str, float], h: float):
-        """Record the accepted solution, its conductances and the step ``h``
-        in every device history; ``h = 0`` starts a history with no slew."""
-        for br in self.devices:
-            st = self.states[br.el.name]
-            v, ctrl = self.bias(br, x_new)
+    def commit_states(self, biases: List[Tuple[float, float]], g_act: List[float],
+                      h: float) -> None:
+        """Record the accepted solution's biases, its conductances and the
+        step ``h`` in every device history; ``h = 0`` starts a history with
+        no slew."""
+        for st, kind, m, (v, ctrl), g in zip(self.dev_states, self.kinds, self.models,
+                                             biases, g_act):
             st.v_prev, st.v_now = (st.v_now if h > 0.0 else v), v
             st.ctrl_prev, st.ctrl_now = (st.ctrl_now if h > 0.0 else ctrl), ctrl
-            if br.el.kind is ElementKind.MOSFET:
-                st.overdrive = ctrl - self.models[br.el.name].vth
+            if kind is _MOSFET:
+                st.overdrive = ctrl - m.vth
             st.h_prev = h
-            st.geq_now = max(g_act[br.el.name], G_FLOOR)
+            st.geq_now = G_FLOOR if g < G_FLOOR else g
 
     def seed_states(self, x: np.ndarray):
         """Initialize device histories at the starting solution (no slew)."""
-        self.commit_states(x, {br.el.name: self.direct_geq(br, x)
-                               for br in self.devices}, 0.0)
+        biases = self.biases(x.tolist())
+        self.commit_states(biases, [self.direct_geq(i, v, ctrl)
+                                    for i, (v, ctrl) in enumerate(biases)], 0.0)
 
     def run(self, t_stop: float, h_max: float, x0: Optional[np.ndarray] = None,
             settle_after: Optional[float] = None, settle_tol: float = 0.0,
@@ -238,11 +295,13 @@ class _Engine:
         # conductance is evaluated directly each step and the slew-based
         # device bounds (which would choke on a bouncing iterate) are skipped.
         predictive = error_control
-        x = np.zeros(self.circuit.size) if x0 is None else x0.copy()
+        n = self.n
+        x = [0.0] * self.circuit.size if x0 is None else x0.tolist()
         breakpoints = sorted({bp for w in self.circuit.waveforms
                               for bp in waveform_breakpoints(w, t_stop)})
-        times = [0.0]
-        trace = [x[:self.n].copy()]
+        # accepted times and node voltages, packed as doubles
+        times = array("d", [0.0])
+        trace = array("d", x[:n])
         steps = rejected = warnings = solves = 0
         settled = False
         t = 0.0
@@ -260,27 +319,18 @@ class _Engine:
                     h = bp - t
                     break
             while True:
-                if predictive:
-                    g_pred = {br.el.name: max(self.predicted_geq(br, x, h), G_FLOOR)
-                              for br in self.devices}
-                else:
-                    # committed geq_now is the direct evaluation at the
-                    # current state, so no fresh device call is needed
-                    g_pred = {br.el.name: (self.states[br.el.name].geq_now
-                                           if self.states[br.el.name].h_prev > 0.0
-                                           else max(self.direct_geq(br, x), G_FLOOR))
-                              for br in self.devices}
-                sys = assemble(self.circuit, g_pred, vstate=x[:self.n], h=h, t=t + h)
-                x_new = solve(sys, self.fc)
+                g_pred = self.step_geq(x, h, predictive)
+                sys = assemble(self.circuit, g_pred, vstate=x, h=h, t=t + h)
+                x_new = solve(sys, self.fc).tolist()
                 solves += 1
-                g_act = {br.el.name: max(self.direct_geq(br, x_new), G_FLOOR)
-                         for br in self.devices}
+                biases = self.biases(x_new)
+                g_act = []
+                for i, (v, ctrl) in enumerate(biases):
+                    g = self.direct_geq(i, v, ctrl)
+                    g_act.append(G_FLOOR if g < G_FLOOR else g)
                 if not error_control:
                     break
-                err = 0.0
-                for br in self.devices:
-                    err = max(err, self.local_error(br, g_pred[br.el.name],
-                                                    g_act[br.el.name], x, x_new, h))
+                err = self.local_error(g_pred, g_act, x, x_new, h)
                 if err <= self.cfg.eps:
                     break
                 if h <= self.cfg.h_min * (1.0 + 1e-12):
@@ -288,22 +338,25 @@ class _Engine:
                     break
                 rejected += 1
                 h = max(0.5 * h, self.cfg.h_min)
-            self.commit_states(x_new, g_act, h)
-            dx = np.max(np.abs(x_new[:self.n] - x[:self.n])) if self.n else 0.0
-            x = x_new
+            self.commit_states(biases, g_act, h)
+            x_old, x = x, x_new
             t += h
             h_last = h
             steps += 1
             times.append(t)
-            trace.append(x[:self.n].copy())
-            if settle_after is not None and t >= settle_after and dx / h < settle_tol:
+            trace.extend(x[:n])
+            # the largest node move per unit time, compared as numpy's max
+            # would (a NaN move never settles)
+            if (settle_after is not None and t >= settle_after
+                    and all(abs(a - b) / h < settle_tol for a, b in zip(x[:n], x_old))):
                 settled = True
                 break
-        series = WaveformSeries(times=np.array(times), voltages=np.array(trace),
+        series = WaveformSeries(times=np.array(times),
+                                voltages=np.array(trace).reshape(len(times), n),
                                 nodes=self.nodes, steps_taken=steps,
                                 steps_rejected=rejected, n_solves=solves,
                                 hmin_warnings=warnings, flops=self.fc)
-        return series, x, settled
+        return series, np.array(x), settled
 
 
 def _resolved_h_max(cfg: SimConfig, t_stop: float) -> float:
@@ -351,7 +404,7 @@ def _settle_tol(levels: Sequence[float]) -> float:
 
 def _linear_op(circuit: Circuit, fc: FlopCounter) -> OperatingPoint:
     """A circuit without nonlinear devices needs exactly one DC solve."""
-    x = solve(assemble(circuit, {}, h=math.inf, t=0.0), fc)
+    x = solve(assemble(circuit, [], h=math.inf, t=0.0), fc)
     n = circuit.n
     series = WaveformSeries(times=np.array([0.0]), voltages=x[:n].reshape(1, -1),
                             nodes=circuit.nodes, steps_taken=1, n_solves=1,
@@ -439,10 +492,9 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
         n_solves += series.n_solves
 
     currents: Dict[str, np.ndarray] = {}
-    for br in eng.devices:
+    for br, m in zip(eng.devices, eng.models):
         if br.el.kind is ElementKind.MOSFET:
             continue
-        m = eng.models[br.el.name]
         va, vb = (volts[:, i] if i >= 0 else np.zeros(points) for i in (br.a, br.b))
         vbr = va - vb
         if br.el.kind is ElementKind.RTD:

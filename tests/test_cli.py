@@ -182,6 +182,20 @@ class TestStoch:
             "numerical failure: stochastic state diverged: dt=1e-08 is too large "
             "for the explicit drift (fastest time constant 5e-09)"]
 
+    def test_coupled_capacitors_warn_with_fastest_mode(self, tmp_path, capsys):
+        # the fastest mode of C^-1 G (about 5 ps), not a diagonal ratio
+        # (1 ns), sets the step-size warning ahead of the divergence
+        deck = tmp_path / "coupled.ckt"
+        deck.write_text("V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 0.01p\nC2 b c 1p\nR2 c 0 1k\n"
+                        "N1 b 0 1e-9\n.stoch 50n 0.1n 8\n.end\n")
+        code = main(["stoch", str(deck), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: dt=1e-10 is not small vs fastest time constant ")
+        tau = float(warning.split("time constant ")[1].split(";")[0])
+        assert 4.9e-12 < tau < 5.1e-12
+        assert failure.startswith("numerical failure: stochastic state diverged: dt=1e-10")
+
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         # no ensemble is refused up front; running out of memory is one
         # line and exit 2, never a traceback

@@ -14,7 +14,7 @@ from nanosim.devices import (DeviceError, DeviceState, G_FLOOR, MosModel,
                              NanowireModel, RtdModel, V_EPS, device_step_bound,
                              geq_predict, mos_bias, mos_current, mos_didv,
                              mos_geq, nanowire_current, nanowire_dgeq_dv,
-                             nanowire_geq, rtd_current, rtd_didv, rtd_dgeq_dv,
+                             nanowire_didv, nanowire_geq, rtd_current, rtd_didv, rtd_dgeq_dv,
                              rtd_geq)
 from nanosim.mna import FlopCounter
 
@@ -151,10 +151,11 @@ def _no_array_path():
 
 
 def _outcome(f, m, v):
-    """Result (or DeviceError text) and flop bill of one kernel call."""
+    """Result (or DeviceError text) and flop bill of one kernel call; with
+    ``m`` None, ``f`` is called as ``f(v, fc)``."""
     fc = FlopCounter()
     try:
-        return f(m, v, fc), fc
+        return (f(v, fc) if m is None else f(m, v, fc)), fc
     except DeviceError as exc:
         return f"DeviceError: {exc}", fc
 
@@ -180,13 +181,103 @@ class TestRtdFloatPath:
         # but only ~0.06 % of them survive into the logistic function
         x = np.concatenate([np.random.default_rng(5).uniform(-40.0, 40.0, 20000),
                             np.linspace(-800.0, 800.0, 2001)])
-        for helper in (devices._sigmoid, devices._log1pexp,
+        for helper in (devices._sigmoid,
                        functools.partial(devices._clamped, np.exp),
-                       functools.partial(devices._clamped, np.expm1),
-                       functools.partial(devices._ufunc, np.arctan)):
+                       functools.partial(devices._clamped, np.expm1)):
             scalars = [helper(v) for v in x.tolist()]
             assert all(type(g) is float for g in scalars)
             assert np.array(scalars).tobytes() == helper(x).tobytes()
+        # the float twin of _log1pexp, with or without the logistic term
+        for sigmoid in (True, False):
+            pairs = [devices._log1pexp_sigmoid(v, sigmoid) for v in x.tolist()]
+            assert all(type(a) is float and type(b) is float for a, b in pairs)
+            logs, sigs = (np.array(col) for col in zip(*pairs))
+            assert logs.tobytes() == devices._log1pexp(x).tobytes()
+            assert sigs.tobytes() == (devices._sigmoid(x) if sigmoid
+                                      else np.zeros_like(x)).tobytes()
+
+
+def _same_outcome(got, arr):
+    """A scalar-path result matches the one-element array path: the same
+    error text, or a Python float with the same bits."""
+    if isinstance(arr, str):
+        assert got == arr
+    else:
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.asarray(arr, dtype=float).reshape(1).tobytes()
+
+
+_NANOWIRE_MODELS = [NanowireModel(g0=2e-5, vstep=0.5, nsteps=5, smooth=0.05),
+                    NanowireModel(g0=1e-4, vstep=0.25, nsteps=12, smooth=0.02)]
+
+
+def _nanowire_grid(m):
+    """Voltages over every branch of the nanowire kernels: the step
+    positions and their neighbours, |v| < V_EPS, signed zeros, far beyond
+    the last step, both signs, random points, and non-finite input."""
+    steps = [i * m.vstep for i in range(1, m.nsteps + 1)]
+    v = [s + d for s in steps for d in (0.0, -1e-9, 1e-9, -m.smooth, m.smooth)]
+    v += [0.0, V_EPS, 0.5 * V_EPS, 1e-12, 0.1, 7.3, 40.0, 1e3]
+    v += np.random.default_rng(m.nsteps).uniform(0.0, 1.2 * steps[-1], 100).tolist()
+    return v + [-x for x in v] + [math.inf, -math.inf, math.nan]
+
+
+class TestNanowireFloatPath:
+    @pytest.mark.parametrize("m", _NANOWIRE_MODELS, ids=["nsteps5", "nsteps12"])
+    @pytest.mark.parametrize("f", [nanowire_geq, nanowire_current, nanowire_dgeq_dv,
+                                   nanowire_didv])
+    def test_float_matches_one_element_array(self, m, f):
+        for v in _nanowire_grid(m):
+            # nanowire_didv returns one float, so it takes a 0-d array
+            arr, fc_arr = _outcome(f, m, np.array(v) if f is nanowire_didv else np.array([v]))
+            for arg in (v, np.float64(v)):
+                with _no_array_path():
+                    got, fc = _outcome(f, m, arg)
+                _same_outcome(got, arr)
+                assert fc == fc_arr
+
+    @pytest.mark.parametrize("m", _NANOWIRE_MODELS, ids=["nsteps5", "nsteps12"])
+    @pytest.mark.parametrize("f", [nanowire_geq, nanowire_current, nanowire_dgeq_dv])
+    def test_array_matches_float_loop(self, m, f):
+        v = [x for x in _nanowire_grid(m) if math.isfinite(x)]
+        fc_arr, fc_loop = FlopCounter(), FlopCounter()
+        arr = f(m, np.array(v), fc_arr)
+        assert np.array([f(m, x, fc_loop) for x in v]).tobytes() == arr.tobytes()
+        assert fc_arr == fc_loop
+
+
+class TestMosFloatPath:
+    m = MosModel(k=1e-4, w=2e-6, l=1e-6, vth=1.0)
+    vgs = [-1.0, 0.0, 0.999, 1.0, 1.0 + 1e-12, 1.5, 3.0, 5.0, math.nan]
+    vds = [0.0, -0.0, 1e-12, V_EPS, 0.3, 0.5, 0.5 + 1e-15, 2.0, 4.0, 1e3, -1e-9,
+           math.inf, math.nan]
+
+    def test_current_matches_one_element_array(self):
+        for vgs in self.vgs + [1.7, 2.3, 3.9]:
+            # vds == vgs - vth sits on the triode/saturation boundary
+            for vds in self.vds + [vgs - self.m.vth]:
+                arr, fc_arr = _outcome(functools.partial(mos_current, self.m, vgs),
+                                       None, np.array([vds]))
+                for args in ((vgs, vds), (np.float64(vgs), np.float64(vds))):
+                    with _no_array_path():
+                        got, fc = _outcome(functools.partial(mos_current, self.m, args[0]),
+                                           None, args[1])
+                    _same_outcome(got, arr)
+                    assert fc == fc_arr
+
+    def test_bias_matches_array_path(self):
+        # np.minimum semantics on floats: NaN wins, a tie of signed zeros
+        # gives vs
+        vals = [0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan]
+        with np.errstate(invalid="ignore"):
+            for vd in vals:
+                for vs in vals:
+                    for vg in (0.0, -0.0, 1.5, math.nan):
+                        got = mos_bias(vd, vg, vs)
+                        arr = mos_bias(np.array([vd]), np.array([vg]), np.array([vs]))
+                        _same_outcome(got[0], arr[0])
+                        _same_outcome(got[1], arr[1])
+                        assert got[2] == bool(arr[2][0])
 
 
 class TestGeqPredict:

@@ -13,9 +13,9 @@ from nanosim.mna import (_PIVOT_RTOL, Circuit, FlopCounter, MnaError, MnaSystem,
 from nanosim.netlist import ElementKind, eval_waveform, parse_netlist
 
 
-def _solve_net(deck, geq=None, vstate=None, h=math.inf, t=0.0):
+def _solve_net(deck, vstate=None, h=math.inf, t=0.0):
     net = parse_netlist(deck)
-    sys = assemble(Circuit(net), geq or {}, vstate=vstate, h=h, t=t)
+    sys = assemble(Circuit(net), [], vstate=vstate, h=h, t=t)
     fc = FlopCounter()
     return sys, solve(sys, fc), fc
 
@@ -32,7 +32,7 @@ class TestAssemble:
 
     def test_capacitor_companion_stamp(self):
         net = parse_netlist("V1 1 0 DC 1\nC1 2 0 1p\nR1 1 2 1k\n.end\n")
-        sys = assemble(Circuit(net), {}, vstate=np.array([0.0, 1.0]), h=1e-12, t=0.0)
+        sys = assemble(Circuit(net), [], vstate=np.array([0.0, 1.0]), h=1e-12, t=0.0)
         i2 = sys.node_index["2"]
         # g = C/h = 1.0 S plus the 1 mS resistor; companion current 1.0 A
         assert sys.G[i2, i2] == pytest.approx(1.0 + 1e-3)
@@ -40,7 +40,7 @@ class TestAssemble:
 
     def test_dc_assembly_ignores_capacitors(self):
         net = parse_netlist("V1 1 0 DC 1\nC1 2 0 1p\nR1 1 2 1k\n.end\n")
-        sys = assemble(Circuit(net), {}, vstate=np.array([0.0, 1.0]), h=math.inf)
+        sys = assemble(Circuit(net), [], vstate=np.array([0.0, 1.0]), h=math.inf)
         i2 = sys.node_index["2"]
         assert sys.G[i2, i2] == pytest.approx(1e-3)
         assert sys.rhs[i2] == 0.0
@@ -50,7 +50,7 @@ class TestAssemble:
                 ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
                 ".end\n")
         net = parse_netlist(deck)
-        sys = assemble(Circuit(net), {"XRTD1": 0.0})
+        sys = assemble(Circuit(net), [0.0])
         i2 = sys.node_index["2"]
         assert sys.G[i2, i2] >= 1e-3 + G_FLOOR
 
@@ -60,17 +60,23 @@ class TestAssemble:
                 ".end\n")
         net = parse_netlist(deck)
         with pytest.raises(MnaError, match="XRTD1"):
-            assemble(Circuit(net), {})
+            assemble(Circuit(net), [])
 
     def test_stamp_linearity(self):
         base = "V1 1 0 DC 5\nRt1 1 0 1e12\nRt2 2 0 1e12\nRt3 1 2 1e12\n"
         part_a = "R1 1 2 1k\n"
         part_b = "R2 2 0 500\n"
-        g_base = assemble(Circuit(parse_netlist(base + ".end\n")), {}).G
-        g_a = assemble(Circuit(parse_netlist(base + part_a + ".end\n")), {}).G
-        g_b = assemble(Circuit(parse_netlist(base + part_b + ".end\n")), {}).G
-        g_ab = assemble(Circuit(parse_netlist(base + part_a + part_b + ".end\n")), {}).G
+        g_base = assemble(Circuit(parse_netlist(base + ".end\n")), []).G
+        g_a = assemble(Circuit(parse_netlist(base + part_a + ".end\n")), []).G
+        g_b = assemble(Circuit(parse_netlist(base + part_b + ".end\n")), []).G
+        g_ab = assemble(Circuit(parse_netlist(base + part_a + part_b + ".end\n")), []).G
         assert np.allclose(g_a + g_b - g_base, g_ab, rtol=0, atol=1e-16)
+
+
+def _in_device_order(circuit, geq):
+    """The conductances ``geq`` (a dict by element name) as the list in
+    ``circuit.devices`` order that :func:`assemble` takes."""
+    return [geq[br.el.name] for br in circuit.devices]
 
 
 def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
@@ -118,8 +124,8 @@ def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
             except KeyError:
                 raise MnaError(f"no equivalent conductance supplied for '{el.name}'")
             stamp_conductance(G, a, b, max(g, G_FLOOR))
-    return MnaSystem(n=n, m=len(sources), G=G, rhs=rhs, node_index=node_index,
-                     source_index=source_index)
+    return MnaSystem(n=n, m=len(sources), rows=G.tolist(), b=rhs.tolist(),
+                     node_index=node_index, source_index=source_index)
 
 
 def _node_sums_ref(net):
@@ -200,7 +206,7 @@ class TestAssembleMatchesReference:
         net = _net(sum(groups, []))
         vstate = vstate[[int(nd) - 1 for nd in net.nodes]]
         circuit = Circuit(net)
-        got = assemble(circuit, geq, vstate=vstate, h=h, t=t)
+        got = assemble(circuit, _in_device_order(circuit, geq), vstate=vstate, h=h, t=t)
         ref = _assemble_ref(net, geq, vstate=vstate, h=h, t=t)
         assert got.G.tobytes() == ref.G.tobytes()
         assert got.rhs.tobytes() == ref.rhs.tobytes()
@@ -217,14 +223,16 @@ class TestAssembleMatchesReference:
         rnd.shuffle(lines)
         net = _net(lines)
         vstate = vstate[[int(nd) - 1 for nd in net.nodes]]
-        x = solve(assemble(Circuit(net), geq, vstate=vstate, h=h, t=t), FlopCounter())
+        circuit = Circuit(net)
+        geq_list = _in_device_order(circuit, geq)
+        x = solve(assemble(circuit, geq_list, vstate=vstate, h=h, t=t), FlopCounter())
         x_ref = solve(_assemble_ref(net, geq, vstate=vstate, h=h, t=t), FlopCounter())
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_missing_conductance_names_the_device(self):
         net = _net(["V1 1 0 DC 1", "R1 1 2 1k", "XRTD1 2 0 M1", "M1 2 1 0 0 MFET"])
         with pytest.raises(MnaError, match="'M1'"):
-            assemble(Circuit(net), {"XRTD1": 1e-3})
+            assemble(Circuit(net), [1e-3])
         with pytest.raises(MnaError, match="'M1'"):
             _assemble_ref(net, {"XRTD1": 1e-3})
 
@@ -235,7 +243,7 @@ class TestSolve:
         for k in range(size):
             rhs = np.zeros(size)
             rhs[k] = 1.0
-            sys = MnaSystem(n=size, m=0, G=np.eye(size), rhs=rhs,
+            sys = MnaSystem(n=size, m=0, rows=np.eye(size).tolist(), b=rhs.tolist(),
                             node_index={}, source_index={})
             x = solve(sys, FlopCounter())
             assert np.allclose(x, rhs)
@@ -246,13 +254,14 @@ class TestSolve:
         A = rng.uniform(-1, 1, (n, n))
         A = A @ A.T + n * np.eye(n)
         rhs = rng.uniform(-1, 1, n)
-        sys = MnaSystem(n=n, m=0, G=A, rhs=rhs, node_index={}, source_index={})
+        sys = MnaSystem(n=n, m=0, rows=A.tolist(), b=rhs.tolist(), node_index={},
+                        source_index={})
         x = solve(sys, FlopCounter())
         assert np.max(np.abs(A @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     def test_singular_detected(self):
         G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        sys = MnaSystem(n=2, m=0, G=G, rhs=np.array([1.0, 0.0]),
+        sys = MnaSystem(n=2, m=0, rows=G.tolist(), b=[1.0, 0.0],
                         node_index={}, source_index={})
         with pytest.raises(SingularSystemError):
             solve(sys, FlopCounter())
@@ -263,7 +272,7 @@ class TestSolve:
         totals = []
         for n in sizes:
             A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
-            sys = MnaSystem(n=n, m=0, G=A, rhs=rng.uniform(-1, 1, n),
+            sys = MnaSystem(n=n, m=0, rows=A.tolist(), b=rng.uniform(-1, 1, n).tolist(),
                             node_index={}, source_index={})
             fc = FlopCounter()
             solve(sys, fc)
@@ -312,11 +321,37 @@ def _solve_ref(sys, fc):
 
 def _outcome(solver, G, rhs):
     fc = FlopCounter()
-    sys = MnaSystem(n=len(rhs), m=0, G=G, rhs=rhs, node_index={}, source_index={})
+    sys = MnaSystem(n=len(rhs), m=0, rows=G.tolist(), b=rhs.tolist(), node_index={},
+                    source_index={})
     try:
         return solver(sys, fc).tobytes(), fc
     except SingularSystemError as exc:
         return f"SingularSystemError: {exc}", fc
+
+
+def _mna_shaped(rng, size):
+    """An MNA-shaped system: sparse symmetric node conductances from 1e-12
+    to 1e3 S, up to two voltage sources as +-1 incidence rows and columns
+    with a zero diagonal (a row swap, and columns that stay zero below the
+    pivot), a sparse right-hand side, and sometimes one non-finite entry in
+    it, whose 0 * inf = nan products reach the substitutions."""
+    m = int(rng.integers(0, min(2, size // 2) + 1))
+    n = size - m
+    G = np.zeros((size, size))
+    for i in range(n):
+        G[i, i] += 10.0 ** rng.uniform(-12.0, 0.0)
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        a, b = rng.choice(np.arange(-1, n), 2, replace=False)
+        stamp_conductance(G, a, b, 10.0 ** rng.uniform(-12.0, 3.0))
+    for j, a in enumerate(rng.choice(n, m, replace=False)):
+        G[n + j, a] = G[a, n + j] = 1.0
+        b = int(rng.integers(-1, n))
+        if b >= 0 and b != a:
+            G[n + j, b] = G[b, n + j] = -1.0
+    rhs = np.where(rng.uniform(size=size) < 0.5, 0.0, rng.uniform(-5.0, 5.0, size))
+    if rng.uniform() < 0.4:
+        rhs[rng.integers(size)] = rng.choice([np.inf, -np.inf, np.nan])
+    return G, rhs
 
 
 @st.composite
@@ -324,11 +359,13 @@ def _systems(draw):
     """Dense systems of 1-12 unknowns: random, small-integer entries (ties
     between pivot candidates, exact cancellation), rows shuffled away from
     a dominant diagonal (row swaps at every column), rows of very different
-    scale, and singular ones."""
+    scale, singular ones, and MNA-shaped ones (:func:`_mna_shaped`)."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["uniform", "integer", "shuffled", "scaled",
-                                 "zero_col", "empty_row", "dependent"]))
+                                 "zero_col", "empty_row", "dependent", "mna"]))
+    if kind == "mna":
+        return _mna_shaped(rng, n)
     if kind == "integer":
         G = rng.integers(-2, 3, (n, n)).astype(float)
     else:
@@ -388,7 +425,7 @@ class TestKcl:
             for i in rng.choice(n, size=2, replace=False):
                 lines.append(f"Rg{i} n{i} 0 {rng.uniform(1000, 100_000):.3f}")
             net = parse_netlist("\n".join(lines) + "\n.end\n")
-            sys = assemble(Circuit(net), {})
+            sys = assemble(Circuit(net), [])
             x = solve(sys, FlopCounter())
 
             def v(node):

@@ -230,3 +230,26 @@ class TestNonlinearTransient:
             SimConfig(eps=1.5)
         with pytest.raises(ValueError):
             SimConfig(h_min=1e-12, h_max=1e-13)
+
+
+class TestWorkCounters:
+    """The engines' work on shipped decks, pinned exactly: a change that
+    claims to keep behaviour (a faster kernel, a new data layout) must
+    leave every step, rejection, solve and billed flop where it was."""
+
+    @pytest.mark.parametrize("deck, steps, rejected, flops", [
+        ("fet_rtd_inverter.ckt", 12583, 1571, 3914001),
+        ("rtd_divider_tran.ckt", 3567, 0, 370968),
+        ("rc_lowpass.ckt", 500, 0, 14000),
+    ])
+    def test_transient(self, deck, steps, rejected, flops):
+        series = transient(parse_netlist(deck_text(deck)), SimConfig())
+        assert (series.steps_taken, series.steps_rejected, series.n_solves,
+                series.flops.total()) == (steps, rejected, steps + rejected, flops)
+        assert series.hmin_warnings == 0
+
+    def test_rtd_sweep(self):
+        sweep = dc_sweep(parse_netlist(deck_text("rtd_divider.ckt")), "V1", 0.0, 16.0,
+                         500, SimConfig())
+        assert (sweep.n_solves, sweep.flops.total()) == (5279, 285480)
+        assert sweep.settled.all()
