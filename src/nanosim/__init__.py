@@ -17,8 +17,8 @@ from .netlist import (Dc, Element, ElementKind, Netlist, NetlistError, Pulse,
 from .nr import NrReport, brute_force_dc, flop_compare, nr_dc
 from .stochastic import (EnsembleStats, WienerPath, em_transient, ensemble,
                          ito_sum, wiener_increments)
-from .swec import (DcSweep, OperatingPoint, SimConfig, SimulationError,
-                   WaveformSeries, dc_sweep, next_step_size, operating_point,
-                   pin_source, transient)
+from .swec import (DcSweep, OperatingPoint, SimulationError, WaveformSeries,
+                   dc_sweep, next_step_size, operating_point, pin_source,
+                   transient)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ still exceeded, or a stochastic dt is not small against the fastest RC
 time constant), each warning printed as one "warning: ..." line on stderr.
 Waveforms go to CSV with full round-trip precision; --plot writes a
 gnuplot script alongside the data. Deck directives provide the defaults;
-command-line flags win on conflict.
+command-line flags win on conflict. This module is the only reader of the
+analysis cards: the library analyses take explicit values.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .netlist import (DcAnalysis, Netlist, NetlistError, StochAnalysis,
                       TranAnalysis, parse_netlist, parse_value)
 from .nr import flop_compare
 from .stochastic import StochasticError, ensemble
-from .swec import (SimConfig, SimulationError, WaveformSeries, dc_sweep,
-                   operating_point, transient)
+from .swec import (SimulationError, WaveformSeries, dc_sweep, operating_point,
+                   transient)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,7 +63,11 @@ def _load(path: str) -> Netlist:
 
 
 def _value_flag(text: str) -> float:
-    return parse_value(text)
+    # argparse turns this into its one-line usage error (exit 1 in main)
+    try:
+        return parse_value(text)
+    except NetlistError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray,
@@ -109,8 +114,7 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
     report = RunReport(analysis="op")
     t0 = time.perf_counter()
     net = _load(args.deck)
-    cfg = SimConfig()
-    op = operating_point(net, cfg)
+    op = operating_point(net)
     report.wall_time = time.perf_counter() - t0
     report.steps = op.series.steps_taken
     report.flops = op.series.flops.total()
@@ -141,8 +145,7 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
                            "or a .dc card in the deck")
     if points < 2:
         raise NetlistError("--points must be at least 2")
-    cfg = SimConfig()
-    sweep = dc_sweep(net, source, start, stop, int(points), cfg)
+    sweep = dc_sweep(net, source, start, stop, int(points))
     report.wall_time = time.perf_counter() - t0
     report.flops = sweep.flops.total()
 
@@ -160,8 +163,7 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
         _write_plot(gp, out, "DC sweep", "current / voltage", header)
         report.outputs.append(gp)
     if args.compare_nr:
-        cmp_ = flop_compare(net, "dc", source=source, start=start, stop=stop,
-                            points=int(points))
+        cmp_ = flop_compare(net, "dc", source, start, stop, int(points))
         print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
               f"speedup={cmp_.speedup:.2f}")
     if not bool(np.all(sweep.settled)):
@@ -181,11 +183,9 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
         raise NetlistError("transient needs --tstop or a .tran card in the deck")
     eps = args.eps if args.eps is not None else \
         (card.eps if card and card.eps is not None else 0.01)
-    try:
-        cfg = SimConfig(eps=eps, t_stop=t_stop)
-    except ValueError as exc:
-        raise NetlistError(str(exc))
-    series = transient(net, cfg)
+    if args.resample is not None and args.resample < 1:
+        raise NetlistError("--resample must be at least 1")
+    series = transient(net, t_stop, eps)
     report.wall_time = time.perf_counter() - t0
     report.steps = series.steps_taken
     report.rejections = series.steps_rejected

@@ -617,11 +617,18 @@ def nanowire_dgeq_dv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     return _restore(scalar, dg)
 
 
-def nanowire_didv(m: NanowireModel, v, fc: "FlopCounter | None" = None) -> float:
+def nanowire_didv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Differential conductance d(G(v)*v)/dv for the Newton baseline."""
-    g = nanowire_geq(m, v, fc) + v * nanowire_dgeq_dv(m, v, fc)
-    _count(fc, 1, adds=1, muls=1)
-    return float(g)
+    if isinstance(v, float):
+        v = float(v)
+        g = nanowire_geq(m, v, fc) + v * nanowire_dgeq_dv(m, v, fc)
+        if fc is not None:
+            fc.count(adds=1, muls=1)
+        return g
+    scalar, va = _as_array(v)
+    g = nanowire_geq(m, va, fc) + va * nanowire_dgeq_dv(m, va, fc)
+    _count(fc, va.size, adds=1, muls=1)
+    return _restore(scalar, g)
 
 
 def device_step_bound(state: DeviceState, mosfet: bool) -> float:

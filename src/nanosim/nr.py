@@ -21,8 +21,8 @@ from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
 from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
                   stamp_conductance, vnode)
-from .netlist import NONLINEAR_KINDS, DcAnalysis, ElementKind, Netlist
-from .swec import SimConfig, dc_sweep, operating_point, pin_source
+from .netlist import NONLINEAR_KINDS, ElementKind, Netlist
+from .swec import dc_sweep, operating_point, pin_source
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
 # still moving by more than the voltage tolerance below between iterations.
@@ -237,37 +237,28 @@ def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
     return roots
 
 
-def flop_compare(net: Netlist, analysis: str = "dc",
-                 cfg: Optional[SimConfig] = None, source: Optional[str] = None,
+def flop_compare(net: Netlist, analysis: str, source: Optional[str] = None,
                  start: Optional[float] = None, stop: Optional[float] = None,
-                 points: Optional[int] = None, max_iter: int = 100,
-                 tol: float = 1e-9) -> FlopCompare:
+                 points: Optional[int] = None) -> FlopCompare:
     """Operation-count comparison: conductance-stepping engine vs naive NR.
 
-    For sweeps the NR side follows the classic continuation strategy (each
-    point starts from the previous point's final iterate); non-converged
-    points run to max_iter and are billed at that full cost.
+    ``analysis`` is "op", or "dc" for a sweep of ``source`` over ``points``
+    biases from ``start`` to ``stop``. For sweeps the NR side follows the
+    classic continuation strategy (each point starts from the previous
+    point's final iterate); non-converged points run to ``nr_dc``'s
+    iteration limit and are billed at that full cost.
     """
-    cfg = cfg if cfg is not None else SimConfig()
     if analysis == "op":
-        op = operating_point(net, cfg)
-        swec_total = op.series.flops.total()
-        rep = nr_dc(net, max_iter=max_iter, tol=tol)
-        nr_total = rep.flops.total()
+        swec_total = operating_point(net).series.flops.total()
+        nr_total = nr_dc(net).flops.total()
     elif analysis == "dc":
-        if source is None:
-            dc_cards = [a for a in net.analyses if isinstance(a, DcAnalysis)]
-            if not dc_cards:
-                raise ValueError("no .dc card and no sweep parameters given")
-            card = dc_cards[0]
-            source, start, stop, points = card.source, card.start, card.stop, card.points
-        sweep = dc_sweep(net, source, start, stop, points, cfg)
-        swec_total = sweep.flops.total()
+        if None in (source, start, stop, points):
+            raise ValueError("a dc comparison needs source, start, stop and points")
+        swec_total = dc_sweep(net, source, start, stop, points).flops.total()
         nr_total = 0
         guess = None
         for bias in np.linspace(start, stop, points):
-            rep = nr_dc(pin_source(net, source, bias), initial_guess=guess,
-                        max_iter=max_iter, tol=tol)
+            rep = nr_dc(pin_source(net, source, bias), initial_guess=guess)
             nr_total += rep.flops.total()
             guess = rep.x
     else:

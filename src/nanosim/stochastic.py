@@ -50,6 +50,8 @@ from .swec import SimulationError, WaveformSeries
 # doubles of state rows and noise increments per block of lockstep steps;
 # sets the block length, never a result
 _BLOCK_DOUBLES = 2**20
+# levels of the pointwise and window-peak quantiles an ensemble reports
+_QUANTILES = (0.05, 0.5, 0.95)
 
 
 class StochasticError(RuntimeError):
@@ -345,8 +347,7 @@ def _initial_state(ss: _StateSystem, x0: Optional[np.ndarray]) -> np.ndarray:
 
 def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
              window: Optional[Tuple[float, float]] = None,
-             x0: Optional[np.ndarray] = None,
-             quantile_levels: Sequence[float] = (0.05, 0.5, 0.95)) -> EnsembleStats:
+             x0: Optional[np.ndarray] = None) -> EnsembleStats:
     """Monte-Carlo ensemble of EM paths with pointwise and window-peak stats.
 
     All paths advance together, a block of steps at a time; every path
@@ -372,7 +373,7 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
 
     n_out = ss.circuit.n
     mean, variance = np.empty((2, steps + 1, n_out))
-    quantiles = {q: np.empty((steps + 1, n_out)) for q in quantile_levels}
+    quantiles = {q: np.empty((steps + 1, n_out)) for q in _QUANTILES}
     peaks = np.full((paths, n_out), -np.inf)
     with _explicit_drift(ss, dt):
         for j0, rows in _lockstep(ss, dt, steps, seed, paths, x_init):
@@ -381,12 +382,12 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
             at = slice(j0, j0 + rows.shape[1])
             mean[at] = rows.mean(axis=0)
             variance[at] = rows.var(axis=0, ddof=1)
-            for q in quantile_levels:
+            for q in _QUANTILES:
                 quantiles[q][at] = np.quantile(rows, q, axis=0)
             if in_win[at].any():
                 np.maximum(peaks, rows[:, in_win[at]].max(axis=1), out=peaks)
     peak_mean = peaks.mean(axis=0)
-    peak_quantiles = {q: np.quantile(peaks, q, axis=0) for q in quantile_levels}
+    peak_quantiles = {q: np.quantile(peaks, q, axis=0) for q in _QUANTILES}
     return EnsembleStats(times=times, nodes=list(ss.circuit.nodes), mean=mean,
                          variance=variance, quantiles=quantiles, window=window,
                          peak_mean=peak_mean, peak_quantiles=peak_quantiles,

@@ -17,6 +17,13 @@ Operating points are found pseudo-transiently: sources ramp linearly from
 zero and the integration runs until the node voltages stop moving. DC sweeps
 chain operating points with previous-point continuation, so sweep direction
 matters for multistable circuits (hysteresis is expected, not hidden).
+
+The analyses take explicit values and read no analysis card:
+``transient(net, t_stop, eps)`` with h_max = t_stop/50,
+``operating_point(net)`` and ``dc_sweep(net, source, start, stop, points)``.
+Only the command-line front end merges a deck's ``.tran``/``.dc`` card with
+its flags. h_min, the settle ramp, the step budget and the settle-mode
+error budget are the fixed module constants below.
 """
 
 from __future__ import annotations
@@ -32,8 +39,7 @@ from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predic
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, assemble, solve
-from .netlist import (NONLINEAR_KINDS, Dc, ElementKind, Netlist, Pwl, TranAnalysis,
-                      waveform_breakpoints)
+from .netlist import Dc, ElementKind, Netlist, Pwl, waveform_breakpoints
 
 # Nodes whose computed voltage change is below this are skipped by the local
 # error test (the relative measure is meaningless at quiescent nodes).
@@ -44,25 +50,13 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass
-class SimConfig:
-    """Engine knobs. ``h_max`` defaults to t_stop/50 when left unset."""
-
-    eps: float = 0.01
-    h_min: float = 1e-15
-    h_max: Optional[float] = None
-    t_stop: Optional[float] = None
-    op_ramp: float = 1e-9
-    max_steps: int = 200_000
-    start_from_op: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
-        if self.h_min <= 0.0:
-            raise ValueError("h_min must be positive")
-        if self.h_max is not None and self.h_max <= self.h_min:
-            raise ValueError("h_max must exceed h_min")
+# Fixed engine settings: the smallest step the error control may take, the
+# source ramp of a pseudo-transient settle, the attempt budget of one run,
+# and the step-size budget of a settle (no error test runs there).
+_H_MIN = 1e-15
+_OP_RAMP = 1e-9
+_MAX_STEPS = 200_000
+_SETTLE_EPS = 0.01
 
 
 @dataclass
@@ -147,12 +141,12 @@ class _Engine:
     replaces them sees every call.
     """
 
-    def __init__(self, net: Netlist, cfg: SimConfig, fc: Optional[FlopCounter] = None):
+    def __init__(self, net: Netlist, eps: float = _SETTLE_EPS):
         if net.elements_of(ElementKind.NOISE):
             raise SimulationError("deck contains noise sources; use the stochastic engine")
         self.circuit = circuit = Circuit(net)
-        self.cfg = cfg
-        self.fc = fc if fc is not None else FlopCounter()
+        self.eps = eps
+        self.fc = FlopCounter()
         self.n = circuit.n
         self.nodes = circuit.nodes
         self.devices = circuit.devices
@@ -244,7 +238,7 @@ class _Engine:
                   for kind, st in zip(self.kinds, self.dev_states)
                   ] if with_device_bounds else []
         return next_step_size(self.grounded_cap, gsum, bounds,
-                              self.cfg.eps, self.cfg.h_min, h_max)
+                              self.eps, _H_MIN, h_max)
 
     def local_error(self, g_pred: List[float], g_act: List[float],
                     x_old: List[float], x_new: List[float], h: float) -> float:
@@ -307,8 +301,8 @@ class _Engine:
         t = 0.0
         h_last = math.inf
         while t < t_stop * (1.0 - 1e-12):
-            if steps + rejected >= self.cfg.max_steps:
-                raise SimulationError(f"step budget exceeded ({self.cfg.max_steps})")
+            if steps + rejected >= _MAX_STEPS:
+                raise SimulationError(f"step budget exceeded ({_MAX_STEPS})")
             # growth limiter: after an error-forced reduction, recover
             # geometrically instead of re-probing the full step every step
             h = min(self.step_size(h_max, with_device_bounds=predictive),
@@ -331,13 +325,13 @@ class _Engine:
                 if not error_control:
                     break
                 err = self.local_error(g_pred, g_act, x, x_new, h)
-                if err <= self.cfg.eps:
+                if err <= self.eps:
                     break
-                if h <= self.cfg.h_min * (1.0 + 1e-12):
+                if h <= _H_MIN * (1.0 + 1e-12):
                     warnings += 1
                     break
                 rejected += 1
-                h = max(0.5 * h, self.cfg.h_min)
+                h = max(0.5 * h, _H_MIN)
             self.commit_states(biases, g_act, h)
             x_old, x = x, x_new
             t += h
@@ -359,32 +353,15 @@ class _Engine:
         return series, np.array(x), settled
 
 
-def _resolved_h_max(cfg: SimConfig, t_stop: float) -> float:
-    return cfg.h_max if cfg.h_max is not None else t_stop / 50.0
-
-
-def transient(net: Netlist, cfg: SimConfig,
-              fc: Optional[FlopCounter] = None) -> WaveformSeries:
-    """Adaptive conductance-stepping transient from t = 0 to cfg.t_stop.
-
-    Initial node voltages are zero unless ``cfg.start_from_op`` asks for the
-    operating point as the starting state.
-    """
-    t_stop = cfg.t_stop
-    if t_stop is None:
-        tran = [a for a in net.analyses if isinstance(a, TranAnalysis)]
-        if not tran:
-            raise SimulationError("no t_stop configured and no .tran card in deck")
-        t_stop = tran[0].t_stop
-        if tran[0].eps is not None:
-            cfg = replace(cfg, eps=tran[0].eps)
-    x0 = None
-    eng = _Engine(net, cfg, fc)
-    if cfg.start_from_op:
-        x0 = np.zeros(eng.circuit.size)
-        x0[:eng.n] = _settle(eng).voltages
-        eng.seed_states(x0)
-    series, _, _ = eng.run(t_stop, _resolved_h_max(cfg, t_stop), x0=x0)
+def transient(net: Netlist, t_stop: float, eps: float = 0.01) -> WaveformSeries:
+    """Adaptive conductance-stepping transient from zero node voltages at
+    t = 0 to ``t_stop``, with relative local error budget ``eps`` and the
+    step capped at t_stop/50."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if not t_stop > 0.0:
+        raise ValueError("t_stop must be positive")
+    series, _, _ = _Engine(net, eps).run(t_stop, t_stop / 50.0)
     return series
 
 
@@ -415,18 +392,18 @@ def _linear_op(circuit: Circuit, fc: FlopCounter) -> OperatingPoint:
 
 def _settle(eng: _Engine) -> OperatingPoint:
     """Pseudo-transient DC solution on the engine's circuit: ramp every
-    source from 0 to its t = 0 level over ``op_ramp``, then integrate until
+    source from 0 to its t = 0 level over ``_OP_RAMP``, then integrate until
     node voltages stop moving (or 100 ramps elapse). A circuit without
     nonlinear devices takes a single resistive solve."""
-    circuit, ramp = eng.circuit, eng.cfg.op_ramp
+    circuit = eng.circuit
     if not circuit.devices:
         return _linear_op(circuit, eng.fc)
     levels = circuit.source_levels(0.0)
     held = circuit.waveforms
-    circuit.waveforms = [Pwl(((0.0, 0.0), (ramp, v))) for v in levels]
+    circuit.waveforms = [Pwl(((0.0, 0.0), (_OP_RAMP, v))) for v in levels]
     try:
         series, x, settled = eng.run(
-            t_stop=100.0 * ramp, h_max=ramp / 10.0, settle_after=ramp,
+            t_stop=100.0 * _OP_RAMP, h_max=_OP_RAMP / 10.0, settle_after=_OP_RAMP,
             settle_tol=_settle_tol(levels), error_control=False)
     finally:
         circuit.waveforms = held
@@ -434,20 +411,21 @@ def _settle(eng: _Engine) -> OperatingPoint:
                           settled=settled, series=series)
 
 
-def operating_point(net: Netlist, cfg: SimConfig,
-                    fc: Optional[FlopCounter] = None) -> OperatingPoint:
+def operating_point(net: Netlist) -> OperatingPoint:
     """Pseudo-transient DC solution (see :func:`_settle`)."""
-    return _settle(_Engine(net, cfg, fc))
+    return _settle(_Engine(net))
 
 
-def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
-             cfg: SimConfig, fc: Optional[FlopCounter] = None) -> DcSweep:
+def dc_sweep(net: Netlist, source: str, start: float, stop: float,
+             points: int) -> DcSweep:
     """Swept operating points with previous-point continuation.
 
     The first bias is solved by a full source ramp; each later bias starts
-    from the previous solution and settles in place. One compiled circuit
-    serves every point: only the swept source's level changes. RTD and
-    nanowire terminal currents are recorded per point.
+    from the previous solution and settles in place (a deck without
+    nonlinear devices takes one resistive solve per bias). One compiled
+    circuit serves every point: only the swept source's level changes, and
+    every other source holds its t = 0 level. RTD and nanowire terminal
+    currents are recorded per point.
     """
     if points < 2:
         raise ValueError("dc_sweep requires at least 2 points")
@@ -457,21 +435,13 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
         raise ValueError(f"no element named '{source}' in the deck")
     if src.kind is not ElementKind.VSOURCE:
         raise ValueError(f"'{source}' is not a voltage source")
-    fc = fc if fc is not None else FlopCounter()
     biases = np.linspace(start, stop, points)
-    if not net.elements_of(*NONLINEAR_KINDS):
-        circuit = Circuit(net)
-        volts = np.zeros((points, circuit.n))
-        for k, b in enumerate(biases):
-            circuit.set_source(src.name, Dc(b))
-            volts[k] = _linear_op(circuit, fc).voltages
-        return DcSweep(biases=biases, voltages=volts, currents={},
-                       settled=np.ones(points, dtype=bool),
-                       nodes=circuit.nodes, flops=fc, n_solves=points)
-    eng = _Engine(net, cfg, fc)
+    eng = _Engine(net)
     circuit, n = eng.circuit, eng.n
+    levels = circuit.source_levels(0.0)
+    circuit.waveforms = [Dc(v) for v in levels]
     # points after the first settle against the deck's own source levels
-    tol = _settle_tol(circuit.source_levels(0.0))
+    tol = _settle_tol(levels)
     volts = np.zeros((points, n))
     settled = np.zeros(points, dtype=bool)
     n_solves = 0
@@ -479,13 +449,13 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
     x = np.zeros(circuit.size)
     for k, bias in enumerate(biases):
         circuit.set_source(src.name, Dc(bias))
-        if k == 0:
+        if k == 0 or not circuit.devices:
             op = _settle(eng)
             series, x[:n], ok = op.series, op.voltages, op.settled
             eng.seed_states(x)
         else:
-            series, x, ok = eng.run(t_stop=100.0 * cfg.op_ramp,
-                                    h_max=cfg.op_ramp / 10.0, x0=x,
+            series, x, ok = eng.run(t_stop=100.0 * _OP_RAMP,
+                                    h_max=_OP_RAMP / 10.0, x0=x,
                                     settle_after=0.0, settle_tol=tol,
                                     error_control=False)
         volts[k], settled[k] = x[:n], ok
@@ -502,4 +472,4 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float, points: int,
         else:
             currents[br.el.name] = np.asarray(nanowire_current(m, vbr))
     return DcSweep(biases=biases, voltages=volts, currents=currents,
-                   settled=settled, nodes=eng.nodes, flops=fc, n_solves=n_solves)
+                   settled=settled, nodes=eng.nodes, flops=eng.fc, n_solves=n_solves)

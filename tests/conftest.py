@@ -16,6 +16,13 @@ def deck_text(name: str) -> str:
         return fh.read()
 
 
+def card(net, kind):
+    """The deck's one analysis card of type ``kind``; the library analyses
+    read no cards, so tests pass its values explicitly."""
+    (found,) = [a for a in net.analyses if isinstance(a, kind)]
+    return found
+
+
 @pytest.fixture(scope="session")
 def rtd():
     """The RTD parameter set used throughout the experiments."""

@@ -15,12 +15,12 @@ import pytest
 from nanosim.cli import main as cli_main
 from nanosim.devices import (MosModel, RtdModel, mos_current, rtd_current,
                              rtd_dgeq_dv, rtd_geq)
-from nanosim.netlist import parse_netlist
+from nanosim.netlist import TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
 from nanosim.stochastic import em_transient, ensemble, ito_sum, wiener_increments
-from nanosim.swec import SimConfig, dc_sweep, operating_point, transient
+from nanosim.swec import dc_sweep, operating_point, transient
 
-from conftest import deck_path, deck_text
+from conftest import card, deck_path, deck_text
 
 RTD = RtdModel(a=1e-4, b=2.0, cp=1.5, d=0.3, h=1.43e-8, n1=0.35, n2=0.0172)
 SCAN_MAX = 16.0          # covers peak (~3.31 V) and valley (~13.5 V)
@@ -106,7 +106,7 @@ def test_c03_analytic_derivative():
 
 def test_c04_linear_circuit_exactness():
     net = parse_netlist(deck_text("rc_lowpass.ckt"))
-    series = transient(net, SimConfig(t_stop=5e-9))
+    series = transient(net, 5e-9)
     exact = 1.0 - np.exp(-series.times / 1e-9)
     analytic_err = float(np.max(np.abs(series.v("out") - exact)))
 
@@ -124,7 +124,7 @@ def test_c04_linear_circuit_exactness():
 
 def test_c05_dc_sweep_correctness():
     net = parse_netlist(deck_text("rtd_divider.ckt"))
-    sweep = dc_sweep(net, "V1", 0.0, SCAN_MAX, 60, SimConfig())
+    sweep = dc_sweep(net, "V1", 0.0, SCAN_MAX, 60)
     i_scale = float(np.max(np.abs(sweep.currents["XRTD1"])))
     worst_res = worst_root = 0.0
     for k, bias in enumerate(sweep.biases):
@@ -147,7 +147,7 @@ def test_c06_ndr_failure_demonstration():
         rep = nr_dc(net, initial_guess=np.array([12.0, g]), max_iter=100)
         if not rep.converged or rep.oscillation_detected:
             failures += 1
-    op = operating_point(net, SimConfig())
+    op = operating_point(net)
     v2 = op.v("2")
     residual = abs((12.0 - v2) / 1000.0 - rtd_current(RTD, v2))
     swec_ok = op.settled and residual <= 1e-8
@@ -167,7 +167,8 @@ def test_c07_no_iteration_property():
              deck_text("fet_rtd_inverter.ckt"), mos_tran, nw_tran]
     counts = []
     for text in decks:
-        series = transient(parse_netlist(text), SimConfig())
+        net = parse_netlist(text)
+        series = transient(net, card(net, TranAnalysis).t_stop)
         counts.append((series.n_solves, series.steps_taken, series.steps_rejected))
         assert series.n_solves == series.steps_taken + series.steps_rejected
     detail = "; ".join(f"{s}=={t}+{r}" for s, t, r in counts)
@@ -278,7 +279,7 @@ def test_c12_deterministic_degeneration():
 @pytest.fixture(scope="module")
 def inverter_series():
     net = parse_netlist(deck_text("fet_rtd_inverter.ckt"))
-    return transient(net, SimConfig(t_stop=110e-9))
+    return transient(net, 110e-9)
 
 
 def _window_level(series, node, t_lo, t_hi):

@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from nanosim.cli import main
 
@@ -75,6 +76,17 @@ class TestDc:
         assert "i(XRTD1)" in header
         assert data.shape[0] == 12
 
+    def test_linear_noise_deck_exit_code(self, tmp_path, capsys):
+        # the deterministic engine refuses noise sources in a sweep as in op
+        deck = tmp_path / "noisy.ckt"
+        deck.write_text("V1 1 0 DC 1\nR1 1 2 1k\nR2 2 0 1k\nC1 2 0 1p\n"
+                        "N1 2 0 1e-9\n.end\n")
+        for args in (["op"], ["dc", "--source", "V1", "--from", "0", "--to", "1",
+                              "--points", "3", "--out", str(tmp_path / "n.csv")]):
+            code = main([args[0], str(deck)] + args[1:])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("numerical failure:")
+
     def test_points_validation(self, capsys):
         code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "1"])
         assert code == 1
@@ -133,8 +145,8 @@ class TestTran:
         import nanosim.cli as climod
         real = climod.transient
 
-        def warned(net, cfg, fc=None):
-            series = real(net, cfg, fc)
+        def warned(net, t_stop, eps=0.01):
+            series = real(net, t_stop, eps)
             series.hmin_warnings = 2
             return series
 
@@ -143,6 +155,27 @@ class TestTran:
         code = main(["tran", deck_path("rc_lowpass.ckt"), "--out", str(out)])
         assert code == 3
         assert os.path.exists(out)     # results are still written
+
+
+@pytest.mark.parametrize("argv", [
+    ["tran", "rc_lowpass.ckt", "--tstop", "abc"],
+    ["tran", "rc_lowpass.ckt", "--eps", "1x"],
+    ["dc", "rtd_divider.ckt", "--from", "abc"],
+    ["dc", "rtd_divider.ckt", "--to", "1x"],
+    ["stoch", "ou_step.ckt", "--dt", "1x"],
+    ["stoch", "ou_step.ckt", "--window", "1u", "abc"],
+    ["tran", "rc_lowpass.ckt", "--tstop", "-1"],
+    ["tran", "rc_lowpass.ckt", "--resample", "0"],
+], ids=["tstop", "eps", "from", "to", "dt", "window", "tstop-negative",
+        "resample-zero"])
+def test_bad_value_is_one_line_input_error(argv, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = main([argv[0], deck_path(argv[1])] + argv[2:] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert "error:" in err.splitlines()[-1]
+    assert not out.exists()
 
 
 class TestStoch:

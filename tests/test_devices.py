@@ -228,8 +228,7 @@ class TestNanowireFloatPath:
                                    nanowire_didv])
     def test_float_matches_one_element_array(self, m, f):
         for v in _nanowire_grid(m):
-            # nanowire_didv returns one float, so it takes a 0-d array
-            arr, fc_arr = _outcome(f, m, np.array(v) if f is nanowire_didv else np.array([v]))
+            arr, fc_arr = _outcome(f, m, np.array([v]))
             for arg in (v, np.float64(v)):
                 with _no_array_path():
                     got, fc = _outcome(f, m, arg)
@@ -237,7 +236,8 @@ class TestNanowireFloatPath:
                 assert fc == fc_arr
 
     @pytest.mark.parametrize("m", _NANOWIRE_MODELS, ids=["nsteps5", "nsteps12"])
-    @pytest.mark.parametrize("f", [nanowire_geq, nanowire_current, nanowire_dgeq_dv])
+    @pytest.mark.parametrize("f", [nanowire_geq, nanowire_current, nanowire_dgeq_dv,
+                                   nanowire_didv])
     def test_array_matches_float_loop(self, m, f):
         v = [x for x in _nanowire_grid(m) if math.isfinite(x)]
         fc_arr, fc_loop = FlopCounter(), FlopCounter()

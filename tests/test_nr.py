@@ -6,11 +6,11 @@ import pytest
 from nanosim import nr
 from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
 from nanosim.mna import FlopCounter
-from nanosim.netlist import ElementKind, parse_netlist
+from nanosim.netlist import DcAnalysis, ElementKind, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
-from nanosim.swec import SimConfig, operating_point, pin_source
+from nanosim.swec import operating_point, pin_source
 
-from conftest import deck_text
+from conftest import card, deck_text
 
 
 class TestNrDc:
@@ -45,7 +45,7 @@ class TestNrDc:
             rep = nr_dc(net, initial_guess=np.array([12.0, g]), max_iter=100)
             outcomes.append(rep.converged and not rep.oscillation_detected)
         assert not all(outcomes)
-        op = operating_point(net, SimConfig())
+        op = operating_point(net)
         assert op.settled
 
     def test_oscillation_detector_locks_on_two_cycle(self):
@@ -59,7 +59,7 @@ class TestNrDc:
         net = parse_netlist(deck_text("mos_divider.ckt"))
         rep = nr_dc(net)
         assert rep.converged
-        op = operating_point(net, SimConfig())
+        op = operating_point(net)
         assert op.settled
         i_d = rep.nodes.index("d")
         assert abs(rep.x[i_d] - op.v("d")) <= 1e-3
@@ -140,8 +140,16 @@ class TestFlopCompare:
         ("nanowire_divider.ckt", 20274, 13798),   # 40 points
     ])
     def test_deck_sweep_totals(self, deck, swec, newton):
-        cmp_ = flop_compare(parse_netlist(deck_text(deck)))
+        net = parse_netlist(deck_text(deck))
+        dc = card(net, DcAnalysis)
+        cmp_ = flop_compare(net, "dc", dc.source, dc.start, dc.stop, dc.points)
         assert (cmp_.swec_flops, cmp_.nr_flops) == (swec, newton)
+
+    def test_dc_needs_sweep_values(self):
+        # the deck's .dc card is read by the CLI, never by flop_compare
+        net = parse_netlist(deck_text("rtd_divider.ckt"))
+        with pytest.raises(ValueError):
+            flop_compare(net, "dc")
 
     def test_unknown_analysis(self):
         net = parse_netlist(deck_text("divider.ckt"))

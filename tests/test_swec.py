@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from nanosim.devices import G_FLOOR, rtd_current
-from nanosim.netlist import parse_netlist
+from nanosim.netlist import TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
-from nanosim.swec import (SimConfig, SimulationError, dc_sweep, next_step_size,
-                          operating_point, transient)
+from nanosim.swec import (_H_MIN, SimulationError, dc_sweep, next_step_size,
+                          operating_point, pin_source, transient)
 
-from conftest import deck_text
+from conftest import card, deck_text
 
 
 class TestNextStepSize:
@@ -36,7 +36,7 @@ class TestNextStepSize:
 class TestLinearTransient:
     def test_rc_matches_analytic(self):
         net = parse_netlist(deck_text("rc_lowpass.ckt"))
-        series = transient(net, SimConfig(t_stop=5e-9))
+        series = transient(net, 5e-9)
         tau = 1e-9
         exact = 1.0 - np.exp(-series.times / tau)
         err = np.max(np.abs(series.v("out") - exact))
@@ -46,7 +46,7 @@ class TestLinearTransient:
 
     def test_rc_matches_backward_euler_replay(self):
         net = parse_netlist(deck_text("rc_lowpass.ckt"))
-        series = transient(net, SimConfig(t_stop=5e-9))
+        series = transient(net, 5e-9)
         # independent dense backward-Euler replay on the identical step sequence
         r, c = 1e3, 1e-12
         v = 0.0
@@ -63,13 +63,13 @@ class TestLinearTransient:
 
     def test_solve_count_identity(self):
         net = parse_netlist(deck_text("rc_lowpass.ckt"))
-        series = transient(net, SimConfig(t_stop=5e-9))
+        series = transient(net, 5e-9)
         assert series.n_solves == series.steps_taken + series.steps_rejected
 
     def test_rc_ladder_matches_backward_euler_replay(self):
         deck = ("V1 in 0 DC 2\nR1 in a 1k\nC1 a 0 2p\nR2 a b 3k\nC2 b 0 1p\n"
                 "R3 b 0 5k\n.tran 20n\n.end\n")
-        series = transient(parse_netlist(deck), SimConfig(t_stop=20e-9))
+        series = transient(parse_netlist(deck), 20e-9)
         # independent two-state backward-Euler replay on the same step sequence
         g1, g2, g3 = 1e-3, 1.0 / 3e3, 2e-4
         c = np.array([2e-12, 1e-12])
@@ -88,19 +88,19 @@ class TestLinearTransient:
     def test_noise_sources_rejected(self):
         net = parse_netlist(deck_text("ou_step.ckt"))
         with pytest.raises(SimulationError):
-            transient(net, SimConfig(t_stop=1e-6))
+            transient(net, 1e-6)
 
 
 class TestOperatingPoint:
     def test_divider(self):
         net = parse_netlist(deck_text("divider.ckt"))
-        op = operating_point(net, SimConfig())
+        op = operating_point(net)
         assert op.settled
         assert op.v("2") == pytest.approx(2.5, abs=1e-3)
 
     def test_series_rtd_consistency(self, rtd):
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
-        op = operating_point(net, SimConfig())
+        op = operating_point(net)
         assert op.settled
         v2 = op.v("2")
         i_r = (op.v("1") - v2) / 1000.0
@@ -109,7 +109,7 @@ class TestOperatingPoint:
 
     def test_bistable_point_is_a_stable_root(self, rtd):
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
-        op = operating_point(net, SimConfig())
+        op = operating_point(net)
         roots = brute_force_dc(rtd, 1000.0, 12.0)
         assert len(roots) == 3
         stable = [v for v, s in roots if s]
@@ -117,20 +117,19 @@ class TestOperatingPoint:
 
     def test_geq_floor_respected(self):
         from nanosim.netlist import Pwl
-        from nanosim.swec import _Engine
+        from nanosim.swec import _OP_RAMP, _Engine
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
-        cfg = SimConfig()
-        eng = _Engine(net, cfg)
-        eng.circuit.set_source("V1", Pwl(((0.0, 0.0), (cfg.op_ramp, 12.0))))
-        eng.run(t_stop=100 * cfg.op_ramp, h_max=cfg.op_ramp / 10,
-                settle_after=cfg.op_ramp, settle_tol=12.0, error_control=False)
+        eng = _Engine(net)
+        eng.circuit.set_source("V1", Pwl(((0.0, 0.0), (_OP_RAMP, 12.0))))
+        eng.run(t_stop=100 * _OP_RAMP, h_max=_OP_RAMP / 10,
+                settle_after=_OP_RAMP, settle_tol=12.0, error_control=False)
         assert all(st.geq_now >= G_FLOOR for st in eng.states.values())
 
 
 class TestDcSweep:
     def test_resistor_sweep_is_linear(self):
         net = parse_netlist("V1 1 0 DC 0\nR1 1 2 2k\nR2 2 0 2k\n.dc V1 0 10 20\n.end\n")
-        sweep = dc_sweep(net, "V1", 0.0, 10.0, 20, SimConfig())
+        sweep = dc_sweep(net, "V1", 0.0, 10.0, 20)
         v2 = sweep.voltages[:, 1]
         i = (sweep.biases - v2) / 2000.0
         coef = np.polyfit(sweep.biases, i, 1)
@@ -141,7 +140,7 @@ class TestDcSweep:
 
     def test_rtd_sweep_residuals_and_roots(self, rtd):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
-        sweep = dc_sweep(net, "V1", 0.0, 16.0, 15, SimConfig())
+        sweep = dc_sweep(net, "V1", 0.0, 16.0, 15)
         assert bool(np.all(sweep.settled))
         i_scale = np.max(np.abs(sweep.currents["XRTD1"]))
         for k, bias in enumerate(sweep.biases):
@@ -153,7 +152,7 @@ class TestDcSweep:
 
     def test_swept_curve_shows_three_regions(self):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
-        sweep = dc_sweep(net, "V1", 0.0, 16.0, 60, SimConfig())
+        sweep = dc_sweep(net, "V1", 0.0, 16.0, 60)
         i = sweep.currents["XRTD1"]
         slope = np.diff(i)
         signs = np.sign(slope[slope != 0.0])
@@ -162,23 +161,44 @@ class TestDcSweep:
     def test_sweep_direction_continuation(self, rtd):
         # downward sweep works too; hysteresis is allowed, stability required
         net = parse_netlist(deck_text("rtd_divider.ckt"))
-        sweep = dc_sweep(net, "V1", 16.0, 0.0, 9, SimConfig())
+        sweep = dc_sweep(net, "V1", 16.0, 0.0, 9)
         assert bool(np.all(sweep.settled))
+
+    def test_linear_sweep_is_one_solve_per_point(self):
+        net = parse_netlist("V1 1 0 DC 0\nR1 1 2 2k\nR2 2 0 3k\n.end\n")
+        sweep = dc_sweep(net, "V1", 0.0, 10.0, 20)
+        assert sweep.n_solves == 20
+        for bias, v in zip(sweep.biases, sweep.voltages):
+            assert v.tobytes() == operating_point(pin_source(net, "V1", bias)).voltages.tobytes()
+
+    def test_non_swept_sources_hold_their_t0_level(self):
+        # a PULSE on V2 must not switch while a point settles: the sweep is
+        # the one of the deck with V2 written as its t = 0 level
+        body = ("R2 in g 1k\nR1 vdd d 2k\nM1 d g 0 0 MFET\nXRTD1 d 0 M1\n"
+                "Cg g 0 1p\nC1 d 0 2p\n"
+                ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+                ".model MFET NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        pulsed, held = (dc_sweep(parse_netlist(f"V1 vdd 0 DC 5\nV2 in 0 {wave}\n" + body),
+                                 "V1", 0.0, 5.0, 7)
+                        for wave in ("PULSE(0 5 2n 1n 1n 5n 20n)", "DC 0"))
+        assert pulsed.settled.all()
+        assert pulsed.n_solves == held.n_solves == 11032
+        assert pulsed.voltages.tobytes() == held.voltages.tobytes()
 
     def test_source_must_exist(self):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
         with pytest.raises(ValueError):
-            dc_sweep(net, "VX", 0, 1, 5, SimConfig())
+            dc_sweep(net, "VX", 0, 1, 5)
         with pytest.raises(ValueError):
-            dc_sweep(net, "R1", 0, 1, 5, SimConfig())
+            dc_sweep(net, "R1", 0, 1, 5)
         with pytest.raises(ValueError):
-            dc_sweep(net, "V1", 0, 1, 1, SimConfig())
+            dc_sweep(net, "V1", 0, 1, 1)
 
 
 class TestNonlinearTransient:
     def test_rtd_step_lands_on_root(self, rtd):
         net = parse_netlist(deck_text("rtd_divider_tran.ckt"))
-        series = transient(net, SimConfig(t_stop=20e-9))
+        series = transient(net, 20e-9)
         v_end = series.v("2")[-1]
         stable = [v for v, s in brute_force_dc(rtd, 1000.0, 12.0) if s]
         assert min(abs(v_end - v) for v in stable) <= 1e-3
@@ -186,25 +206,24 @@ class TestNonlinearTransient:
 
     def test_refinement_convergence(self):
         net = parse_netlist(deck_text("rtd_divider_tran.ckt"))
-        ref = transient(net, SimConfig(t_stop=20e-9, eps=0.00125))
+        ref = transient(net, 20e-9, eps=0.00125)
         grid = np.linspace(1e-10, 20e-9, 400)
         ref_v = np.interp(grid, ref.times, ref.v("2"))
         devs = []
         for eps in (0.04, 0.02, 0.01):
-            s = transient(net, SimConfig(t_stop=20e-9, eps=eps))
+            s = transient(net, 20e-9, eps=eps)
             devs.append(np.max(np.abs(np.interp(grid, s.times, s.v("2")) - ref_v)))
         assert devs[0] > devs[1] > devs[2]
 
     def test_rejection_chains_bounded(self):
         net = parse_netlist(deck_text("rtd_divider_tran.ckt"))
-        cfg = SimConfig(t_stop=20e-9)
-        series = transient(net, cfg)
-        bound = math.log2((20e-9 / 50.0) / cfg.h_min) + 1
+        series = transient(net, 20e-9)
+        bound = math.log2((20e-9 / 50.0) / _H_MIN) + 1
         assert series.steps_rejected <= series.steps_taken * bound
 
     def test_series_time_axis_strictly_increasing(self):
         net = parse_netlist(deck_text("rtd_divider_tran.ckt"))
-        series = transient(net, SimConfig(t_stop=20e-9))
+        series = transient(net, 20e-9)
         assert np.all(np.diff(series.times) > 0)
         assert series.voltages.shape[0] == len(series.times)
 
@@ -212,24 +231,19 @@ class TestNonlinearTransient:
         deck = ("V1 1 0 DC 25\nR1 1 2 200\nXRTD1 2 0 M1\n"
                 ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 "
                 "n2=0.0172)\n.op\n.end\n")
-        op = operating_point(parse_netlist(deck), SimConfig())
+        op = operating_point(parse_netlist(deck))
         assert not op.settled
         assert np.all(np.isfinite(op.voltages))
 
-    def test_start_from_op_holds_steady(self):
-        net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
-        series = transient(net, SimConfig(t_stop=5e-9, start_from_op=True))
-        v = series.v("2")
-        assert v[0] == pytest.approx(1.3903, abs=1e-3)
-        assert abs(v[-1] - v[0]) <= 1e-6
-
     def test_config_validation(self):
+        net = parse_netlist(deck_text("rc_lowpass.ckt"))
         with pytest.raises(ValueError):
-            SimConfig(eps=0.0)
+            transient(net, 5e-9, eps=0.0)
         with pytest.raises(ValueError):
-            SimConfig(eps=1.5)
-        with pytest.raises(ValueError):
-            SimConfig(h_min=1e-12, h_max=1e-13)
+            transient(net, 5e-9, eps=1.5)
+        for t_stop in (0.0, -5e-9):
+            with pytest.raises(ValueError):
+                transient(net, t_stop)
 
 
 class TestWorkCounters:
@@ -243,13 +257,14 @@ class TestWorkCounters:
         ("rc_lowpass.ckt", 500, 0, 14000),
     ])
     def test_transient(self, deck, steps, rejected, flops):
-        series = transient(parse_netlist(deck_text(deck)), SimConfig())
+        net = parse_netlist(deck_text(deck))
+        series = transient(net, card(net, TranAnalysis).t_stop)
         assert (series.steps_taken, series.steps_rejected, series.n_solves,
                 series.flops.total()) == (steps, rejected, steps + rejected, flops)
         assert series.hmin_warnings == 0
 
     def test_rtd_sweep(self):
         sweep = dc_sweep(parse_netlist(deck_text("rtd_divider.ckt")), "V1", 0.0, 16.0,
-                         500, SimConfig())
+                         500)
         assert (sweep.n_solves, sweep.flops.total()) == (5279, 285480)
         assert sweep.settled.all()
