@@ -15,6 +15,7 @@ analysis cards: the library analyses take explicit values.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -116,8 +117,8 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
     net = _load(args.deck)
     op = operating_point(net)
     report.wall_time = time.perf_counter() - t0
-    report.steps = op.series.steps_taken
-    report.flops = op.series.flops.total()
+    report.steps = op.n_solves
+    report.flops = op.flops.total()
     for node in op.nodes:
         print(f"v({node}) = {op.v(node):.6g}")
     if not op.settled:
@@ -267,7 +268,10 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (each build left memory behind);
+    callers must not modify it."""
     ap = argparse.ArgumentParser(prog="nanosim",
                                  description="nanodevice circuit simulator")
     sub = ap.add_subparsers(dest="command", required=True)

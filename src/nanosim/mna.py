@@ -159,8 +159,9 @@ class Circuit:
     """A netlist compiled once: index maps, the static G (also as row
     lists, ``G_rows``) and its node diagonal, the node capacitance matrix
     ``C`` (every capacitor stamped like a conductance, in element order),
-    grounded capacitance per node, :class:`Branch` lists, and one waveform
-    per source row, which callers may replace between assemblies."""
+    grounded capacitance per node, :class:`Branch` lists, device
+    ``models``, and one waveform per source row, which callers may replace
+    between assemblies."""
 
     def __init__(self, net: Netlist):
         self.nodes = list(net.nodes)
@@ -176,6 +177,7 @@ class Circuit:
         self.sources = self._of(ElementKind.VSOURCE)
         self.capacitors = self._of(ElementKind.CAPACITOR)
         self.devices = self._of(*NONLINEAR_KINDS)
+        self.models = [net.model_of(br.el) for br in self.devices]
         self.m = len(self.sources)
         self.source_index = {br.el.name: n + i for i, br in enumerate(self.sources)}
         self.waveforms = [br.el.waveform for br in self.sources]

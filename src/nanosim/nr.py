@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
 from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
                   stamp_conductance, vnode)
-from .netlist import NONLINEAR_KINDS, ElementKind, Netlist
-from .swec import dc_sweep, operating_point, pin_source
+from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
+# pin_source stays importable here for perfbench/tracing.py
+from .swec import dc_sweep, operating_point, pin_source  # noqa: F401
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
 # still moving by more than the voltage tolerance below between iterations.
@@ -66,20 +67,20 @@ def _mos_terminals(br: Branch, xv: np.ndarray) -> Tuple[float, float, int, int]:
     return (vgs, vds, br.b, br.a) if rev else (vgs, vds, br.a, br.b)
 
 
-def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
+def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = None,
           max_iter: int = 100, tol: float = 1e-9) -> NrReport:
     """Plain Newton-Raphson DC solve on the nonlinear nodal equations.
 
-    Capacitors are open circuits; noise sources are rejected. Each iteration
-    starts from the circuit's static G and source values and stamps the
-    device Jacobians on top. Converged means the largest nodal KCL residual
-    is at most ``tol`` amps. A detected 2-cycle sets ``oscillation_detected``
-    (iteration continues to ``max_iter`` so failed runs carry their full
-    cost).
+    ``net`` may be a compiled :class:`Circuit`. Capacitors are open
+    circuits; noise sources are rejected. Each iteration starts from the
+    circuit's static G and source values and stamps the device Jacobians on
+    top. Converged means the largest nodal KCL residual is at most ``tol``
+    amps. A detected 2-cycle sets ``oscillation_detected`` (iteration
+    continues to ``max_iter`` so failed runs carry their full cost).
     """
-    if net.elements_of(ElementKind.NOISE):
+    circuit = net if isinstance(net, Circuit) else Circuit(net)
+    if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
         raise ValueError("nr_dc does not handle noise sources")
-    circuit = Circuit(net)
     n = circuit.n
     fc = FlopCounter()
 
@@ -87,7 +88,7 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
     if initial_guess is not None:
         x[:len(initial_guess)] = initial_guess
 
-    models = {br.el.name: net.model_of(br.el) for br in circuit.devices}
+    models = {br.el.name: m for br, m in zip(circuit.devices, circuit.models)}
     levels = circuit.source_levels(0.0)
 
     def kcl_residual(xv: np.ndarray) -> float:
@@ -192,7 +193,7 @@ def nr_dc(net: Netlist, initial_guess: Optional[np.ndarray] = None,
         converged = True
     return NrReport(converged=converged, iterations=iters, trajectory=trajectory,
                     oscillation_detected=oscillation and not converged, flops=fc,
-                    residual=residual, x=x, nodes=list(net.nodes))
+                    residual=residual, x=x, nodes=list(circuit.nodes))
 
 
 def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
@@ -249,16 +250,19 @@ def flop_compare(net: Netlist, analysis: str, source: Optional[str] = None,
     iteration limit and are billed at that full cost.
     """
     if analysis == "op":
-        swec_total = operating_point(net).series.flops.total()
+        swec_total = operating_point(net).flops.total()
         nr_total = nr_dc(net).flops.total()
     elif analysis == "dc":
         if None in (source, start, stop, points):
             raise ValueError("a dc comparison needs source, start, stop and points")
         swec_total = dc_sweep(net, source, start, stop, points).flops.total()
+        circuit = Circuit(net)
+        name = net.element(source).name
         nr_total = 0
         guess = None
         for bias in np.linspace(start, stop, points):
-            rep = nr_dc(pin_source(net, source, bias), initial_guess=guess)
+            circuit.set_source(name, Dc(bias))
+            rep = nr_dc(circuit, initial_guess=guess)
             nr_total += rep.flops.total()
             guess = rep.x
     else:

@@ -184,8 +184,9 @@ def _build_state_system(net: Netlist) -> _StateSystem:
 
     # a device whose current reaches no state row (both branch terminals
     # pinned or ground) changes no drift, so it is not evaluated at all
-    devices = [(br, net.model_of(br.el), row.get(br.a, -1), row.get(br.b, -1))
-               for br in circuit.devices if br.a in row or br.b in row]
+    devices = [(br, m, row.get(br.a, -1), row.get(br.b, -1))
+               for br, m in zip(circuit.devices, circuit.models)
+               if br.a in row or br.b in row]
     return _StateSystem(circuit=circuit, state=np.array(state),
                         pinned=np.array(pinned, dtype=int), cap=cap,
                         cap_diag=np.diag(cap).copy() if diagonal else None,

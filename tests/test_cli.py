@@ -41,14 +41,38 @@ class TestOp:
         assert code == 0
         assert "speedup=" in out
 
-    def test_settle_failure_exit_code(self, tmp_path, capsys):
-        deck = tmp_path / "diverge.ckt"
+    def test_settle_failure_exit_code(self, capsys, monkeypatch):
+        # a settle that cannot finish: 2 iterations end it inside the ramp
+        monkeypatch.setattr("nanosim.swec._SETTLE_ITERS", 2)
+        code = main(["op", deck_path("rtd_divider_bistable.ckt")])
+        assert code == 2
+        assert capsys.readouterr().err == "warning: operating point failed to settle\n"
+
+    def test_steep_divider_settles(self, tmp_path, capsys):
+        deck = tmp_path / "steep.ckt"
         deck.write_text(
             "V1 1 0 DC 25\nR1 1 2 200\nXRTD1 2 0 M1\n"
             ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
             ".op\n.end\n")
         code = main(["op", str(deck)])
-        assert code == 2
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "v(2) = 21.1045" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("cap", ["1p", "1n", "1u", "1"])
+    def test_capacitor_leaves_op_unchanged(self, tmp_path, capsys, cap):
+        # capacitors are open in the DC system, whatever their size
+        outs = []
+        for extra in ("", f"C1 2 0 {cap}\n"):
+            deck = tmp_path / "cap.ckt"
+            deck.write_text(
+                "V1 1 0 DC 1\nR1 1 2 1k\nXRTD1 2 0 M1\n" + extra +
+                ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+                ".op\n.end\n")
+            assert main(["op", str(deck)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0] == "v(1) = 1\nv(2) = 0.11163\n"
 
     def test_floating_node_exit_code(self, tmp_path, capsys):
         deck = tmp_path / "float.ckt"

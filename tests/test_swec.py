@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanosim.devices import G_FLOOR, rtd_current
 from nanosim.netlist import TranAnalysis, parse_netlist
@@ -12,6 +14,14 @@ from nanosim.swec import (_H_MIN, SimulationError, dc_sweep, next_step_size,
                           operating_point, pin_source, transient)
 
 from conftest import card, deck_text
+
+_RTD_CARD = ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)"
+
+
+def _rtd_divider(r, vin=0.0):
+    """V1 -- R1 -- node 2 -- XRTD1 -- ground, with the ``rtd`` fixture's RTD."""
+    return parse_netlist(f"V1 1 0 DC {vin!r}\nR1 1 2 {r!r}\nXRTD1 2 0 M1\n"
+                         f"{_RTD_CARD}\n.end\n")
 
 
 class TestNextStepSize:
@@ -116,14 +126,19 @@ class TestOperatingPoint:
         assert min(abs(op.v("2") - v) for v in stable) <= 1e-3
 
     def test_geq_floor_respected(self):
-        from nanosim.netlist import Pwl
-        from nanosim.swec import _OP_RAMP, _Engine
+        from nanosim.swec import _Engine
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
         eng = _Engine(net)
-        eng.circuit.set_source("V1", Pwl(((0.0, 0.0), (_OP_RAMP, 12.0))))
-        eng.run(t_stop=100 * _OP_RAMP, h_max=_OP_RAMP / 10,
-                settle_after=_OP_RAMP, settle_tol=12.0, error_control=False)
+        eng.settle(12.0)
         assert all(st.geq_now >= G_FLOOR for st in eng.states.values())
+
+    def test_steep_pdr2_point_settles(self, rtd):
+        # the undamped chord iteration 2-cycles here (contraction factor
+        # below -1 on the steep PDR2 branch); the damped one settles
+        op = operating_point(_rtd_divider(200.0, 25.0))
+        assert op.settled
+        (root,) = [v for v, s in brute_force_dc(rtd, 200.0, 25.0) if s]
+        assert abs(op.v("2") - root) <= 1e-6
 
 
 class TestDcSweep:
@@ -182,8 +197,26 @@ class TestDcSweep:
                                  "V1", 0.0, 5.0, 7)
                         for wave in ("PULSE(0 5 2n 1n 1n 5n 20n)", "DC 0"))
         assert pulsed.settled.all()
-        assert pulsed.n_solves == held.n_solves == 11032
+        assert pulsed.n_solves == held.n_solves == 39
         assert pulsed.voltages.tobytes() == held.voltages.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1.0, 4.0), st.floats(0.0, 30.0), st.floats(0.0, 30.0),
+           st.integers(2, 30))
+    def test_sweeps_settle_on_stable_roots(self, rtd, log_r, start, stop, points):
+        # R from 10 ohm to 10 kohm, log-uniform: the steep PDR2 points that
+        # a bare chord iteration 2-cycles on sit behind R below about 1 kohm
+        r = 10.0 ** log_r
+        net = _rtd_divider(r)
+        stable = {}
+        for lo, hi in ((start, stop), (stop, start)):
+            sweep = dc_sweep(net, "V1", lo, hi, points)
+            assert sweep.settled.all()
+            for bias, v2 in zip(sweep.biases.tolist(), sweep.voltages[:, 1]):
+                if bias not in stable:
+                    stable[bias] = [v for v, s in brute_force_dc(rtd, r, bias, grid=10_000)
+                                    if s]
+                assert min(abs(v2 - v) for v in stable[bias]) <= 1e-6
 
     def test_source_must_exist(self):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
@@ -227,12 +260,12 @@ class TestNonlinearTransient:
         assert np.all(np.diff(series.times) > 0)
         assert series.voltages.shape[0] == len(series.times)
 
-    def test_unsettled_op_reports_last_state(self):
-        deck = ("V1 1 0 DC 25\nR1 1 2 200\nXRTD1 2 0 M1\n"
-                ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 "
-                "n2=0.0172)\n.op\n.end\n")
-        op = operating_point(parse_netlist(deck))
+    def test_unsettled_op_reports_last_state(self, monkeypatch):
+        # a budget of 2 iterations ends the settle inside the source ramp
+        monkeypatch.setattr("nanosim.swec._SETTLE_ITERS", 2)
+        op = operating_point(_rtd_divider(200.0, 25.0))
         assert not op.settled
+        assert op.n_solves == 2
         assert np.all(np.isfinite(op.voltages))
 
     def test_config_validation(self):
@@ -267,4 +300,10 @@ class TestWorkCounters:
         sweep = dc_sweep(parse_netlist(deck_text("rtd_divider.ckt")), "V1", 0.0, 16.0,
                          500)
         assert (sweep.n_solves, sweep.flops.total()) == (5279, 285480)
+        assert sweep.settled.all()
+
+    def test_steep_rtd_sweep(self):
+        # the benchmark's stress divider: its PDR2 points need the damping
+        sweep = dc_sweep(_rtd_divider(200.3), "V1", 0.0, 30.0, 100)
+        assert (sweep.n_solves, sweep.flops.total()) == (1154, 62730)
         assert sweep.settled.all()
