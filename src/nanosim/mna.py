@@ -157,11 +157,10 @@ def stamp_conductance(G, a: int, b: int, g: float) -> None:
 
 class Circuit:
     """A netlist compiled once: index maps, the static G (also as row
-    lists, ``G_rows``) and its node diagonal, the node capacitance matrix
-    ``C`` (every capacitor stamped like a conductance, in element order),
-    grounded capacitance per node, :class:`Branch` lists, device
-    ``models``, and one waveform per source row, which callers may replace
-    between assemblies."""
+    lists, ``G_rows``), the node capacitance matrix ``C`` (every capacitor
+    stamped like a conductance, in element order), :class:`Branch` lists,
+    device ``models``, and one waveform per source row, which callers may
+    replace between assemblies."""
 
     def __init__(self, net: Netlist):
         self.nodes = list(net.nodes)
@@ -191,16 +190,9 @@ class Circuit:
             if br.b >= 0:
                 self.G[row, br.b] = self.G[br.b, row] = -1.0
         self.G_rows = self.G.tolist()
-        self.gsum_static = self.G.diagonal()[:n].copy()
         self.C = np.zeros((n, n))
         for br in self.capacitors:
             stamp_conductance(self.C, br.a, br.b, br.el.value)
-        self.grounded_cap = np.zeros(n)
-        for br in self.capacitors:
-            if br.b < 0 <= br.a:
-                self.grounded_cap[br.a] += br.el.value
-            elif br.a < 0 <= br.b:
-                self.grounded_cap[br.b] += br.el.value
 
     @property
     def size(self) -> int:

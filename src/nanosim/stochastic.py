@@ -374,7 +374,7 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
 
     n_out = ss.circuit.n
     mean, variance = np.empty((2, steps + 1, n_out))
-    quantiles = {q: np.empty((steps + 1, n_out)) for q in _QUANTILES}
+    quantiles = np.empty((len(_QUANTILES), steps + 1, n_out))
     peaks = np.full((paths, n_out), -np.inf)
     with _explicit_drift(ss, dt):
         for j0, rows in _lockstep(ss, dt, steps, seed, paths, x_init):
@@ -383,13 +383,13 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
             at = slice(j0, j0 + rows.shape[1])
             mean[at] = rows.mean(axis=0)
             variance[at] = rows.var(axis=0, ddof=1)
-            for q in _QUANTILES:
-                quantiles[q][at] = np.quantile(rows, q, axis=0)
+            quantiles[:, at] = np.quantile(rows, _QUANTILES, axis=0)
             if in_win[at].any():
                 np.maximum(peaks, rows[:, in_win[at]].max(axis=1), out=peaks)
     peak_mean = peaks.mean(axis=0)
-    peak_quantiles = {q: np.quantile(peaks, q, axis=0) for q in _QUANTILES}
+    peak_quantiles = np.quantile(peaks, _QUANTILES, axis=0)
     return EnsembleStats(times=times, nodes=list(ss.circuit.nodes), mean=mean,
-                         variance=variance, quantiles=quantiles, window=window,
-                         peak_mean=peak_mean, peak_quantiles=peak_quantiles,
+                         variance=variance, quantiles=dict(zip(_QUANTILES, quantiles)),
+                         window=window, peak_mean=peak_mean,
+                         peak_quantiles=dict(zip(_QUANTILES, peak_quantiles)),
                          paths=paths, seed=seed)

@@ -222,6 +222,19 @@ class TestStoch:
         assert main(args + ["--out", str(b)]) == 0
         assert _read(str(a)) == _read(str(b))
 
+    def test_quantiles_match_per_level_reference(self, tmp_path, capsys, monkeypatch):
+        # the engine takes every quantile level in one np.quantile call; the
+        # reference takes one call per level, as the engine once did
+        args = ["stoch", deck_path("ou_step.ckt"), "--paths", "60", "--seed", "3",
+                "--window", "1u", "2u"]
+        assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
+        one_call = np.quantile
+        monkeypatch.setattr(np, "quantile", lambda a, q, axis: np.stack(
+            [one_call(a, level, axis=axis) for level in q]))
+        assert main(args + ["--out", str(tmp_path / "ref.csv")]) == 0
+        with open(tmp_path / "one.csv", "rb") as a, open(tmp_path / "ref.csv", "rb") as b:
+            assert a.read() == b.read()
+
     def test_runaway_device_exit_code(self, tmp_path, capsys):
         # dt = 10 ns is twice the 5 ns RC time constant: the explicit drift
         # is unstable and the state overflows

@@ -128,21 +128,18 @@ def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
                      node_index=node_index, source_index=source_index)
 
 
-def _node_sums_ref(net):
-    """Reference grounded capacitance and static conductance per node, summed
-    in element order as the engine did before the compiled circuit."""
+def _cap_matrix_ref(net):
+    """Reference node capacitance matrix: every capacitor stamped like a
+    conductance, in element order."""
     node_index = {name: i for i, name in enumerate(net.nodes)}
-    cap, gsum = np.zeros(len(net.nodes)), np.zeros(len(net.nodes))
+    cap = np.zeros((len(net.nodes), len(net.nodes)))
     for el in net.elements:
-        if el.kind is ElementKind.CAPACITOR and "0" in el.nodes:
-            other = el.nodes[0] if el.nodes[1] == "0" else el.nodes[1]
-            if other != "0":
-                cap[node_index[other]] += el.value
-        elif el.kind is ElementKind.RESISTOR:
-            for nd in el.nodes:
-                if nd != "0":
-                    gsum[node_index[nd]] += 1.0 / el.value
-    return cap, gsum
+        if el.kind is ElementKind.CAPACITOR:
+            a, b = (node_index.get(nd, -1) for nd in el.nodes)
+            for i, j, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
+                if i >= 0 and j >= 0:
+                    cap[i, j] += sign * el.value
+    return cap
 
 
 _MODELS = ("\n.model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)"
@@ -211,9 +208,7 @@ class TestAssembleMatchesReference:
         assert got.G.tobytes() == ref.G.tobytes()
         assert got.rhs.tobytes() == ref.rhs.tobytes()
         assert (got.node_index, got.source_index) == (ref.node_index, ref.source_index)
-        cap, gsum = _node_sums_ref(net)
-        assert circuit.grounded_cap.tobytes() == cap.tobytes()
-        assert circuit.gsum_static.tobytes() == gsum.tobytes()
+        assert circuit.C.tobytes() == _cap_matrix_ref(net).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(_decks(), st.randoms(use_true_random=False))
