@@ -126,7 +126,7 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
         report.exit_code = EXIT_NUMERIC
         return report
     if args.compare_nr:
-        cmp_ = flop_compare(net, "op")
+        cmp_ = flop_compare(net, "op", swec=op)
         print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
               f"speedup={cmp_.speedup:.2f}")
     return report
@@ -164,7 +164,7 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
         _write_plot(gp, out, "DC sweep", "current / voltage", header)
         report.outputs.append(gp)
     if args.compare_nr:
-        cmp_ = flop_compare(net, "dc", source, start, stop, int(points))
+        cmp_ = flop_compare(net, "dc", source, start, stop, int(points), swec=sweep)
         print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
               f"speedup={cmp_.speedup:.2f}")
     if not bool(np.all(sweep.settled)):

@@ -23,7 +23,7 @@ from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
                   stamp_conductance, vnode)
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
 # pin_source stays importable here for perfbench/tracing.py
-from .swec import dc_sweep, operating_point, pin_source  # noqa: F401
+from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
 # still moving by more than the voltage tolerance below between iterations.
@@ -240,22 +240,27 @@ def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
 
 def flop_compare(net: Netlist, analysis: str, source: Optional[str] = None,
                  start: Optional[float] = None, stop: Optional[float] = None,
-                 points: Optional[int] = None) -> FlopCompare:
+                 points: Optional[int] = None, *,
+                 swec: Union[OperatingPoint, DcSweep, None] = None) -> FlopCompare:
     """Operation-count comparison: conductance-stepping engine vs naive NR.
 
     ``analysis`` is "op", or "dc" for a sweep of ``source`` over ``points``
-    biases from ``start`` to ``stop``. For sweeps the NR side follows the
-    classic continuation strategy (each point starts from the previous
-    point's final iterate); non-converged points run to ``nr_dc``'s
-    iteration limit and are billed at that full cost.
+    biases from ``start`` to ``stop``. The conductance-stepping side is
+    billed from ``swec``, that analysis's result, if given; else it is run
+    here. For sweeps the NR side follows the classic continuation strategy
+    (each point starts from the previous point's final iterate);
+    non-converged points run to ``nr_dc``'s iteration limit and are billed
+    at that full cost.
     """
     if analysis == "op":
-        swec_total = operating_point(net).flops.total()
+        if swec is None:
+            swec = operating_point(net)
         nr_total = nr_dc(net).flops.total()
     elif analysis == "dc":
         if None in (source, start, stop, points):
             raise ValueError("a dc comparison needs source, start, stop and points")
-        swec_total = dc_sweep(net, source, start, stop, points).flops.total()
+        if swec is None:
+            swec = dc_sweep(net, source, start, stop, points)
         circuit = Circuit(net)
         name = net.element(source).name
         nr_total = 0
@@ -267,5 +272,6 @@ def flop_compare(net: Netlist, analysis: str, source: Optional[str] = None,
             guess = rep.x
     else:
         raise ValueError(f"unknown analysis '{analysis}'")
+    swec_total = swec.flops.total()
     speedup = nr_total / swec_total if swec_total else math.inf
     return FlopCompare(swec_flops=swec_total, nr_flops=nr_total, speedup=speedup)

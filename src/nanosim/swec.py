@@ -11,9 +11,11 @@ eps, or if backward Euler's truncation error on a capacitive node j,
     lte_j = h**2 / (h + h_prev) * |dx_j / h - dx_j,prev / h_prev|
 
 from the last three accepted points, exceeds ``_LTE_VOLTS * eps`` volts
-(Nagel, UCB ERL-M520, 1975). Both read each node's full capacitance. The
-next step or retry is h * min(2, 0.9 sqrt(budget / lte), 0.9 eps / err),
-clamped to [h_min, h_max] and cut at source breakpoints.
+times min(1, the largest source level the run reaches), or times 1 if that
+level is 0 (Nagel, UCB ERL-M520, 1975). Both read each node's full
+capacitance. The next step or retry is
+h * min(2, 0.9 sqrt(budget / lte), 0.9 eps / err), clamped to
+[h_min, h_max] and cut at source breakpoints.
 
 Operating points iterate the DC system (capacitors open) with each
 device's chord conductance at the last iterate, one solve per iteration.
@@ -22,8 +24,19 @@ by more than ``_DAMP_BELOW``), kappa * G_jj joins each node diagonal and
 kappa * G_jj * x_j the right-hand side (pseudo-transient continuation;
 Kelley & Keyes, SIAM J. Numer. Anal. 35(2), 1998). A damped step scales
 the error by r = (r0 + kappa) / (1 + kappa), so kappa is set to -r0 from
-the observed move ratio, but falls no faster than the moves shrink. DC
-sweeps chain points by continuation (hysteresis is expected, not hidden).
+the observed move ratio, but falls no faster than the moves shrink. While
+the iteration is undamped and a move u is r times the one before, with
+``_DAMP_BELOW`` <= r < ``_AITKEN_BELOW``, the iterate jumps to the limit of
+those geometric moves, x + u * r / (1 - r) (Aitken's step, the one-vector
+form of Anderson acceleration; Walker & Ni, SIAM J. Numer. Anal. 49(4),
+2011), and the devices are re-evaluated there. The next ratio comes from
+two fresh moves, a jump whose next move is no shorter than the move it
+extrapolated ends jumping for that settle, and only solved moves are
+tested for the stop. DC sweeps chain points by continuation (hysteresis is
+expected, not hidden): each point from the third on starts from the secant
+prediction through the previous two. The 500-point ``rtd_divider`` sweep
+takes 1697 solves, 3.4 per point (5279 with previous-point starts and no
+jumps).
 
 The analyses take explicit values and read no analysis card:
 ``transient(net, t_stop, eps)`` with h_max = t_stop/50,
@@ -46,7 +59,8 @@ from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predic
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, assemble, solve
-from .netlist import Dc, ElementKind, Netlist, Pwl, waveform_breakpoints
+from .netlist import (Dc, ElementKind, Netlist, Pwl, eval_waveform,
+                      waveform_breakpoints)
 
 # Nodes whose computed voltage change is below this are skipped by the local
 # error test (the relative measure is meaningless at quiescent nodes).
@@ -65,6 +79,8 @@ _MAX_STEPS = 200_000
 _OP_RAMP = 1e-9
 _SETTLE_ITERS = 1000
 _DAMP_BELOW = -0.5
+# undamped move ratios r from _DAMP_BELOW up to this take an Aitken jump
+_AITKEN_BELOW = 0.85
 # a transient step's truncation error budget per unit eps (volts)
 _LTE_VOLTS = 0.03
 
@@ -106,7 +122,11 @@ class DcSweep:
     settled: np.ndarray
     nodes: List[str]
     flops: FlopCounter
-    n_solves: int = 0
+    point_solves: np.ndarray       # settle solves at each bias
+
+    @property
+    def n_solves(self) -> int:
+        return int(self.point_solves.sum())
 
 
 def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
@@ -166,11 +186,6 @@ class _Engine:
             [(j, other, cap[j]) for j, other in ((a, b), (b, a))
              if j >= 0 and j not in held]
             for a, b, _ in self.terminals]
-
-    @property
-    def states(self) -> Dict[str, DeviceState]:
-        """Device histories by element name."""
-        return {br.el.name: st for br, st in zip(self.devices, self.dev_states)}
 
     def biases(self, x: List[float]) -> List[Tuple[float, float]]:
         """(branch voltage, controlling voltage) of every device at solution
@@ -255,29 +270,27 @@ class _Engine:
     def commit_states(self, biases: List[Tuple[float, float]], g_act: List[float],
                       h: float) -> None:
         """Record the accepted solution's biases, its conductances and the
-        step ``h`` in every device history; ``h = 0`` starts a history with
-        no slew."""
+        step ``h`` in every device history."""
         for st, (v, ctrl), g in zip(self.dev_states, biases, g_act):
-            st.v_prev, st.v_now = (st.v_now if h > 0.0 else v), v
-            st.ctrl_prev, st.ctrl_now = (st.ctrl_now if h > 0.0 else ctrl), ctrl
+            st.v_prev, st.v_now = st.v_now, v
+            st.ctrl_prev, st.ctrl_now = st.ctrl_now, ctrl
             st.h_prev = h
             st.geq_now = G_FLOOR if g < G_FLOOR else g
-
-    def seed_states(self, x: List[float]):
-        """Initialize device histories at the solution x (no slew)."""
-        biases = self.biases(x)
-        self.commit_states(biases, self.floored_geq(biases), 0.0)
 
     def run(self, t_stop: float, eps: float) -> WaveformSeries:
         """Transient from zero node voltages to ``t_stop`` with error budget
         ``eps`` and the step capped at t_stop/50. The first step is
         eps * t_stop/50; :func:`next_step_size` sets each later one."""
         h_max = t_stop / 50.0
-        lte_tol = _LTE_VOLTS * eps
         n, state_nodes = self.n, self.state_nodes
         x = [0.0] * self.circuit.size
-        breakpoints = sorted({bp for w in self.circuit.waveforms
+        waveforms = self.circuit.waveforms
+        breakpoints = sorted({bp for w in waveforms
                               for bp in waveform_breakpoints(w, t_stop)})
+        # the sources are piecewise linear: they peak at an end or a breakpoint
+        peak = max((abs(eval_waveform(w, t)) for w in waveforms
+                    for t in (0.0, t_stop, *breakpoints)), default=0.0)
+        lte_tol = _LTE_VOLTS * eps * (min(1.0, peak) if peak > 0.0 else 1.0)
         # accepted times and node voltages, packed as doubles
         times = array("d", [0.0])
         trace = array("d", x[:n])
@@ -338,9 +351,9 @@ class _Engine:
                ) -> Tuple[List[float], bool, int]:
         """(solution, settled, solves) of the module docstring's iteration.
         Without ``x`` it starts from zero and ramps the sources; devices
-        start from their committed conductance (fresh at x if none). It
-        stops once every node's move times 1 + kappa (the undamped move) is
-        below ``tol`` * h, h = ``_OP_RAMP`` / 10."""
+        start from their conductance at the starting point. It stops once
+        every node's move times 1 + kappa (the undamped move) is below
+        ``tol`` * h, h = ``_OP_RAMP`` / 10."""
         circuit, n, fc = self.circuit, self.n, self.fc
         if not self.devices:
             return solve(assemble(circuit, [], t=0.0), fc).tolist(), True, 1
@@ -352,12 +365,10 @@ class _Engine:
             circuit.waveforms = [Pwl(((0.0, 0.0), (_OP_RAMP, v)))
                                  for v in circuit.source_levels(0.0)]
             t_on = _OP_RAMP
-        g = []
-        for i, (st, (v, ctrl)) in enumerate(zip(self.dev_states, self.biases(x))):
-            gi = st.geq_now if st.h_prev > 0.0 else self.direct_geq(i, v, ctrl)
-            g.append(G_FLOOR if gi < G_FLOOR else gi)
+        g = self.floored_geq(self.biases(x))
         kappa = kappa_prev = 0.0
         u_prev = None
+        aitken, jumped = True, False
         settled = False
         solves = 0
         t = 0.0
@@ -373,27 +384,35 @@ class _Engine:
                         b[j] += c * x[j]
                 x_new = solve(sys, fc).tolist()
                 solves += 1
-                biases = self.biases(x_new)
-                g = self.floored_geq(biases)
                 u = [(a - b) * (1.0 + kappa) for a, b in zip(x_new[:n], x)]
                 x = x_new
-                if t < t_on:
-                    continue
-                # compared as numpy's max would: a NaN move never settles
-                if all(abs(uj) / h < tol for uj in u):
-                    settled = True
-                    break
-                if u_prev is not None:
-                    # the damped factor of the step between the two moves
-                    r = (sum(a * b for a, b in zip(u, u_prev))
-                         / sum(b * b for b in u_prev))
-                    if kappa > 0.0 or r < _DAMP_BELOW:
-                        r0 = r * (1.0 + kappa_prev) - kappa_prev
-                        kappa_prev, kappa = kappa, max(0.0, -r0, kappa * abs(r))
-                u_prev = u
+                if t >= t_on:
+                    # compared as numpy's max would: a NaN move never settles
+                    if all(abs(uj) / h < tol for uj in u):
+                        settled = True
+                        break
+                    if u_prev is not None:
+                        uu = sum(b * b for b in u_prev)
+                        if jumped:
+                            # a jump that did not shrink the move ends jumping
+                            aitken = aitken and sum(a * a for a in u) < uu
+                            jumped = False
+                        else:
+                            # the damped factor of the step between the moves
+                            r = sum(a * b for a, b in zip(u, u_prev)) / uu
+                            if kappa > 0.0 or r < _DAMP_BELOW:
+                                r0 = r * (1.0 + kappa_prev) - kappa_prev
+                                kappa_prev, kappa = kappa, max(0.0, -r0, kappa * abs(r))
+                            elif aitken and r < _AITKEN_BELOW:
+                                # undamped moves shrinking by r: jump to
+                                # their limit (Aitken)
+                                f = r / (1.0 - r)
+                                x[:n] = [a + f * b for a, b in zip(x[:n], u)]
+                                jumped = True
+                    u_prev = u
+                g = self.floored_geq(self.biases(x))
         finally:
             circuit.waveforms = held
-        self.commit_states(biases, g, h)
         return x, settled, solves
 
 
@@ -432,11 +451,13 @@ def operating_point(net: Netlist) -> OperatingPoint:
 
 def dc_sweep(net: Netlist, source: str, start: float, stop: float,
              points: int) -> DcSweep:
-    """Swept operating points with previous-point continuation.
+    """Swept operating points with secant continuation.
 
-    The first bias is solved like :func:`operating_point`; each later bias
-    starts from the previous solution (a deck without nonlinear devices
-    takes one resistive solve per bias). One compiled
+    The first bias is solved like :func:`operating_point`. The second
+    starts from the first solution, and each later bias from the secant
+    prediction through the previous two (a deck without nonlinear devices
+    takes one resistive solve per bias); a repeated bias repeats the
+    previous point without a solve. One compiled
     circuit serves every point: only the swept source's level changes, and
     every other source holds its t = 0 level. RTD and nanowire terminal
     currents are recorded per point.
@@ -457,18 +478,26 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
     tol = _settle_tol(levels)
     volts = np.zeros((points, n))
     settled = np.zeros(points, dtype=bool)
-    n_solves = 0
-    # the unknown vector and device conductances carry over from point to point
-    x = None
+    point_solves = np.zeros(points, dtype=np.int64)
+    x = x_prev = None
     for k, bias in enumerate(biases):
+        if k and bias == biases[k - 1]:
+            # a repeated bias repeats its point
+            volts[k], settled[k] = volts[k - 1], settled[k - 1]
+            continue
         circuit.set_source(src.name, Dc(bias))
         if x is None:
             x, ok, solves = eng.settle(_settle_tol(circuit.source_levels(0.0)))
-            eng.seed_states(x)     # kept: the pinned flop bills include it
         else:
-            x, ok, solves = eng.settle(tol, x)
-        volts[k], settled[k] = x[:n], ok
-        n_solves += solves
+            guess = x
+            step = biases[k - 1] - biases[k - 2] if k > 1 else 0.0
+            if step != 0.0:
+                # secant prediction through the last two points
+                f = (bias - biases[k - 1]) / step
+                guess = [a + f * (a - b) for a, b in zip(x, x_prev)]
+            x_prev = x
+            x, ok, solves = eng.settle(tol, guess)
+        volts[k], settled[k], point_solves[k] = x[:n], ok, solves
 
     currents: Dict[str, np.ndarray] = {}
     for br, m in zip(eng.devices, eng.models):
@@ -481,4 +510,5 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
         else:
             currents[br.el.name] = np.asarray(nanowire_current(m, vbr))
     return DcSweep(biases=biases, voltages=volts, currents=currents,
-                   settled=settled, nodes=eng.nodes, flops=eng.fc, n_solves=n_solves)
+                   settled=settled, nodes=eng.nodes, flops=eng.fc,
+                   point_solves=point_solves)

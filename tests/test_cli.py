@@ -111,6 +111,24 @@ class TestDc:
             assert code == 2
             assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("args", [
+        ["op", deck_path("rtd_divider_bistable.ckt")],
+        ["dc", deck_path("rtd_divider.ckt"), "--points", "12"],
+    ])
+    def test_compare_nr_bills_the_run_it_made(self, args, tmp_path, capsys, monkeypatch):
+        # only the Newton side runs again: the flops the comparison prints
+        # for the conductance-stepping side are the ones the analysis billed
+        import nanosim.nr as nrmod
+
+        def rerun(*a, **k):
+            raise AssertionError("the comparison ran the analysis again")
+        monkeypatch.setattr(nrmod, "dc_sweep", rerun)
+        monkeypatch.setattr(nrmod, "operating_point", rerun)
+        code = main(args + ["--compare-nr"]
+                    + (["--out", str(tmp_path / "s.csv")] if args[0] == "dc" else []))
+        assert code == 0
+        assert "speedup=" in capsys.readouterr().out
+
     def test_points_validation(self, capsys):
         code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "1"])
         assert code == 1

@@ -136,8 +136,8 @@ class TestFlopCompare:
                                                 n * one.divs, n * one.transcendentals)
 
     @pytest.mark.parametrize("deck, swec, newton", [
-        ("rtd_divider.ckt", 37458, 18660),        # 60 points
-        ("nanowire_divider.ckt", 20274, 13798),   # 40 points
+        ("rtd_divider.ckt", 14490, 18660),        # 60 points
+        ("nanowire_divider.ckt", 9936, 13798),   # 40 points
     ])
     def test_deck_sweep_totals(self, deck, swec, newton):
         net = parse_netlist(deck_text(deck))
