@@ -7,7 +7,8 @@ warnings (e.g. the transient hit its minimum step with the error budget
 still exceeded, or a stochastic dt is not small against the fastest RC
 time constant), each warning printed as one "warning: ..." line on stderr.
 Waveforms go to CSV with full round-trip precision; --plot writes a
-gnuplot script alongside the data. Deck directives provide the defaults;
+gnuplot script alongside the data; tran --stats adds one stderr line of work
+counters and of what set each step. Deck directives provide the defaults;
 command-line flags win on conflict. This module is the only reader of the
 analysis cards: the library analyses take explicit values.
 """
@@ -203,6 +204,10 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
     report.outputs.append(out)
     print(f"wrote {out} ({series.steps_taken} steps, "
           f"{series.steps_rejected} rejected)")
+    if args.stats:
+        limits = " ".join(f"{k}={v}" for k, v in series.limited_by.items())
+        print(f"stats: steps={series.steps_taken} rejected={series.steps_rejected} "
+              f"solves={series.n_solves} flops={report.flops} {limits}", file=sys.stderr)
     if args.plot:
         gp = out.replace(".csv", ".gp")
         _write_plot(gp, out, "Transient", "node voltage (V)", header)
@@ -302,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "adaptive grid")
     p_tr.add_argument("--out")
     p_tr.add_argument("--plot", action="store_true")
+    p_tr.add_argument("--stats", action="store_true",
+                      help="print the work counters and what set each step "
+                           "on stderr")
     p_tr.set_defaults(func=cmd_tran)
 
     p_st = sub.add_parser("stoch", help="stochastic ensemble transient")

@@ -183,6 +183,23 @@ class TestTran:
         assert main(["tran", deck_path("rc_lowpass.ckt"), "--out", str(b)]) == 0
         assert _read(str(a)) == _read(str(b))
 
+    def test_stats_line(self, tmp_path, capsys):
+        out = tmp_path / "rc.csv"
+        argv = ["tran", deck_path("rc_lowpass.ckt"), "--out", str(out)]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert main(argv + ["--stats"]) == 0
+        stats = capsys.readouterr()
+        assert stats.out == plain.out
+        (line,) = stats.err.splitlines()
+        fields = dict(kv.split("=") for kv in line.removeprefix("stats: ").split())
+        counts = {k: int(v) for k, v in fields.items()}
+        assert counts["solves"] == counts["steps"] + counts["rejected"]
+        assert sum(counts[k] for k in ("lte", "lag", "growth", "h_max", "breakpoint",
+                                       "first")) == counts["steps"]
+        assert len(counts) == 10 and counts["flops"] > 0
+
     def test_hmin_warning_exit_code(self, tmp_path, capsys, monkeypatch):
         import nanosim.cli as climod
         real = climod.transient

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from nanosim.devices import G_FLOOR, rtd_current
 from nanosim.netlist import TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
-from nanosim.swec import (_H_MIN, SimulationError, dc_sweep, next_step_size,
-                          operating_point, pin_source, transient)
+from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, SimulationError, _Engine,
+                          dc_sweep, next_step_size, operating_point, pin_source,
+                          transient)
 
 from conftest import card, deck_text
 
@@ -32,12 +33,13 @@ class TestNextStepSize:
         assert h == pytest.approx(0.9 * 0.5e-12)
 
     def test_chord_lag_term(self):
-        # a lag of twice eps allows half the step (the lag grows as h)
-        h = next_step_size(1e-12, 0.0, 1e-4, err=0.02, eps=0.01, h_min=1e-15, h_max=1.0)
+        # a lag of four times eps allows half the step (the lag is taken to
+        # grow as h**2, like the truncation error)
+        h = next_step_size(1e-12, 0.0, 1e-4, err=0.04, eps=0.01, h_min=1e-15, h_max=1.0)
         assert h == pytest.approx(0.9 * 0.5e-12)
 
     def test_smaller_term_wins(self):
-        h = next_step_size(1e-12, lte=1e-4 / 16, lte_tol=1e-4, err=0.02, eps=0.01,
+        h = next_step_size(1e-12, lte=1e-4 / 16, lte_tol=1e-4, err=0.04, eps=0.01,
                            h_min=1e-15, h_max=1.0)
         assert h == pytest.approx(0.9 * 0.5e-12)
         h = next_step_size(1e-12, lte=1e-4, lte_tol=1e-4, err=0.001, eps=0.01,
@@ -58,6 +60,45 @@ class TestNextStepSize:
     def test_nan_estimate_gives_h_min(self):
         assert next_step_size(1e-12, math.nan, 1e-4, 0.0, 0.01, 1e-15, 1.0) == 1e-15
         assert next_step_size(1e-12, 0.0, 1e-4, math.nan, 0.01, 1e-15, 1.0) == 1e-15
+
+
+class TestLocalError:
+    """The chord lag at the capacitive RTD node of ``rtd_divider_tran``:
+    with the node at v0 before the step, a solved move dv and stamped
+    conductances gp (predicted) and ga (re-evaluated), the move the
+    re-evaluated conductance implies is ((cjh + gp) dv - (ga - gp) v0) /
+    (cjh + ga), cjh = C / h."""
+
+    FLOOR = _LTE_VOLTS * 0.01
+    H, GP, GA = 1e-12, 0.5, 1.0
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return _Engine(parse_netlist(deck_text("rtd_divider_tran.ckt")))
+
+    def lag(self, engine, v0, dv):
+        j = engine.nodes.index("2")
+        x_old = [0.0] * engine.circuit.size
+        x_old[j] = v0
+        x_new = list(x_old)
+        x_new[j] = v0 + dv
+        return engine.local_error([self.GP], [self.GA], x_old, x_new, self.H, self.FLOOR)
+
+    def test_continuous_across_the_floor(self, engine):
+        cjh = engine.circuit.C.diagonal()[engine.nodes.index("2")] / self.H
+        ratio = (cjh + self.GA) / (cjh + self.GP)
+        # solved moves whose implied move is the floor times 1 +- 1e-6
+        above, below = (self.lag(engine, 0.0, self.FLOOR * (1.0 + d) * ratio)
+                        for d in (1e-6, -1e-6))
+        assert above == pytest.approx(ratio - 1.0, rel=1e-9)
+        assert below == pytest.approx(above * (1.0 - 1e-6), rel=1e-9)
+
+    def test_zero_move_is_judged_against_the_floor(self, engine):
+        cjh = engine.circuit.C.diagonal()[engine.nodes.index("2")] / self.H
+        v0 = 0.5
+        # the solved move for which the implied move is zero
+        m = (self.GA - self.GP) * v0 / (cjh + self.GP)
+        assert self.lag(engine, v0, m) == pytest.approx(m / self.FLOOR, rel=1e-9)
 
 
 class TestLinearTransient:
@@ -332,6 +373,23 @@ class TestNonlinearTransient:
             got = np.interp(ref.times, series.times, series.v(node))
             assert np.max(np.abs(got - ref.v(node))) <= 0.01 * 3.0
 
+    @pytest.mark.parametrize("deck", ["fet_rtd_inverter.ckt", "rtd_dff.ckt"])
+    def test_no_sub_picosecond_steps(self, deck):
+        # a lag judged in volts below the truncation budget leaves no cliff
+        # for a growing step to fall off
+        net = parse_netlist(deck_text(deck))
+        series = transient(net, card(net, TranAnalysis).t_stop)
+        assert np.min(np.diff(series.times)) >= 1e-12
+
+    @pytest.mark.parametrize("deck", ["rc_lowpass.ckt", "rtd_divider_tran.ckt",
+                                      "fet_rtd_inverter.ckt"])
+    def test_limiter_counts_sum_to_steps(self, deck):
+        net = parse_netlist(deck_text(deck))
+        series = transient(net, card(net, TranAnalysis).t_stop)
+        assert tuple(series.limited_by) == _LIMITERS
+        assert sum(series.limited_by.values()) == series.steps_taken
+        assert series.limited_by["first"] == 1
+
     def test_rejection_chains_bounded(self):
         net = parse_netlist(deck_text("rtd_divider_tran.ckt"))
         series = transient(net, 20e-9)
@@ -369,8 +427,8 @@ class TestWorkCounters:
     leave every step, rejection, solve and billed flop where it was."""
 
     @pytest.mark.parametrize("deck, steps, rejected, flops", [
-        pytest.param("fet_rtd_inverter.ckt", 2387, 116, 691487, id="fet_rtd_inverter"),
-        pytest.param("rtd_divider_tran.ckt", 288, 12, 31200, id="rtd_divider_tran"),
+        pytest.param("fet_rtd_inverter.ckt", 1356, 13, 375031, id="fet_rtd_inverter"),
+        pytest.param("rtd_divider_tran.ckt", 173, 2, 18200, id="rtd_divider_tran"),
         pytest.param("rc_lowpass.ckt", 97, 0, 2716, id="rc_lowpass"),
     ])
     def test_transient(self, deck, steps, rejected, flops):
