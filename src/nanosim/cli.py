@@ -19,10 +19,9 @@ import argparse
 import functools
 import os
 import sys
-import time
 import warnings
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,13 +42,9 @@ EXIT_WARN = 3
 
 @dataclass
 class RunReport:
-    analysis: str
-    wall_time: float = 0.0
     steps: int = 0
     rejections: int = 0
     flops: int = 0
-    outputs: List[str] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
     exit_code: int = EXIT_OK
 
 
@@ -105,6 +100,14 @@ def _out_path(deck: str, suffix: str, flag: Optional[str]) -> str:
     return f"{base}_{suffix}.csv"
 
 
+def _plot_path(out: str) -> str:
+    """The gnuplot script's path beside the data file ``out`` (x.csv -> x.gp)."""
+    gp = os.path.splitext(out)[0] + ".gp"
+    if gp == out:
+        raise NetlistError(f"--plot would overwrite the data file {out}")
+    return gp
+
+
 def _resample(series: WaveformSeries, n: int) -> np.ndarray:
     grid = np.linspace(series.times[0], series.times[-1], n)
     cols = [grid] + [np.interp(grid, series.times, series.voltages[:, i])
@@ -113,11 +116,9 @@ def _resample(series: WaveformSeries, n: int) -> np.ndarray:
 
 
 def cmd_op(args: argparse.Namespace) -> RunReport:
-    report = RunReport(analysis="op")
-    t0 = time.perf_counter()
+    report = RunReport()
     net = _load(args.deck)
     op = operating_point(net)
-    report.wall_time = time.perf_counter() - t0
     report.steps = op.n_solves
     report.flops = op.flops.total()
     for node in op.nodes:
@@ -127,15 +128,14 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
         report.exit_code = EXIT_NUMERIC
         return report
     if args.compare_nr:
-        cmp_ = flop_compare(net, "op", swec=op)
+        cmp_ = flop_compare(net, op)
         print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
               f"speedup={cmp_.speedup:.2f}")
     return report
 
 
 def cmd_dc(args: argparse.Namespace) -> RunReport:
-    report = RunReport(analysis="dc")
-    t0 = time.perf_counter()
+    report = RunReport()
     net = _load(args.deck)
     card = next((a for a in net.analyses if isinstance(a, DcAnalysis)), None)
     source = args.source or (card.source if card else None)
@@ -147,8 +147,9 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
                            "or a .dc card in the deck")
     if points < 2:
         raise NetlistError("--points must be at least 2")
+    out = _out_path(args.deck, "dc", args.out)
+    gp = _plot_path(out) if args.plot else None
     sweep = dc_sweep(net, source, start, stop, int(points))
-    report.wall_time = time.perf_counter() - t0
     report.flops = sweep.flops.total()
 
     header = ["bias"] + [f"i({name})" for name in sweep.currents] \
@@ -156,16 +157,12 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
     cols = [sweep.biases] + list(sweep.currents.values()) \
         + [sweep.voltages[:, i] for i in range(len(sweep.nodes))]
     rows = np.column_stack(cols)
-    out = _out_path(args.deck, "dc", args.out)
     _write_csv(out, header, rows)
-    report.outputs.append(out)
     print(f"wrote {out} ({len(sweep.biases)} points)")
-    if args.plot:
-        gp = out.replace(".csv", ".gp")
+    if gp:
         _write_plot(gp, out, "DC sweep", "current / voltage", header)
-        report.outputs.append(gp)
     if args.compare_nr:
-        cmp_ = flop_compare(net, "dc", source, start, stop, int(points), swec=sweep)
+        cmp_ = flop_compare(net, sweep)
         print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
               f"speedup={cmp_.speedup:.2f}")
     if not bool(np.all(sweep.settled)):
@@ -176,8 +173,7 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_tran(args: argparse.Namespace) -> RunReport:
-    report = RunReport(analysis="tran")
-    t0 = time.perf_counter()
+    report = RunReport()
     net = _load(args.deck)
     card = next((a for a in net.analyses if isinstance(a, TranAnalysis)), None)
     t_stop = args.tstop if args.tstop is not None else (card.t_stop if card else None)
@@ -187,8 +183,9 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
         (card.eps if card and card.eps is not None else 0.01)
     if args.resample is not None and args.resample < 1:
         raise NetlistError("--resample must be at least 1")
+    out = _out_path(args.deck, "tran", args.out)
+    gp = _plot_path(out) if args.plot else None
     series = transient(net, t_stop, eps)
-    report.wall_time = time.perf_counter() - t0
     report.steps = series.steps_taken
     report.rejections = series.steps_rejected
     report.flops = series.flops.total()
@@ -199,31 +196,24 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
     else:
         rows = np.column_stack([series.times] + [series.voltages[:, i]
                                                  for i in range(len(series.nodes))])
-    out = _out_path(args.deck, "tran", args.out)
     _write_csv(out, header, rows)
-    report.outputs.append(out)
     print(f"wrote {out} ({series.steps_taken} steps, "
           f"{series.steps_rejected} rejected)")
     if args.stats:
         limits = " ".join(f"{k}={v}" for k, v in series.limited_by.items())
         print(f"stats: steps={series.steps_taken} rejected={series.steps_rejected} "
               f"solves={series.n_solves} flops={report.flops} {limits}", file=sys.stderr)
-    if args.plot:
-        gp = out.replace(".csv", ".gp")
+    if gp:
         _write_plot(gp, out, "Transient", "node voltage (V)", header)
-        report.outputs.append(gp)
     if series.hmin_warnings:
-        msg = (f"{series.hmin_warnings} steps hit h_min with the local error "
-               "budget still exceeded")
-        print(f"warning: {msg}", file=sys.stderr)
-        report.warnings.append(msg)
+        print(f"warning: {series.hmin_warnings} steps hit h_min with the local "
+              "error budget still exceeded", file=sys.stderr)
         report.exit_code = EXIT_WARN
     return report
 
 
 def cmd_stoch(args: argparse.Namespace) -> RunReport:
-    report = RunReport(analysis="stoch")
-    t0 = time.perf_counter()
+    report = RunReport()
     net = _load(args.deck)
     card = next((a for a in net.analyses if isinstance(a, StochAnalysis)), None)
     t_stop = args.tstop if args.tstop is not None else (card.t_stop if card else None)
@@ -242,8 +232,6 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
             # the step-size warning, also ahead of a divergence failure
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-                report.warnings.append(str(w.message))
-    report.wall_time = time.perf_counter() - t0
 
     header = ["t"]
     cols = [stats.times]
@@ -264,11 +252,10 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
         peak_bits.append(f"peak({node}): mean={_fmt(stats.peak_mean[i])} {qtxt}")
     comments.extend(peak_bits)
     _write_csv(out, header, rows, comments=comments)
-    report.outputs.append(out)
     print(f"wrote {out} ({stats.paths} paths)")
     for line in peak_bits:
         print(line)
-    if report.warnings:
+    if caught:
         report.exit_code = EXIT_WARN
     return report
 

@@ -91,9 +91,6 @@ class FlopCounter:
     def total(self) -> int:
         return self.adds + self.muls + self.divs + self.transcendentals
 
-    def copy(self) -> "FlopCounter":
-        return FlopCounter(self.adds, self.muls, self.divs, self.transcendentals)
-
     def __sub__(self, other: "FlopCounter") -> "FlopCounter":
         return FlopCounter(self.adds - other.adds, self.muls - other.muls,
                            self.divs - other.divs,

@@ -22,7 +22,7 @@ from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
 from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
                   stamp_conductance, vnode)
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
-# pin_source stays importable here for perfbench/tracing.py
+# the benchmark tracer patches dc_sweep, operating_point and pin_source here
 from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
 
 # Iterates closer than this are "the same point" for 2-cycle detection, while
@@ -30,6 +30,8 @@ from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source
 _OSC_ATOL = 1e-9
 _OSC_VTOL = 1e-6
 _OSC_RUNS = 5
+# Converged: the largest nodal KCL residual (amps) is at most this.
+_KCL_ATOL = 1e-9
 # Source branch equations are satisfied exactly after any solve; this only
 # guards against declaring an unsolved initial guess converged.
 _SRC_VTOL = 1e-9
@@ -39,7 +41,6 @@ _SRC_VTOL = 1e-9
 class NrReport:
     converged: bool
     iterations: int
-    trajectory: List[np.ndarray]
     oscillation_detected: bool
     flops: FlopCounter
     residual: float
@@ -68,15 +69,16 @@ def _mos_terminals(br: Branch, xv: np.ndarray) -> Tuple[float, float, int, int]:
 
 
 def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = None,
-          max_iter: int = 100, tol: float = 1e-9) -> NrReport:
+          max_iter: int = 100) -> NrReport:
     """Plain Newton-Raphson DC solve on the nonlinear nodal equations.
 
     ``net`` may be a compiled :class:`Circuit`. Capacitors are open
     circuits; noise sources are rejected. Each iteration starts from the
     circuit's static G and source values and stamps the device Jacobians on
-    top. Converged means the largest nodal KCL residual is at most ``tol``
-    amps. A detected 2-cycle sets ``oscillation_detected`` (iteration
-    continues to ``max_iter`` so failed runs carry their full cost).
+    top. Converged means the largest nodal KCL residual is at most
+    ``_KCL_ATOL`` amps. A detected 2-cycle sets ``oscillation_detected``
+    (iteration continues to ``max_iter`` so failed runs carry their full
+    cost).
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
@@ -125,7 +127,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
             worst = max(worst, abs(vnode(xv, br.a) - vnode(xv, br.b) - level))
         return worst
 
-    trajectory = [x.copy()]
+    older = prev = None         # the two iterates before x (2-cycle test)
     oscillation = False
     osc_run = 0
     converged = False
@@ -133,7 +135,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     iters = 0
 
     for k in range(1, max_iter + 1):
-        if residual <= tol and source_violation(x) <= _SRC_VTOL:
+        if residual <= _KCL_ATOL and source_violation(x) <= _SRC_VTOL:
             converged = True
             break
         iters = k
@@ -174,24 +176,24 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                     rhs[br.a] -= ieq
                 if br.b >= 0:
                     rhs[br.b] += ieq
+        older, prev = prev, x
         try:
             x = solve(sys, fc)
         except SingularSystemError:
             break
-        trajectory.append(x.copy())
         residual = kcl_residual(x)
-        if len(trajectory) >= 3:
-            two_cycle = float(np.max(np.abs(trajectory[-1] - trajectory[-3])))
-            moved = float(np.max(np.abs(trajectory[-1] - trajectory[-2])))
+        if older is not None:
+            two_cycle = float(np.max(np.abs(x - older)))
+            moved = float(np.max(np.abs(x - prev)))
             if two_cycle <= _OSC_ATOL and moved > _OSC_VTOL:
                 osc_run += 1
                 if osc_run >= _OSC_RUNS:
                     oscillation = True
             else:
                 osc_run = 0
-    if not converged and residual <= tol and source_violation(x) <= _SRC_VTOL:
+    if not converged and residual <= _KCL_ATOL and source_violation(x) <= _SRC_VTOL:
         converged = True
-    return NrReport(converged=converged, iterations=iters, trajectory=trajectory,
+    return NrReport(converged=converged, iterations=iters,
                     oscillation_detected=oscillation and not converged, flops=fc,
                     residual=residual, x=x, nodes=list(circuit.nodes))
 
@@ -238,40 +240,27 @@ def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
     return roots
 
 
-def flop_compare(net: Netlist, analysis: str, source: Optional[str] = None,
-                 start: Optional[float] = None, stop: Optional[float] = None,
-                 points: Optional[int] = None, *,
-                 swec: Union[OperatingPoint, DcSweep, None] = None) -> FlopCompare:
+def flop_compare(net: Netlist, result: Union[OperatingPoint, DcSweep]) -> FlopCompare:
     """Operation-count comparison: conductance-stepping engine vs naive NR.
 
-    ``analysis`` is "op", or "dc" for a sweep of ``source`` over ``points``
-    biases from ``start`` to ``stop``. The conductance-stepping side is
-    billed from ``swec``, that analysis's result, if given; else it is run
-    here. For sweeps the NR side follows the classic continuation strategy
-    (each point starts from the previous point's final iterate);
-    non-converged points run to ``nr_dc``'s iteration limit and are billed
-    at that full cost.
+    ``result`` is the engine's :class:`OperatingPoint` or :class:`DcSweep`
+    of ``net`` and is billed as run. The NR side solves the same problem:
+    an operating point from zero, or a sweep of ``result.source`` over
+    ``result.biases`` by the classic continuation strategy (each point
+    starts from the previous point's final iterate); non-converged points
+    run to ``nr_dc``'s iteration limit and are billed at that full cost.
     """
-    if analysis == "op":
-        if swec is None:
-            swec = operating_point(net)
-        nr_total = nr_dc(net).flops.total()
-    elif analysis == "dc":
-        if None in (source, start, stop, points):
-            raise ValueError("a dc comparison needs source, start, stop and points")
-        if swec is None:
-            swec = dc_sweep(net, source, start, stop, points)
+    if isinstance(result, DcSweep):
         circuit = Circuit(net)
-        name = net.element(source).name
         nr_total = 0
         guess = None
-        for bias in np.linspace(start, stop, points):
-            circuit.set_source(name, Dc(bias))
+        for bias in result.biases:
+            circuit.set_source(result.source, Dc(bias))
             rep = nr_dc(circuit, initial_guess=guess)
             nr_total += rep.flops.total()
             guess = rep.x
     else:
-        raise ValueError(f"unknown analysis '{analysis}'")
-    swec_total = swec.flops.total()
+        nr_total = nr_dc(net).flops.total()
+    swec_total = result.flops.total()
     speedup = nr_total / swec_total if swec_total else math.inf
     return FlopCompare(swec_flops=swec_total, nr_flops=nr_total, speedup=speedup)

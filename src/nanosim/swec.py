@@ -123,6 +123,7 @@ class OperatingPoint:
 
 @dataclass
 class DcSweep:
+    source: str                    # the swept source, as the deck names it
     biases: np.ndarray
     voltages: np.ndarray           # points x n_nodes
     currents: Dict[str, np.ndarray]
@@ -176,8 +177,8 @@ class _Engine:
     model, :class:`DeviceState`, terminal indices, and the terminals the
     local error test reads (source-held nodes left out once, here). A step
     attempt works on Python floats and lists from start to finish: the
-    solution of :func:`solve` becomes one list, each device's bias is
-    computed once from it, and the conductances are lists in device order.
+    solution of :func:`solve` becomes one list, each device is evaluated
+    once at it, and the conductances are lists in device order.
     Device kernels, :func:`assemble` and :func:`solve` are called through
     this module's globals, once per device or attempt, so a tracer that
     replaces them sees every call.
@@ -205,51 +206,36 @@ class _Engine:
              if j >= 0 and j not in held]
             for a, b, _ in self.terminals]
 
-    def biases(self, x: List[float]) -> List[Tuple[float, float]]:
-        """(branch voltage, controlling voltage) of every device at solution
-        x: (vds, vgs) for a MOSFET, the terminal voltage twice otherwise."""
-        out = []
-        for kind, (a, b, gate) in zip(self.kinds, self.terminals):
+    def evaluate(self, x: List[float]
+                 ) -> Tuple[List[Tuple[float, float]], List[float]]:
+        """Every device's bias at solution x, (branch voltage, controlling
+        voltage): (vds, vgs) for a MOSFET, the terminal voltage twice
+        otherwise; and its conductance at that bias, floored at G_FLOOR."""
+        fc, biases, geqs = self.fc, [], []
+        for kind, m, (a, b, gate) in zip(self.kinds, self.models, self.terminals):
             va = x[a] if a >= 0 else 0.0
             vb = x[b] if b >= 0 else 0.0
             if kind is _MOSFET:
-                vgs, vds, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
-                out.append((vds, vgs))
+                vgs, v, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
+                g = mos_geq(m, vgs, v, fc)
+                biases.append((v, vgs))
             else:
-                out.append((va - vb, va - vb))
-        return out
+                v = va - vb
+                g = rtd_geq(m, v, fc) if kind is _RTD else nanowire_geq(m, v, fc)
+                biases.append((v, v))
+            geqs.append(G_FLOOR if g < G_FLOOR else g)
+        return biases, geqs
 
-    def direct_geq(self, i: int, v: float, ctrl: float) -> float:
-        """Device ``i``'s conductance evaluated at bias (v, ctrl)."""
-        kind, m = self.kinds[i], self.models[i]
-        if kind is _RTD:
-            return rtd_geq(m, v, self.fc)
-        if kind is _MOSFET:
-            return mos_geq(m, ctrl, v, self.fc)
-        return nanowire_geq(m, v, self.fc)
-
-    def floored_geq(self, biases: List[Tuple[float, float]]) -> List[float]:
-        """Every device's conductance at its (branch, controlling) bias,
-        floored at G_FLOOR."""
-        out = []
-        for i, (v, ctrl) in enumerate(biases):
-            g = self.direct_geq(i, v, ctrl)
-            out.append(G_FLOOR if g < G_FLOOR else g)
-        return out
-
-    def step_geq(self, x: List[float], h: float) -> List[float]:
+    def step_geq(self, h: float) -> List[float]:
         """The floored conductance each device is stamped with for a step
-        ``h`` from x: the half-step Taylor prediction (MOSFETs: the
-        conductance at the half-step extrapolated bias)."""
+        ``h`` from the committed solution: the half-step Taylor prediction
+        (MOSFETs: the conductance at the half-step extrapolated bias)."""
         fc, out = self.fc, []
-        at_x = None             # device biases at x, for direct evaluations
-        for i, (kind, m, st) in enumerate(zip(self.kinds, self.models, self.dev_states)):
+        for kind, m, st in zip(self.kinds, self.models, self.dev_states):
             if st.h_prev <= 0.0 or (kind is not _MOSFET and abs(st.v_now) < V_EPS):
-                # no committed step, or a two-terminal device near v = 0,
-                # where its conductance slope is undefined: evaluate at x
-                if at_x is None:
-                    at_x = self.biases(x)
-                g = self.direct_geq(i, *at_x[i])
+                # the starting point, or a two-terminal device near v = 0
+                # (undefined conductance slope): the committed conductance
+                g = st.geq_now
             elif kind is _MOSFET:
                 # stepwise-constant prediction at half-step extrapolated bias
                 vgs = st.ctrl_now + 0.5 * h * st.ctrl_slew()
@@ -293,7 +279,7 @@ class _Engine:
             st.v_prev, st.v_now = st.v_now, v
             st.ctrl_prev, st.ctrl_now = st.ctrl_now, ctrl
             st.h_prev = h
-            st.geq_now = G_FLOOR if g < G_FLOOR else g
+            st.geq_now = g
 
     def run(self, t_stop: float, eps: float) -> WaveformSeries:
         """Transient from zero node voltages to ``t_stop`` with error budget
@@ -302,6 +288,8 @@ class _Engine:
         h_max = t_stop / 50.0
         n, state_nodes = self.n, self.state_nodes
         x = [0.0] * self.circuit.size
+        # the starting point is committed with no step behind it (h_prev 0)
+        self.commit_states(*self.evaluate(x), 0.0)
         waveforms = self.circuit.waveforms
         breakpoints = sorted({bp for w in waveforms
                               for bp in waveform_breakpoints(w, t_stop)})
@@ -329,12 +317,11 @@ class _Engine:
                     h, why = bp - t, "breakpoint"
                     break
             while True:
-                g_pred = self.step_geq(x, h)
+                g_pred = self.step_geq(h)
                 sys = assemble(self.circuit, g_pred, vstate=x, h=h, t=t + h)
                 x_new = solve(sys, self.fc).tolist()
                 solves += 1
-                biases = self.biases(x_new)
-                g_act = self.floored_geq(biases)
+                biases, g_act = self.evaluate(x_new)
                 err = self.local_error(g_pred, g_act, x, x_new, h, lte_tol)
                 # backward Euler's truncation error from the divided
                 # difference of the last three accepted points
@@ -390,7 +377,7 @@ class _Engine:
             circuit.waveforms = [Pwl(((0.0, 0.0), (_OP_RAMP, v)))
                                  for v in circuit.source_levels(0.0)]
             t_on = _OP_RAMP
-        g = self.floored_geq(self.biases(x))
+        g = self.evaluate(x)[1]
         kappa = kappa_prev = 0.0
         u_prev = None
         aitken, jumped = True, False
@@ -435,7 +422,7 @@ class _Engine:
                                 x[:n] = [a + f * b for a, b in zip(x[:n], u)]
                                 jumped = True
                     u_prev = u
-                g = self.floored_geq(self.biases(x))
+                g = self.evaluate(x)[1]
         finally:
             circuit.waveforms = held
         return x, settled, solves
@@ -534,6 +521,6 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
             currents[br.el.name] = np.asarray(rtd_current(m, vbr))
         else:
             currents[br.el.name] = np.asarray(nanowire_current(m, vbr))
-    return DcSweep(biases=biases, voltages=volts, currents=currents,
-                   settled=settled, nodes=eng.nodes, flops=eng.fc,
-                   point_solves=point_solves)
+    return DcSweep(source=src.name, biases=biases, voltages=volts,
+                   currents=currents, settled=settled, nodes=eng.nodes,
+                   flops=eng.fc, point_solves=point_solves)

@@ -178,8 +178,8 @@ def test_c07_no_iteration_property():
 def test_c08_speedup_trend():
     t0 = time.perf_counter()
     net = parse_netlist(deck_text("rtd_divider.ckt"))
-    c60 = flop_compare(net, "dc", source="V1", start=0.0, stop=SCAN_MAX, points=60)
-    c500 = flop_compare(net, "dc", source="V1", start=0.0, stop=SCAN_MAX, points=500)
+    c60 = flop_compare(net, dc_sweep(net, "V1", 0.0, SCAN_MAX, 60))
+    c500 = flop_compare(net, dc_sweep(net, "V1", 0.0, SCAN_MAX, 500))
     wall = time.perf_counter() - t0
     ok = (c60.speedup > 5.0 and c500.speedup > 5.0
           and c500.speedup >= 0.8 * c60.speedup and wall < 30.0)

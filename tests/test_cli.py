@@ -1,11 +1,12 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from nanosim.cli import main
+from nanosim.cli import build_parser, main
 
 from conftest import deck_path
 
@@ -235,6 +236,44 @@ def test_bad_value_is_one_line_input_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
     assert "error:" in err.splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dc", "nanowire_divider.ckt", "--points", "4"],
+    ["tran", "rc_lowpass.ckt"],
+], ids=["dc", "tran"])
+class TestPlot:
+    def test_script_beside_intact_data(self, argv, tmp_path, capsys):
+        cmd = [argv[0], deck_path(argv[1])] + argv[2:]
+        plain, out = tmp_path / "plain.txt", tmp_path / "data.txt"
+        assert main(cmd + ["--out", str(plain)]) == 0
+        assert main(cmd + ["--out", str(out), "--plot"]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert f"'{out}' using 1:2" in _read(str(tmp_path / "data.gp"))
+
+    def test_script_may_not_replace_data(self, argv, tmp_path, capsys):
+        out = tmp_path / "data.gp"
+        code = main([argv[0], deck_path(argv[1])] + argv[2:]
+                    + ["--out", str(out), "--plot"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "rtd_divider_bistable.ckt"],
+    ["dc", "nanowire_divider.ckt", "--points", "4"],
+    ["tran", "rc_lowpass.ckt"],
+    ["stoch", "ou_step.ckt", "--paths", "8"],
+])
+def test_report_holds_the_benchmark_counters(argv, tmp_path, capsys):
+    out = [] if argv[0] == "op" else ["--out", str(tmp_path / "o.csv")]
+    args = build_parser().parse_args([argv[0], deck_path(argv[1])] + argv[2:] + out)
+    report = args.func(args)
+    fields = [f.name for f in dataclasses.fields(report)]
+    assert fields == ["steps", "rejections", "flops", "exit_code"]
+    assert all(type(getattr(report, f)) is int for f in fields)
 
 
 class TestStoch:

@@ -5,10 +5,10 @@ import pytest
 
 from nanosim import nr
 from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
-from nanosim.mna import FlopCounter
-from nanosim.netlist import DcAnalysis, ElementKind, parse_netlist
+from nanosim.mna import Circuit, FlopCounter
+from nanosim.netlist import Dc, DcAnalysis, ElementKind, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
-from nanosim.swec import operating_point, pin_source
+from nanosim.swec import dc_sweep, operating_point, pin_source
 
 from conftest import card, deck_text
 
@@ -32,7 +32,7 @@ class TestNrDc:
 
     def test_converged_residual_bound(self):
         net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
-        rep = nr_dc(net, tol=1e-9)
+        rep = nr_dc(net)
         assert rep.converged
         assert rep.residual <= 1e-9
 
@@ -101,13 +101,13 @@ class TestBruteForce:
 class TestFlopCompare:
     def test_linear_op_is_comparable(self):
         net = parse_netlist(deck_text("divider.ckt"))
-        cmp_ = flop_compare(net, "op")
+        cmp_ = flop_compare(net, operating_point(net))
         # both sides do one solve plus bookkeeping
         assert 0.2 <= cmp_.speedup <= 5.0
 
     def test_dc_compare_reports_totals(self):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
-        cmp_ = flop_compare(net, "dc", source="V1", start=0.0, stop=16.0, points=10)
+        cmp_ = flop_compare(net, dc_sweep(net, "V1", 0.0, 16.0, 10))
         assert cmp_.swec_flops > 0
         assert cmp_.nr_flops > 0
         assert cmp_.speedup == pytest.approx(cmp_.nr_flops / cmp_.swec_flops)
@@ -142,16 +142,22 @@ class TestFlopCompare:
     def test_deck_sweep_totals(self, deck, swec, newton):
         net = parse_netlist(deck_text(deck))
         dc = card(net, DcAnalysis)
-        cmp_ = flop_compare(net, "dc", dc.source, dc.start, dc.stop, dc.points)
+        cmp_ = flop_compare(net, dc_sweep(net, dc.source, dc.start, dc.stop, dc.points))
         assert (cmp_.swec_flops, cmp_.nr_flops) == (swec, newton)
 
-    def test_dc_needs_sweep_values(self):
-        # the deck's .dc card is read by the CLI, never by flop_compare
+    @pytest.mark.parametrize("source, start, stop", [
+        ("V1", 16.0, 0.0),          # descending
+        ("V1", 5.0, 5.0),           # one bias repeated
+        ("v1", 0.0, 16.0),          # named in another case than the deck's V1
+    ])
+    def test_newton_side_continues_over_the_sweep_biases(self, source, start, stop):
         net = parse_netlist(deck_text("rtd_divider.ckt"))
-        with pytest.raises(ValueError):
-            flop_compare(net, "dc")
-
-    def test_unknown_analysis(self):
-        net = parse_netlist(deck_text("divider.ckt"))
-        with pytest.raises(ValueError):
-            flop_compare(net, "ac")
+        sweep = dc_sweep(net, source, start, stop, 7)
+        assert sweep.source == "V1"
+        circuit, guess, newton = Circuit(net), None, 0
+        for bias in sweep.biases:
+            circuit.set_source("V1", Dc(bias))
+            rep = nr_dc(circuit, initial_guess=guess)
+            newton, guess = newton + rep.flops.total(), rep.x
+        cmp_ = flop_compare(net, sweep)
+        assert (cmp_.swec_flops, cmp_.nr_flops) == (sweep.flops.total(), newton)

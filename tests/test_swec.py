@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanosim.devices import G_FLOOR, rtd_current
-from nanosim.netlist import TranAnalysis, parse_netlist
+from nanosim.netlist import ElementKind, TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
 from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, SimulationError, _Engine,
                           dc_sweep, next_step_size, operating_point, pin_source,
@@ -380,6 +380,22 @@ class TestNonlinearTransient:
         net = parse_netlist(deck_text(deck))
         series = transient(net, card(net, TranAnalysis).t_stop)
         assert np.min(np.diff(series.times)) >= 1e-12
+
+    def test_one_device_evaluation_per_solution(self, monkeypatch):
+        # every RTD is evaluated at the starting point and at each solution;
+        # a step from the committed point reads its conductance, not a call
+        import nanosim.swec as swec
+        real, calls = swec.rtd_geq, []
+
+        def counted(m, v, fc=None):
+            calls.append(v)
+            return real(m, v, fc)
+
+        monkeypatch.setattr(swec, "rtd_geq", counted)
+        net = parse_netlist(deck_text("rtd_dff.ckt"))
+        series = transient(net, card(net, TranAnalysis).t_stop)
+        rtds = len(net.elements_of(ElementKind.RTD))
+        assert len(calls) == rtds * (series.n_solves + 1)
 
     @pytest.mark.parametrize("deck", ["rc_lowpass.ckt", "rtd_divider_tran.ckt",
                                       "fet_rtd_inverter.ckt"])
