@@ -189,7 +189,7 @@ class DeviceState:
 
 def _as_array(v):
     arr = np.asarray(v, dtype=float)
-    return arr.ndim == 0, np.atleast_1d(arr)
+    return (True, arr.reshape(1)) if arr.ndim == 0 else (False, arr)
 
 
 def _restore(scalar: bool, out):
@@ -212,14 +212,20 @@ def _clamped(f, x):
         elif x < -_EXP_CLAMP:
             x = -_EXP_CLAMP
         return float(f(x))
-    return f(np.clip(x, -_EXP_CLAMP, _EXP_CLAMP))
+    # np.clip's bits at a fraction of its call overhead
+    return f(np.minimum(np.maximum(x, -_EXP_CLAMP), _EXP_CLAMP))
 
 
 def _log1pexp(x: np.ndarray) -> np.ndarray:
     """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x.
-    :func:`_log1pexp_sigmoid` is its float twin."""
-    out = np.empty_like(x)
+    :func:`_log1pexp_sigmoid` is its float twin. An array on one side of
+    the split is evaluated whole, which gives the same elements."""
     big = x > 30.0
+    if not big.any():
+        return np.log1p(np.exp(x))
+    if big.all():
+        return x + np.log1p(np.exp(-x))
+    out = np.empty_like(x)
     out[big] = x[big] + np.log1p(np.exp(-x[big]))
     small = ~big
     out[small] = np.log1p(np.exp(x[small]))
@@ -254,7 +260,7 @@ def _np_sum(terms: list) -> float:
 
 
 def _check_finite(va: np.ndarray) -> None:
-    if not np.all(np.isfinite(va)):
+    if not np.isfinite(va).all():
         raise DeviceError("device voltage must be finite")
 
 
@@ -379,10 +385,13 @@ def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
         return _rtd_current_f(m, v) / v
     scalar, va = _as_array(v)
     _check_finite(va)
-    out = np.empty_like(va)
     tiny = np.abs(va) < V_EPS
-    if np.any(tiny):
-        out[tiny] = _rtd_slope_at_origin(m, fc)
+    if not tiny.any():
+        # no voltage near the origin: the whole array, same elements as masked
+        _count(fc, va.size, divs=1)
+        return _restore(scalar, rtd_current(m, va, fc) / va)
+    out = np.empty_like(va)
+    out[tiny] = _rtd_slope_at_origin(m, fc)
     big = ~tiny
     if np.any(big):
         out[big] = rtd_current(m, va[big], fc) / va[big]

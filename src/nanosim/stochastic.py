@@ -22,10 +22,12 @@ source levels at t, one term per source; B has one column per noise
 source, stamped from its terminals. Sources must be grounded at their
 negative terminal and may pin a node only once, C over the state nodes
 must be positive definite, and no capacitor or noise source may touch a
-pinned node. All paths advance in lockstep, a block of steps at a time,
-through one buffer of node voltages (the state and the source levels):
-each step's drift reads the device terminals from the previous row, and
-a block is reduced or copied out before the next one overwrites it.
+pinned node. All paths advance in lockstep, a block of steps at a time:
+one work array holds every path's state and is advanced in place, each
+step's state is copied into a buffer of state rows, and the source
+levels, the same on every path, go into a row array of their own. Device
+terminals on a pinned node read that scalar level. A block is reduced or
+copied out before the next one overwrites it.
 
 Paths are reproducible: path k of a run with seed s draws its increments
 from an independent substream keyed by (s, k), so results are bit-identical
@@ -43,12 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
-from .mna import Branch, Circuit, FlopCounter
+from .mna import Circuit, FlopCounter
 from .netlist import ElementKind, ModelCard, Netlist
 from .swec import SimulationError, WaveformSeries
 
-# doubles of state rows and noise increments per block of lockstep steps;
-# sets the block length, never a result
+# doubles per block of lockstep steps, counting every per-block array: the
+# state rows, their paths-last copy for the quantiles, the noise increments
+# and their step-major image C^-1 B dW; sets the block length, never a result
 _BLOCK_DOUBLES = 2**20
 # levels of the pointwise and window-peak quantiles an ensemble reports
 _QUANTILES = (0.05, 0.5, 0.95)
@@ -132,9 +135,13 @@ class _StateSystem:
     g_static: np.ndarray                  # static G over state nodes
     g_drive: np.ndarray                   # -G from state rows to pinned columns
     noise_cols: np.ndarray                # state x noise sources
-    # nonlinear branch, its model, the state rows of its a and b terminals
-    # (-1 for ground or a pinned node); only devices with a state row
-    devices: List[Tuple[Branch, ModelCard, int, int]]
+    # per state row, the nonzero (conductance, state column) terms of
+    # g_static and the nonzero (conductance, source index) terms of g_drive
+    static_terms: List[List[Tuple[float, int]]]
+    drive_terms: List[List[Tuple[float, int]]]
+    # nonlinear element kind, its model, and its a, b and gate terminals as
+    # drift terminals (see _terminal); only devices with a state row
+    devices: List[Tuple[ElementKind, ModelCard, int, int, int]]
 
 
 def _build_state_system(net: Netlist) -> _StateSystem:
@@ -182,18 +189,30 @@ def _build_state_system(net: Netlist) -> _StateSystem:
                               "every state node needs a capacitive path to ground") from None
     diagonal = not (cap - np.diag(np.diag(cap))).any()
 
+    def terminal(i: int) -> int:
+        # the state row, -2 - source index for a pinned node, -1 for ground
+        if i in row:
+            return row[i]
+        return -2 - pinned.index(i) if i >= 0 else -1
+
     # a device whose current reaches no state row (both branch terminals
     # pinned or ground) changes no drift, so it is not evaluated at all
-    devices = [(br, m, row.get(br.a, -1), row.get(br.b, -1))
+    devices = [(br.el.kind, m, terminal(br.a), terminal(br.b), terminal(br.gate))
                for br, m in zip(circuit.devices, circuit.models)
                if br.a in row or br.b in row]
+    g_static = circuit.G[np.ix_(state, state)]
+    g_drive = -circuit.G[np.ix_(state, pinned)]
     return _StateSystem(circuit=circuit, state=np.array(state),
                         pinned=np.array(pinned, dtype=int), cap=cap,
                         cap_diag=np.diag(cap).copy() if diagonal else None,
                         cap_inv=None if diagonal else np.linalg.inv(cap),
-                        g_static=circuit.G[np.ix_(state, state)],
-                        g_drive=-circuit.G[np.ix_(state, pinned)],
-                        noise_cols=noise_cols, devices=devices)
+                        g_static=g_static, g_drive=g_drive, noise_cols=noise_cols,
+                        static_terms=_nonzero_terms(g_static),
+                        drive_terms=_nonzero_terms(g_drive), devices=devices)
+
+
+def _nonzero_terms(g: np.ndarray) -> List[List[Tuple[float, int]]]:
+    return [[(float(gij), j) for j, gij in enumerate(g_row) if gij != 0.0] for g_row in g]
 
 
 @contextlib.contextmanager
@@ -232,77 +251,106 @@ def _explicit_drift(ss: _StateSystem, dt: float):
                               f"for the explicit drift ({limit})") from None
 
 
-def _drift(ss: _StateSystem, v: np.ndarray,
-           fc: Optional[FlopCounter] = None) -> np.ndarray:
-    """b(t) - G(t) x for every path row of ``v``, the node voltages of one
-    output row (paths x nodes, pinned columns holding the source levels),
-    with chord conductances of the nonlinear devices evaluated at the path's
-    own voltages."""
-    paths = v.shape[0]
-    drift = np.empty((paths, len(ss.state)))
+def _terminal(x: np.ndarray, levels: Sequence[float], t: int):
+    """Voltage of drift terminal ``t``: a state column of ``x``, a source
+    level, or ground."""
+    if t >= 0:
+        return x[:, t]
+    return levels[-2 - t] if t < -1 else 0.0
+
+
+def _drift(ss: _StateSystem, x: np.ndarray, levels: Sequence[float],
+           fc: Optional[FlopCounter] = None,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """b(t) - G(t) x for every path row of the state ``x`` (paths x state
+    rows), ``levels`` being the source levels at t, with chord conductances
+    of the nonlinear devices evaluated at the path's own voltages. Written
+    into ``out`` when given."""
+    paths = x.shape[0]
+    drift = np.empty((paths, len(ss.state))) if out is None else out
+    term = np.empty(paths)
     # linear conductance block; explicit column loop keeps accumulation order
     # independent of the number of paths
-    for i in range(len(ss.state)):
-        acc = np.zeros(paths)
-        for gij, col in zip(ss.g_static[i], ss.state):
-            if gij != 0.0:
-                acc += gij * v[:, col]
-        drift[:, i] = -acc
-        for g, col in zip(ss.g_drive[i], ss.pinned):
-            if g != 0.0:
-                drift[:, i] += g * v[:, col]
-    for br, m, row_a, row_b in ss.devices:
-        va = v[:, br.a] if br.a >= 0 else 0.0
-        vb = v[:, br.b] if br.b >= 0 else 0.0
-        if br.el.kind is ElementKind.MOSFET:
-            vg = v[:, br.gate] if br.gate >= 0 else 0.0
-            vgs, vds, _ = mos_bias(va, vg, vb)
+    for i, (static, drive) in enumerate(zip(ss.static_terms, ss.drive_terms)):
+        acc = drift[:, i]
+        acc.fill(0.0)
+        for gij, col in static:
+            acc += np.multiply(x[:, col], gij, out=term)
+        np.negative(acc, out=acc)
+        for g, k in drive:
+            acc += g * levels[k]
+    for kind, m, ta, tb, tg in ss.devices:
+        va = _terminal(x, levels, ta)
+        vb = _terminal(x, levels, tb)
+        if kind is ElementKind.MOSFET:
+            vgs, vds, _ = mos_bias(va, _terminal(x, levels, tg), vb)
             geq = mos_geq(m, vgs, vds, fc)
-        elif br.el.kind is ElementKind.RTD:
+        elif kind is ElementKind.RTD:
             geq = rtd_geq(m, va - vb, fc)
         else:
             geq = nanowire_geq(m, va - vb, fc)
         i_dev = np.maximum(geq, G_FLOOR) * (va - vb)
-        if row_a >= 0:
-            drift[:, row_a] -= i_dev
-        if row_b >= 0:
-            drift[:, row_b] += i_dev
+        if ta >= 0:
+            drift[:, ta] -= i_dev
+        if tb >= 0:
+            drift[:, tb] += i_dev
     return drift
 
 
-def _apply_cinv(ss: _StateSystem, rhs: np.ndarray) -> np.ndarray:
+def _apply_cinv(ss: _StateSystem, rhs: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     if ss.cap_diag is not None:
-        return rhs / ss.cap_diag
-    return rhs @ ss.cap_inv.T
+        return np.divide(rhs, ss.cap_diag, out=out)
+    return np.matmul(rhs, ss.cap_inv.T, out=out)
 
 
 def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
               x0: np.ndarray, fc: Optional[FlopCounter] = None):
     """Advance ``paths`` paths together, a block of steps at a time, and
-    yield ``(j0, rows)``, the node voltages (paths x rows x nodes) of grid
-    points j0, j0 + 1, ...: at least two rows, the first being the last row
-    of the block before. Reduce or copy ``rows`` before the next block."""
-    n, nnoise = ss.circuit.n, ss.noise_cols.shape[1]
-    block = max(1, min(steps, _BLOCK_DOUBLES // (paths * (n + nnoise))))
-    buf = np.empty((paths, block + 1, n))
-    rngs = [_rng_for_path(seed, p) for p in range(paths)]
+    yield ``(j0, rows, levels)`` for grid points j0, j0 + 1, ...: the state
+    (paths x rows x state nodes) and the source levels (rows x sources), at
+    least two rows, the first being the last row of the block before.
+    Reduce or copy them before the next block."""
+    ns, nnoise = len(ss.state), ss.noise_cols.shape[1]
+    # per path and step: a state row and its quantile copy, a noise row and
+    # its image C^-1 B dW, stored step-major
+    block = max(1, min(steps, _BLOCK_DOUBLES // (paths * (3 * ns + nnoise))))
+    rows = np.empty((paths, block + 1, ns))
+    levels = np.empty((block + 1, len(ss.pinned)))
+    dws = np.empty((paths, block, nnoise))
+    noise = np.empty((block, paths, ns))
+    from .seeding import path_rngs      # numpy.random loads on the first run
+    fills = [rng.standard_normal for rng in path_rngs(seed, paths)]
+    path_dws = list(dws)
     cinv_b = _apply_cinv(ss, ss.noise_cols.T)                 # nnoise x ns
+    sqrt_dt = math.sqrt(dt)
     x = np.tile(x0, (paths, 1))
-    buf[:, 0, ss.state] = x
-    buf[:, 0, ss.pinned] = ss.circuit.source_levels(0.0)
+    drift, step = np.empty((2, paths, ns))
+    rows[:, 0] = x
+    level = ss.circuit.source_levels(0.0)
+    levels[0] = level
     for j0 in range(0, steps, block):
         b = min(block, steps - j0)
-        dws = np.empty((paths, b, nnoise))
-        for p, rng in enumerate(rngs):
-            rng.standard_normal(out=dws[p])
-        dws *= math.sqrt(dt)
+        if b < block:
+            path_dws = [dw[:b] for dw in path_dws]
+        for fill, dw in zip(fills, path_dws):
+            fill(out=dw)
+        dws[:, :b] *= sqrt_dt
+        # one matmul per step of the block, each on that step's paths x noise
+        # slice, as a step-by-step product takes it
+        np.matmul(dws[:, :b].transpose(1, 0, 2), cinv_b, out=noise[:b])
         for k in range(1, b + 1):
-            drift = _drift(ss, buf[:, k - 1], fc)
-            x = x + dt * _apply_cinv(ss, drift) + dws[:, k - 1, :] @ cinv_b
-            buf[:, k, ss.state] = x
-            buf[:, k, ss.pinned] = ss.circuit.source_levels((j0 + k) * dt)
-        yield j0, buf[:, :b + 1]
-        buf[:, 0] = buf[:, b]
+            # X_k = (X_{k-1} + dt C^-1 drift) + C^-1 B dW_k, in place
+            _drift(ss, x, level, fc, out=drift)
+            np.multiply(_apply_cinv(ss, drift, out=step), dt, out=step)
+            np.add(x, step, out=x)
+            np.add(x, noise[k - 1], out=x)
+            rows[:, k] = x
+            level = ss.circuit.source_levels((j0 + k) * dt)
+            levels[k] = level
+        yield j0, rows[:, :b + 1], levels[:b + 1]
+        rows[:, 0] = rows[:, b]
+        levels[0] = levels[b]
 
 
 def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
@@ -319,8 +367,10 @@ def em_transient(net: Netlist, dt: float, t_stop: float, seed: int = 0,
     voltages = np.empty((steps + 1, ss.circuit.n))
     fc = FlopCounter()
     with _explicit_drift(ss, dt):
-        for j0, rows in _lockstep(ss, dt, steps, seed, 1, x_init, fc):
-            voltages[j0:j0 + rows.shape[1]] = rows[0]
+        for j0, rows, levels in _lockstep(ss, dt, steps, seed, 1, x_init, fc):
+            at = slice(j0, j0 + rows.shape[1])
+            voltages[at, ss.state] = rows[0]
+            voltages[at, ss.pinned] = levels
     times = np.arange(steps + 1) * dt
     return WaveformSeries(times=times, voltages=voltages, nodes=list(ss.circuit.nodes),
                           steps_taken=steps, n_solves=0, flops=fc)
@@ -344,6 +394,17 @@ def _initial_state(ss: _StateSystem, x0: Optional[np.ndarray]) -> np.ndarray:
         raise ValueError(f"x0 must have shape ({ns},) over state nodes "
                          f"{[ss.circuit.nodes[i] for i in ss.state]}")
     return x0.copy()
+
+
+def _path_quantiles(rows: np.ndarray) -> np.ndarray:
+    """``np.quantile(rows, _QUANTILES, axis=0)``, taken from a paths-last
+    copy sorted in place. Order statistics do not depend on the order of
+    their input, so the values are the same; the copy stands in for the one
+    ``np.quantile`` would make, and numpy's sort on contiguous rows is
+    faster than its partition along the strided path axis."""
+    ordered = rows.transpose(1, 2, 0).copy()
+    ordered.sort(axis=-1)
+    return np.quantile(ordered, _QUANTILES, axis=-1, overwrite_input=True)
 
 
 def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
@@ -372,22 +433,36 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
         raise ValueError("window holds no time step")
     x_init = _initial_state(ss, x0)
 
-    n_out = ss.circuit.n
+    n_out, state, pinned = ss.circuit.n, ss.state, ss.pinned
     mean, variance = np.empty((2, steps + 1, n_out))
     quantiles = np.empty((len(_QUANTILES), steps + 1, n_out))
-    peaks = np.full((paths, n_out), -np.inf)
+    # a source-pinned node holds its level on every path: its statistics are
+    # that level, variance 0 and the level's window maximum, exactly
+    variance[:, pinned] = 0.0
+    peaks = np.full((paths, len(state)), -np.inf)
+    pin_peaks = np.full(len(pinned), -np.inf)
     with _explicit_drift(ss, dt):
-        for j0, rows in _lockstep(ss, dt, steps, seed, paths, x_init):
+        for j0, rows, levels in _lockstep(ss, dt, steps, seed, paths, x_init):
             # each statistic reduces the path axis alone, over two or more rows
             # (numpy sums a lone row pairwise), so no row depends on its block
             at = slice(j0, j0 + rows.shape[1])
-            mean[at] = rows.mean(axis=0)
-            variance[at] = rows.var(axis=0, ddof=1)
-            quantiles[:, at] = np.quantile(rows, _QUANTILES, axis=0)
-            if in_win[at].any():
-                np.maximum(peaks, rows[:, in_win[at]].max(axis=1), out=peaks)
-    peak_mean = peaks.mean(axis=0)
-    peak_quantiles = np.quantile(peaks, _QUANTILES, axis=0)
+            mean[at, state] = rows.mean(axis=0)
+            variance[at, state] = rows.var(axis=0, ddof=1)
+            quantiles[:, at, state] = _path_quantiles(rows)
+            mean[at, pinned] = levels
+            quantiles[:, at, pinned] = levels
+            win = in_win[at]
+            if win.any():
+                np.maximum(peaks, rows[:, win].max(axis=1), out=peaks)
+                np.maximum(pin_peaks, levels[win].max(axis=0), out=pin_peaks)
+    # the path mean over every node column, as a paths x nodes array reduces it
+    all_peaks = np.zeros((paths, n_out))
+    all_peaks[:, state] = peaks
+    peak_mean = all_peaks.mean(axis=0)
+    peak_mean[pinned] = pin_peaks
+    peak_quantiles = np.empty((len(_QUANTILES), n_out))
+    peak_quantiles[:, state] = np.quantile(peaks, _QUANTILES, axis=0)
+    peak_quantiles[:, pinned] = pin_peaks
     return EnsembleStats(times=times, nodes=list(ss.circuit.nodes), mean=mean,
                          variance=variance, quantiles=dict(zip(_QUANTILES, quantiles)),
                          window=window, peak_mean=peak_mean,

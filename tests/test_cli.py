@@ -303,8 +303,8 @@ class TestStoch:
                 "--window", "1u", "2u"]
         assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
         one_call = np.quantile
-        monkeypatch.setattr(np, "quantile", lambda a, q, axis: np.stack(
-            [one_call(a, level, axis=axis) for level in q]))
+        monkeypatch.setattr(np, "quantile", lambda a, q, axis, **kwargs: np.stack(
+            [one_call(a, level, axis=axis, **kwargs) for level in q]))
         assert main(args + ["--out", str(tmp_path / "ref.csv")]) == 0
         with open(tmp_path / "one.csv", "rb") as a, open(tmp_path / "ref.csv", "rb") as b:
             assert a.read() == b.read()

@@ -197,6 +197,57 @@ class TestRtdFloatPath:
                                       else np.zeros_like(x)).tobytes()
 
 
+# the three kinds of array element the kernels split on: |v| < V_EPS (RTD
+# slope at the origin), ordinary, and a Fermi argument x > 30 (_log1pexp's
+# large branch; |v| >= 1 V on both _RTD_MODELS)
+_RTD_PIECE_V = {
+    "tiny": st.sampled_from([0.0, -0.0, 0.5 * V_EPS, -0.999 * V_EPS]),
+    "ordinary": st.floats(1e-6, 0.2).flatmap(lambda a: st.sampled_from([a, -a])),
+    "large": st.floats(1.0, 30.0).flatmap(lambda a: st.sampled_from([a, -a]))}
+_LOG1PEXP_PIECE_X = {"ordinary": st.floats(-60.0, 30.0), "large": st.floats(30.0, 700.0,
+                                                                          exclude_min=True)}
+
+
+@st.composite
+def _mixed_pieces(draw, kinds):
+    """Two to five pieces, each of one kind of element and the first two of
+    different kinds: every piece takes a kernel's uniform (whole-array)
+    path, their concatenation its masked path."""
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=5)
+                 .filter(lambda ks: ks[0] != ks[1]))
+    return [np.array(draw(st.lists(kinds[k], min_size=1, max_size=6))) for k in names]
+
+
+def _mixed(mask: np.ndarray) -> bool:
+    return bool(mask.any() and not mask.all())
+
+
+class TestArrayFastPaths:
+    """A kernel evaluates an array whose masks are uniform without them;
+    elementwise that gives the bytes of the masked evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_pieces(_RTD_PIECE_V), st.sampled_from(_RTD_MODELS),
+           st.sampled_from([rtd_geq, rtd_current]))
+    def test_rtd_kernels_whole_equals_pieces(self, pieces, m, f):
+        whole = np.concatenate(pieces)
+        masks = (lambda v: np.abs(v) < V_EPS, lambda v: np.abs(v) >= 1.0)
+        assert not any(_mixed(mask(piece)) for piece in pieces for mask in masks)
+        assert any(_mixed(mask(whole)) for mask in masks)
+        got = f(m, whole)
+        want = np.concatenate([f(m, piece) for piece in pieces])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_pieces(_LOG1PEXP_PIECE_X))
+    def test_log1pexp_whole_equals_pieces(self, pieces):
+        assert not any(_mixed(piece > 30.0) for piece in pieces)
+        assert _mixed(np.concatenate(pieces) > 30.0)
+        got = devices._log1pexp(np.concatenate(pieces))
+        want = np.concatenate([devices._log1pexp(piece) for piece in pieces])
+        assert got.tobytes() == want.tobytes()
+
+
 def _same_outcome(got, arr):
     """A scalar-path result matches the one-element array path: the same
     error text, or a Python float with the same bits."""

@@ -16,6 +16,7 @@ from nanosim.devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from nanosim.mna import FlopCounter
 from nanosim.netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist,
                              eval_waveform, parse_netlist)
+from nanosim.seeding import path_rngs
 from nanosim.stochastic import (StochasticError, _build_state_system, _drift,
                                 em_transient, ensemble, ito_sum,
                                 wiener_increments)
@@ -40,6 +41,14 @@ _COUPLED = ("V1 vdd 0 DC 1.2\nV2 in 0 PWL(0 0 2n 2)\nR1 vdd a 1k\nC1 a 0 1p\n"
             "XRTD1 a b M1\nM1 c in 0 0 MFET\nN1 a 0 1e-8\nN2 b c 2e-8\nN3 c 0 5e-9\n"
             ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
             ".model MFET NMOS (k=1e-4 W=2u L=1u Vth=1)\n.end\n")
+
+
+def _noisy_inverter():
+    """The shipped FET-RTD inverter with a noise current at ``out``: both
+    RTDs and the MOSFET's gate touch source-pinned nodes."""
+    body = [ln for ln in deck_text("fet_rtd_inverter.ckt").splitlines()
+            if not ln.lower().startswith((".tran", ".end"))]
+    return "\n".join(body + ["N1 out 0 1e-8", ".end"]) + "\n"
 
 
 def _ou_free(intensity="1e-7"):
@@ -307,7 +316,9 @@ class TestEnsemble:
     @pytest.mark.parametrize("deck, dt, window", [
         (deck_text("ou_step.ckt"), 1e-8, (0.33e-6, 1.01e-6)),
         (deck_text("ou_free.ckt"), 1e-8, (0.33e-6, 1.01e-6)),
-        (_COUPLED, 2e-11, (0.5e-9, 3.3e-9))], ids=["ou_step", "ou_free", "coupled"])
+        (_COUPLED, 2e-11, (0.5e-9, 3.3e-9)),
+        (_noisy_inverter(), 1e-10, (3e-9, 15.05e-9))],
+        ids=["ou_step", "ou_free", "coupled", "inverter"])
     def test_block_geometry_leaves_results_unchanged(self, monkeypatch, deck, dt, window):
         # one step per block, then 7 steps per block with an uneven last
         # block of 4 (200 steps): every number keeps its bits. On one node
@@ -315,7 +326,9 @@ class TestEnsemble:
         # path, so each block must hold at least two rows
         net = parse_netlist(deck)
         ss = _build_state_system(net)
-        per_step = ss.circuit.n + ss.noise_cols.shape[1]
+        # doubles per path and step: a state row, its quantile copy and the
+        # noise image C^-1 B dW (one per state node), and the noise draws
+        per_step = 3 * len(ss.state) + ss.noise_cols.shape[1]
 
         def run():
             stats = ensemble(net, dt, 200 * dt, paths=37, seed=4, window=window)
@@ -324,11 +337,59 @@ class TestEnsemble:
                     *stats.quantiles.values(), *stats.peak_quantiles.values()]
 
         want = run()
+        blocks = []        # (paths, steps) of every block the runs take
+        lockstep = stochastic._lockstep
+
+        def recording(ss, dt, steps, seed, paths, *rest):
+            for j0, rows, levels in lockstep(ss, dt, steps, seed, paths, *rest):
+                blocks.append((paths, rows.shape[1] - 1))
+                yield j0, rows, levels
+
+        monkeypatch.setattr(stochastic, "_lockstep", recording)
         for steps_per_block in (1, 7):
-            for budget in (37 * per_step, per_step):     # ensemble, em_transient
-                monkeypatch.setattr(stochastic, "_BLOCK_DOUBLES", steps_per_block * budget)
+            for paths in (37, 1):                       # ensemble, em_transient
+                monkeypatch.setattr(stochastic, "_BLOCK_DOUBLES",
+                                    steps_per_block * paths * per_step)
+                blocks.clear()
                 got = run()
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                full, last = divmod(200, steps_per_block)
+                assert ([n for p, n in blocks if p == paths]
+                        == [steps_per_block] * full + [last] * (last > 0))
+
+    def test_source_pinned_columns_are_exact(self):
+        # a pinned node holds its level on every path: mean = level, variance
+        # 0, every quantile = level, window peak = the level's maximum
+        net = parse_netlist("V1 in 0 PWL(0 0 0.3u 1.7 0.6u 0.3)\nR1 in out 1k\n"
+                            "C1 out 0 1n\nN1 out 0 1e-7\n.end\n")
+        dt, window = 1e-8, (0.2e-6, 0.9e-6)
+        stats = ensemble(net, dt, 1e-6, paths=128, seed=6, window=window)
+        i = stats.nodes.index("in")
+        (src,) = net.elements_of(ElementKind.VSOURCE)
+        levels = np.array([eval_waveform(src.waveform, j * dt)
+                           for j in range(len(stats.times))])
+        assert stats.mean[:, i].tobytes() == levels.tobytes()
+        assert stats.variance[:, i].tobytes() == np.zeros_like(levels).tobytes()
+        for q in stats.quantiles.values():
+            assert q[:, i].tobytes() == levels.tobytes()
+        in_win = (stats.times >= window[0]) & (stats.times <= window[1])
+        peak = levels[in_win].max()
+        assert [stats.peak_mean[i], *(q[i] for q in stats.peak_quantiles.values())] \
+            == [peak] * 4
+
+    def test_peak_memory_of_a_wide_ensemble(self):
+        # an all-nodes block buffer sized from state rows and noise alone
+        # peaked at 22.092-22.094 MB traced (numpy 2.4.6); the state-only
+        # buffer, with every per-block array in the budget, takes 16.9 MB
+        net = parse_netlist(deck_text("ou_step.ckt"))
+        ensemble(net, 1e-8, 2e-8, paths=2, seed=0)      # lazy imports, untraced
+        tracemalloc.start()
+        try:
+            ensemble(net, 1e-8, 100 * 1e-8, paths=8192, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22.094e6
 
     def test_memory_does_not_grow_with_steps(self):
         # storing every path x step x node would take 78 MB more at 40000
@@ -350,6 +411,28 @@ class TestEnsemble:
             ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(2e-6, 1e-6))
         with pytest.raises(ValueError, match="window holds no time step"):
             ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(1.5e-8, 1.7e-8))
+
+
+class TestPathStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)), st.integers(1, 40))
+    def test_vectorized_seeding_matches_per_path(self, seed, paths):
+        # the seeding hash run over all paths at once gives every path the
+        # generator state of its own (seed, path) substream
+        got = path_rngs(seed, paths)
+        want = [stochastic._rng_for_path(seed, p) for p in range(paths)]
+        assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+
+    def test_shipped_seed_over_many_paths(self):
+        got = path_rngs(42, 2000)
+        assert [g.standard_normal(3).tobytes() for g in got] == [
+            stochastic._rng_for_path(42, p).standard_normal(3).tobytes() for p in range(2000)]
+
+    def test_negative_seed(self):
+        for make in (lambda: stochastic._rng_for_path(-1, 0),
+                     lambda: path_rngs(-1, 3)):
+            with pytest.raises(ValueError, match="non-negative"):
+                make()
 
 
 class TestWeakOrder:
@@ -593,17 +676,15 @@ class TestStateSystemMatchesReference:
         assert ss.noise_cols.tobytes() == ref.noise_cols.tobytes()
 
         x = np.random.default_rng(seed).uniform(-1.0, 4.0, (paths, len(ss.state)))
-        v = np.empty((paths, ss.circuit.n))
-        v[:, ss.state] = x
-        v[:, ss.pinned] = ss.circuit.source_levels(t)
+        levels = ss.circuit.source_levels(t)
         fc, fc_ref = FlopCounter(), FlopCounter()
-        got = _drift(ss, v, fc)
+        got = _drift(ss, x, levels, fc)
         want = _drift_ref(ref, x, t, fc_ref)
         if _drive_in_source_order(net):
             assert got.tobytes() == want.tobytes()
         else:
             # the same terms summed in another order
             scale = (np.abs(x) @ np.abs(ss.g_static).T
-                     + np.abs(v[:, ss.pinned]) @ np.abs(ss.g_drive).T)
+                     + np.abs(levels) @ np.abs(ss.g_drive).T)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert fc == fc_ref
