@@ -437,19 +437,20 @@ def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
 
 def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
                 fc: "FlopCounter | None" = None) -> float:
-    """Half-step Taylor prediction of the equivalent conductance.
+    """Taylor prediction of the equivalent conductance at the step's end.
 
-    G(n+1) = G(n) + (h/2) * dG/dV * dV/dt, with dV/dt taken as the backward
-    difference of the committed branch voltages. Clamped below at G_FLOOR.
+    G(n+1) = G(n) + h * dG/dV * dV/dt, with dV/dt the backward difference
+    of the committed branch voltages: backward Euler stamps g * V(t + h),
+    so g predicts G(V(t + h)). Clamped below at G_FLOOR.
     """
     if state.h_prev <= 0.0:
         raise DeviceError("geq_predict requires a committed previous step")
     if h <= 0.0:
         raise DeviceError("prediction step must be positive")
     dvdt = (state.v_now - state.v_prev) / state.h_prev
-    g = state.geq_now + 0.5 * h * dgeq_dv * dvdt
+    g = state.geq_now + h * dgeq_dv * dvdt
     if fc is not None:
-        fc.count(2, 3, 1)
+        fc.count(2, 2, 1)
     return G_FLOOR if g < G_FLOOR else g
 
 

@@ -55,13 +55,6 @@ class FlopCompare:
     speedup: float
 
 
-def _device_iv(br: Branch, model, vbr: float, fc: FlopCounter) -> Tuple[float, float]:
-    if br.el.kind is ElementKind.RTD:
-        return (float(rtd_current(model, vbr, fc)), float(rtd_didv(model, vbr, fc)))
-    return (float(nanowire_current(model, vbr, fc)), float(nanowire_didv(model, vbr, fc)))
-
-
-
 def _mos_terminals(br: Branch, xv: np.ndarray) -> Tuple[float, float, int, int]:
     """Bias (vgs, vds) and the nodes acting as drain and source."""
     vgs, vds, rev = mos_bias(vnode(xv, br.a), vnode(xv, br.gate), vnode(xv, br.b))
@@ -93,9 +86,11 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     models = {br.el.name: m for br, m in zip(circuit.devices, circuit.models)}
     levels = circuit.source_levels(0.0)
 
-    def kcl_residual(xv: np.ndarray) -> float:
-        """Largest net nodal current imbalance with true device currents."""
+    def kcl_residual(xv: np.ndarray) -> Tuple[float, List[float]]:
+        """Largest net nodal current imbalance with true device currents,
+        and those currents in ``circuit.devices`` order."""
         r = np.zeros(n)
+        currents = []
         for br in circuit.branches:
             el, a, b = br.el, br.a, br.b
             if el.kind is ElementKind.RESISTOR:
@@ -115,11 +110,13 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                     i = float(nanowire_current(mdl, vbr, fc))
             else:
                 continue
+            if el.kind in NONLINEAR_KINDS:
+                currents.append(i)
             if a >= 0:
                 r[a] -= i
             if b >= 0:
                 r[b] += i
-        return float(np.max(np.abs(r))) if n else 0.0
+        return (float(np.max(np.abs(r))) if n else 0.0), currents
 
     def source_violation(xv: np.ndarray) -> float:
         worst = 0.0
@@ -131,7 +128,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     oscillation = False
     osc_run = 0
     converged = False
-    residual = kcl_residual(x)
+    # the residual's device currents at x serve the next Jacobian stamp
+    residual, currents = kcl_residual(x)
     iters = 0
 
     for k in range(1, max_iter + 1):
@@ -141,12 +139,11 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
         iters = k
         sys = circuit.system(0.0)
         G, rhs = sys.rows, sys.b
-        for br in circuit.devices:
+        for br, i0 in zip(circuit.devices, currents):
             mdl = models[br.el.name]
             if br.el.kind is ElementKind.MOSFET:
                 vgs, vds, d_node, s_node = _mos_terminals(br, x)
                 g_node = br.gate
-                i0 = float(mos_current(mdl, vgs, vds, fc))
                 gds = mos_didv(mdl, vgs, vds)
                 gm = mos_gm(mdl, vgs, vds)
                 fc.count(adds=4, muls=4)
@@ -168,7 +165,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                     rhs[s_node] += ieq
             else:
                 vbr = vnode(x, br.a) - vnode(x, br.b)
-                i0, gd = _device_iv(br, mdl, vbr, fc)
+                didv = rtd_didv if br.el.kind is ElementKind.RTD else nanowire_didv
+                gd = float(didv(mdl, vbr, fc))
                 stamp_conductance(G, br.a, br.b, gd)
                 ieq = i0 - gd * vbr
                 fc.count(adds=1, muls=1)
@@ -181,7 +179,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
             x = solve(sys, fc)
         except SingularSystemError:
             break
-        residual = kcl_residual(x)
+        residual, currents = kcl_residual(x)
         if older is not None:
             two_cycle = float(np.max(np.abs(x - older)))
             moved = float(np.max(np.abs(x - prev)))

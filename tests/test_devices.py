@@ -337,9 +337,9 @@ class TestGeqPredict:
         assert geq_predict(st, 2e-3, 1e-12) == 1e-3
 
     def test_hand_value(self):
-        # 1e-3 + 0.5 * 1e-12 * 2e-3 * 1e9 = 1.001e-3
+        # the step's end: 1e-3 + 1e-12 * 2e-3 * 1e9 = 1.002e-3
         st = DeviceState(v_now=1.0, v_prev=1.0 - 1e-3, h_prev=1e-12, geq_now=1e-3)
-        assert geq_predict(st, 2e-3, 1e-12) == pytest.approx(1.001e-3, rel=1e-12)
+        assert geq_predict(st, 2e-3, 1e-12) == pytest.approx(1.002e-3, rel=1e-12)
 
     def test_floor_clamp(self):
         st = DeviceState(v_now=0.0, v_prev=1.0, h_prev=1e-12, geq_now=1e-9)

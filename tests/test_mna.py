@@ -384,7 +384,11 @@ class TestSolveMatchesReference:
     @given(_systems())
     def test_bit_identical_to_numpy_lu(self, system):
         G, rhs = system
-        assert _outcome(solve, G, rhs) == _outcome(_solve_ref, G, rhs)
+        # the non-finite right-hand sides of _mna_shaped are intended: both
+        # solvers must carry their 0 * inf = nan products through the
+        # substitutions bit for bit, and numpy's dot flags each as invalid
+        with np.errstate(invalid="ignore"):
+            assert _outcome(solve, G, rhs) == _outcome(_solve_ref, G, rhs)
 
     @pytest.mark.parametrize("G, message", [
         ([[1.0, 2.0], [0.0, 0.0]], "structurally singular system (empty row)"),
