@@ -46,7 +46,7 @@ K_BOLTZMANN = 1.380649e-23     # J/K
 V_EPS = 1e-9
 # Floor applied to every conductance stamped into the nodal matrix. Keeps the
 # matrix nonsingular and preserves the positive-conductance guarantee after
-# Taylor prediction.
+# prediction.
 G_FLOOR = 1e-12
 # Finite-difference step for the V=0 slope of the RTD curve.
 _FD_STEP = 1e-6
@@ -161,18 +161,24 @@ DeviceModel = Union[RtdModel, MosModel, NanowireModel]
 class DeviceState:
     """Per-device history owned by the engine, mutated between steps.
 
-    ``v_now``/``v_prev`` track the stamped branch voltage (terminal voltage
-    for two-poles, Vds for a MOSFET); ``ctrl_*`` track the controlling
-    voltage used by the slew-based step bound (Vgs for a MOSFET, the branch
-    voltage otherwise). ``overdrive`` is Vgs - Vth for MOSFETs.
+    ``v_now``, ``v_prev`` and ``v_prev2`` are the stamped branch voltage
+    (terminal voltage for two-poles, Vds for a MOSFET) at the last three
+    accepted points, which the transient engine extrapolates to the end of
+    each step to predict the conductance; ``ctrl_*`` are the controlling
+    voltage at the same points (Vgs for a MOSFET, the branch voltage
+    otherwise). ``h_prev`` is the last accepted step (0 before the first),
+    ``geq_now`` the conductance at the last accepted point, and
+    ``overdrive`` Vgs - Vth for MOSFETs (read by :func:`device_step_bound`).
     """
 
     v_now: float = 0.0
     v_prev: float = 0.0
+    v_prev2: float = 0.0
     h_prev: float = 0.0
     geq_now: float = G_FLOOR
     ctrl_now: float = 0.0
     ctrl_prev: float = 0.0
+    ctrl_prev2: float = 0.0
     overdrive: float = 0.0
 
     def slew(self) -> float:

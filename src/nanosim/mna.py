@@ -1,9 +1,12 @@
 """Modified nodal analysis: dense assembly and an instrumented LU solver.
 
 The conductance matrix carries one row per non-ground node plus one
-auxiliary row per voltage source. Capacitors enter through backward-Euler
-companion stamps (g = C/h into the matrix, i = (C/h)*v_prev into the right
-hand side); with h = +inf they vanish, which is the resistive DC assembly.
+auxiliary row per voltage source. Capacitors enter through companion stamps
+of a step h from a history voltage v_hist (g = C/h into the matrix,
+i = (C/h)*v_hist into the right-hand side): backward Euler with the
+previous solution as v_hist, and variable-step BDF2 with its effective step
+and history voltage in their place (see ``swec``); with h = +inf they
+vanish, which is the resistive DC assembly.
 
 A deck is compiled once into a :class:`Circuit`, which the SWEC engine,
 the DC sweep, the Newton baseline and the stochastic engine share; the
@@ -219,7 +222,7 @@ def assemble(circuit: Circuit, geq: Sequence[float],
 
     On a copy of the static G this stamps the floored conductances ``geq``
     (one per nonlinear element, in ``circuit.devices`` order) in element
-    order, then the capacitor companions of the step ``h`` from the previous
+    order, then the capacitor companions of the step ``h`` from the history
     node voltages ``vstate`` (none when ``h`` is +inf, the DC assembly); the
     right-hand side carries the companion currents and the source values at
     ``t``. Noise sources stamp nothing here.

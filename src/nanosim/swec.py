@@ -1,28 +1,48 @@
 """Transient, operating-point and DC-sweep analyses without Newton iterations.
 
 Every nonlinear device is replaced, one step at a time, by a constant
-equivalent conductance (its chord conductance Taylor-extrapolated to the
-step's end), so each backward-Euler step attempt costs exactly one linear
-solve. An attempt of step h is rejected if backward Euler's truncation
-error on a capacitive node j,
+equivalent conductance (its chord conductance at its bias extrapolated to
+the step's end through the last three accepted points), so each step
+attempt costs exactly one linear solve. Transients integrate with
+variable-step BDF2 (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972).
+With w = h / h_prev, the step from x_n is
 
-    lte_j = h**2 / (h + h_prev) * |dx_j / h - dx_j,prev / h_prev|
+    (1+2w)/(1+w) x_n+1 - (1+w) x_n + w**2/(1+w) x_n-1 = h dx/dt(t_n+1),
 
-from the last three accepted points, exceeds lte_tol = ``_LTE_VOLTS * eps``
-volts times min(1, the largest source level the run reaches), or times 1 if
-that level is 0 (Nagel, UCB ERL-M520, 1975), or if the chord lag ``err``
-exceeds eps. The lag is the worst mismatch, at device terminals, between the
-solved voltage change and the change dv_act the re-evaluated conductance
-implies, over max(|dv_act|, lte_tol): relative for a move above the
-truncation budget, in volts against that budget below it, and continuous in
-the move. Both read each node's full capacitance. Below the floor the lag is
-an absolute mismatch that grows at least as h**2, so both terms propose a
-step from a square root (Hairer, Norsett & Wanner, Solving ODEs I, II.4):
-the next step or retry is h * min(2, 0.9 sqrt(lte_tol / lte),
-0.9 sqrt(eps / err)), clamped to [h_min, h_max] and cut at source
-breakpoints. ``WaveformSeries.limited_by`` counts the accepted steps by what
-set h. At eps = 0.01, ``fet_rtd_inverter`` takes 555 solves and no step
-under 1 ps.
+which is backward Euler's companion with step h_eff = h (1+w)/(1+2w) from
+the history voltage x_n + w**2/(1+2w) (x_n - x_n-1), so the MNA assembly
+takes it unchanged. The first step, and the first step from each source
+breakpoint, is backward Euler: a multistep formula across a slope kink is
+inconsistent.
+
+An attempt of step h is rejected if the truncation error on a capacitive
+node j exceeds lte_tol = ``_LTE_VOLTS * eps`` volts times min(1, the
+largest source level the run reaches), or times 1 if that level is 0
+(Nagel, UCB ERL-M520, 1975). For BDF2 it is
+
+    lte_j = h_eff * h * (h + h_prev) * |x_j[t_n+1, t_n, t_n-1, t_n-2]|,
+
+the error constant h_eff h (h + h_prev) / 6 (2/9 h**3 at w = 1) times the
+third derivative, taken as 6 times the third divided difference over the
+last four accepted points. For a backward-Euler step it is
+h**2 |x_j[t_n+1, t_n, t_n-1]|. The second step of a run, a BDF2 step with
+only three points, has no estimate. The differences reach back across
+breakpoints, where a slope kink inflates them and shortens the steps after
+it. An attempt is also rejected if the
+chord lag ``err`` exceeds eps. The lag is the worst mismatch, at device
+terminals, between the solved move from the history voltage and the move
+dv_act the re-evaluated conductance implies, over max(|dv_act|, lte_tol):
+relative for a move above the truncation budget, in volts against that
+budget below it, and continuous in the move. Both read each node's full
+capacitance. Below the floor the lag is an absolute mismatch that grows at
+least as h**2, so it sizes the step from a square root, and the truncation
+error from the root of the step's order plus one (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4): after a BDF2 step the next step or retry is
+h * min(2, 0.9 (lte_tol / lte)**(1/3), 0.9 sqrt(eps / err)), after a
+backward-Euler step the lte term is a square root; clamped to [h_min,
+h_max] and cut at source breakpoints. ``WaveformSeries.limited_by`` counts
+the accepted steps by what set h. At eps = 0.01, ``fet_rtd_inverter`` takes
+245 solves and no step under 1 ps.
 
 Operating points iterate the DC system (capacitors open) with each
 device's chord conductance at the last iterate, one solve per iteration.
@@ -61,8 +81,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# device_step_bound is not called; the benchmark tracer patches it here
-from .devices import (DeviceState, G_FLOOR, V_EPS, device_step_bound, geq_predict,  # noqa: F401
+# device_step_bound, geq_predict, rtd_dgeq_dv and nanowire_dgeq_dv are not
+# called; the benchmark tracer patches them here
+from .devices import (DeviceState, G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, assemble, solve
@@ -137,32 +158,39 @@ class DcSweep:
         return int(self.point_solves.sum())
 
 
+def _step_factors(lte: float, lte_tol: float, err: float, eps: float,
+                  order: int) -> Tuple[float, float]:
+    """The factors by which the truncation error ``lte`` of an order-``order``
+    step (growing as h**(order + 1)) and the chord lag ``err`` (growing as
+    h**2) let the step change, 0.9 of the step each allows; inf where an
+    estimate is zero and bounds nothing."""
+    f_lte = 0.9 * (lte_tol / lte) ** (1.0 / (order + 1)) if lte > 0.0 else math.inf
+    f_lag = 0.9 * math.sqrt(eps / err) if err > 0.0 else math.inf
+    return f_lte, f_lag
+
+
 def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
-                   h_min: float, h_max: float) -> float:
-    """The step after step ``h`` with truncation error ``lte`` (budget
-    ``lte_tol``) and chord lag ``err`` (budget ``eps``), both taken to grow
-    as h**2: 0.9 of the step both estimates allow, at most 2h, clamped to
-    [h_min, h_max]. A zero estimate bounds nothing, a NaN one gives h_min."""
+                   h_min: float, h_max: float, order: int) -> float:
+    """The step after step ``h`` of order ``order`` with truncation error
+    ``lte`` (budget ``lte_tol``) and chord lag ``err`` (budget ``eps``): the
+    smaller step the two estimates allow (:func:`_step_factors`), at most
+    2h, clamped to [h_min, h_max]. A NaN estimate gives h_min."""
     if not (lte >= 0.0 and err >= 0.0):
         return h_min
-    f = 2.0
-    if lte > 0.0:
-        f = min(f, 0.9 * math.sqrt(lte_tol / lte))
-    if err > 0.0:
-        f = min(f, 0.9 * math.sqrt(eps / err))
+    f = min(2.0, *_step_factors(lte, lte_tol, err, eps, order))
     return min(max(f * h, h_min), h_max)
 
 
 def _limiter(h: float, h_next: float, lte: float, lte_tol: float, err: float,
-             eps: float, h_max: float) -> str:
+             eps: float, h_max: float, order: int) -> str:
     """Which bound of :func:`next_step_size` gave ``h_next`` after step ``h``
     (a step clamped up to h_min counts for the estimate that asked for less)."""
     if h_next >= h_max:
         return "h_max"
     if h_next >= 2.0 * h:
         return "growth"
-    # both terms scale as sqrt(budget / estimate): the larger ratio binds
-    return "lag" if err * lte_tol > lte * eps else "lte"
+    f_lte, f_lag = _step_factors(lte, lte_tol, err, eps, order)
+    return "lag" if f_lag < f_lte else "lte"
 
 
 # --- engine internals ---------------------------------------------------------
@@ -226,27 +254,31 @@ class _Engine:
             geqs.append(G_FLOOR if g < G_FLOOR else g)
         return biases, geqs
 
-    def step_geq(self, h: float) -> List[float]:
+    def step_geq(self, h: float, h_prev: float, h_prev2: float) -> List[float]:
         """The floored conductance each device is stamped with for a step
-        ``h`` from the committed solution: the Taylor prediction at the
-        step's end (MOSFETs: the conductance at the bias extrapolated by h)."""
+        ``h`` from the committed solution: its kernel evaluated at its bias
+        extrapolated to the step's end through the last three accepted
+        points, ``h_prev`` and ``h_prev2`` apart (a line through two while
+        ``h_prev2`` is 0; the committed conductance with no step behind)."""
+        if h_prev <= 0.0:
+            return [st.geq_now for st in self.dev_states]
+        # v(t + h) = v_now + c0 (v_now - v_prev) + c1 (v_prev - v_prev2),
+        # the Newton form of the interpolating polynomial
+        c0, c1 = h / h_prev, 0.0
+        if h_prev2 > 0.0:
+            k = h * (h + h_prev) / (h_prev + h_prev2)
+            c0, c1 = (h + k) / h_prev, -k / h_prev2
         fc, out = self.fc, []
         for kind, m, st in zip(self.kinds, self.models, self.dev_states):
-            if st.h_prev <= 0.0 or (kind is not _MOSFET and abs(st.v_now) < V_EPS):
-                # the starting point, or a two-terminal device near v = 0
-                # (undefined conductance slope): the committed conductance
-                g = st.geq_now
-            elif kind is _MOSFET:
-                # the conductance at the bias extrapolated to the step's end
-                vgs = st.ctrl_now + h * st.ctrl_slew()
-                vds = st.v_now + h * st.slew()
-                g = mos_geq(m, vgs, 0.0 if vds < 0.0 else vds, fc)
+            v = st.v_now + c0 * (st.v_now - st.v_prev) + c1 * (st.v_prev - st.v_prev2)
+            if kind is _MOSFET:
+                vgs = st.ctrl_now + c0 * (st.ctrl_now - st.ctrl_prev) + c1 * (
+                    st.ctrl_prev - st.ctrl_prev2)
+                g = mos_geq(m, vgs, 0.0 if v < 0.0 else v, fc)
+            elif kind is _RTD:
+                g = rtd_geq(m, v, fc)
             else:
-                if kind is _RTD:
-                    dg = rtd_dgeq_dv(m, st.v_now, fc)
-                else:
-                    dg = nanowire_dgeq_dv(m, st.v_now, fc)
-                g = geq_predict(st, dg, h, fc)
+                g = nanowire_geq(m, v, fc)
             out.append(G_FLOOR if g < G_FLOOR else g)
         return out
 
@@ -254,9 +286,10 @@ class _Engine:
                     x_old: List[float], x_new: List[float], h: float,
                     floor: float) -> float:
         """Worst mismatch, over the devices' terminals, between the solved
-        voltage change and the change dv_act the re-evaluated conductance
-        implies with the rest of the circuit frozen, relative to
-        max(|dv_act|, ``floor``)."""
+        move from ``x_old`` to ``x_new`` and the move dv_act the
+        re-evaluated conductance implies with the rest of the circuit
+        frozen, relative to max(|dv_act|, ``floor``). ``x_old`` and ``h``
+        are the companion's history voltage and step, as assembled."""
         err = 0.0
         for pairs, gp, ga in zip(self.error_terminals, g_pred, g_act):
             for j, other, cap in pairs:
@@ -276,8 +309,8 @@ class _Engine:
         """Record the accepted solution's biases, its conductances and the
         step ``h`` in every device history."""
         for st, (v, ctrl), g in zip(self.dev_states, biases, g_act):
-            st.v_prev, st.v_now = st.v_now, v
-            st.ctrl_prev, st.ctrl_now = st.ctrl_now, ctrl
+            st.v_prev2, st.v_prev, st.v_now = st.v_prev, st.v_now, v
+            st.ctrl_prev2, st.ctrl_prev, st.ctrl_now = st.ctrl_prev, st.ctrl_now, ctrl
             st.h_prev = h
             st.geq_now = g
 
@@ -288,6 +321,7 @@ class _Engine:
         h_max = t_stop / 50.0
         n, state_nodes = self.n, self.state_nodes
         x = [0.0] * self.circuit.size
+        x_prev = x[:n]
         # the starting point is committed with no step behind it (h_prev 0)
         self.commit_states(*self.evaluate(x), 0.0)
         waveforms = self.circuit.waveforms
@@ -304,38 +338,59 @@ class _Engine:
         limited_by = dict.fromkeys(_LIMITERS, 0)
         t = 0.0
         h_next, why = eps * h_max, "first"
-        h_prev = 0.0                # the last accepted step (0: none yet)
-        slopes_prev: List[float] = []
+        # the last two accepted steps (0: none yet), the first and second
+        # divided differences of the last (empty: too few points), and the
+        # index of the next breakpoint
+        h_prev = h_prev2 = 0.0
+        dd1_prev: List[float] = []
+        dd2_prev: List[float] = []
+        k_bp = 0
+        restart = True              # the next step is backward Euler
         while t < t_stop * (1.0 - 1e-12):
             if steps + rejected >= _MAX_STEPS:
                 raise SimulationError(f"step budget exceeded ({_MAX_STEPS})")
             h = min(h_next, t_stop - t)
             if h < h_next:
                 why = "breakpoint"          # the cut at t_stop
-            for bp in breakpoints:
-                if t < bp * (1.0 - 1e-12) and t + h > bp:
-                    h, why = bp - t, "breakpoint"
-                    break
+            if k_bp < len(breakpoints) and t + h > breakpoints[k_bp]:
+                h, why = breakpoints[k_bp] - t, "breakpoint"
+            order = 1 if restart else 2
             while True:
-                g_pred = self.step_geq(h)
-                sys = assemble(self.circuit, g_pred, vstate=x, h=h, t=t + h)
+                if restart:
+                    h_eff, hist = h, x
+                else:
+                    # BDF2 as a backward-Euler companion: step h_eff from
+                    # the history voltage hist
+                    w = h / h_prev
+                    h_eff = h * (1.0 + w) / (1.0 + 2.0 * w)
+                    beta = w * w / (1.0 + 2.0 * w)
+                    hist = [p + beta * (p - q) for p, q in zip(x, x_prev)]
+                g_pred = self.step_geq(h, h_prev, h_prev2)
+                sys = assemble(self.circuit, g_pred, vstate=hist, h=h_eff, t=t + h)
                 x_new = solve(sys, self.fc).tolist()
                 solves += 1
                 biases, g_act = self.evaluate(x_new)
-                err = self.local_error(g_pred, g_act, x, x_new, h, lte_tol)
-                # backward Euler's truncation error from the divided
-                # difference of the last three accepted points
-                slopes = [(x_new[j] - x[j]) / h for j in state_nodes]
+                err = self.local_error(g_pred, g_act, hist, x_new, h_eff, lte_tol)
+                # the truncation error from the divided differences of the
+                # last three (backward Euler) or four (BDF2) accepted points;
+                # a difference without enough points is an empty list
+                dd1 = [(x_new[j] - x[j]) / h for j in state_nodes]
+                dd2 = [(a - b) / (h + h_prev) for a, b in zip(dd1, dd1_prev)]
+                if restart:
+                    dd, c = dd2, h * h
+                else:
+                    span = h + h_prev + h_prev2
+                    dd = [(a - b) / span for a, b in zip(dd2, dd2_prev)]
+                    c = h_eff * h * (h + h_prev)
                 lte = 0.0
-                if h_prev > 0.0:
-                    for s, s_prev in zip(slopes, slopes_prev):
-                        d = abs(s - s_prev)
-                        if d > lte or d != d:       # a NaN sticks
-                            lte = d
-                    lte *= h * h / (h + h_prev)
+                for d in dd:
+                    d = abs(d)
+                    if d > lte or d != d:       # a NaN sticks
+                        lte = d
+                lte *= c
                 # also the retry step of a rejected attempt: it shrinks
-                h_next = next_step_size(h, lte, lte_tol, err, eps, _H_MIN, h_max)
-                why_next = _limiter(h, h_next, lte, lte_tol, err, eps, h_max)
+                h_next = next_step_size(h, lte, lte_tol, err, eps, _H_MIN, h_max, order)
+                why_next = _limiter(h, h_next, lte, lte_tol, err, eps, h_max, order)
                 if err <= eps and lte <= lte_tol:
                     break
                 if h <= _H_MIN * (1.0 + 1e-12):
@@ -344,9 +399,16 @@ class _Engine:
                 rejected += 1
                 h, why = h_next, why_next
             self.commit_states(biases, g_act, h)
-            x = x_new
+            x_prev, x = x[:n], x_new
             t += h
-            h_prev, slopes_prev = h, slopes
+            h_prev2, h_prev = h_prev, h
+            dd1_prev, dd2_prev = dd1, dd2
+            # a multistep formula across a source's slope kink is
+            # inconsistent: the step from a breakpoint is backward Euler
+            restart = False
+            while k_bp < len(breakpoints) and t >= breakpoints[k_bp] * (1.0 - 1e-12):
+                k_bp += 1
+                restart = True
             steps += 1
             limited_by[why] += 1
             why = why_next

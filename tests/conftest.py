@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from nanosim.devices import RtdModel
@@ -27,3 +28,27 @@ def card(net, kind):
 def rtd():
     """The RTD parameter set used throughout the experiments."""
     return RtdModel(a=1e-4, b=2.0, cp=1.5, d=0.3, h=1.43e-8, n1=0.35, n2=0.0172)
+
+
+def integrator_replay(times, G, C, b, breakpoints=()):
+    """Node voltages of the linear system C dv/dt + G v = b(t), from v = 0,
+    on the accepted ``times`` of a transient: a dense, independent replay of
+    the engine's recurrence. The first step, and each step that starts at a
+    source breakpoint (the first accepted time at or past it, to 1e-12
+    relative), is backward Euler, C (v1 - v0) / h = b - G v1. Every other
+    step is variable-step BDF2 with w = h / h_prev (Brayton, Gustavson &
+    Hachtel, Proc. IEEE 60(1), 1972):
+    C ((1+2w)/(1+w) v1 - (1+w) v0 + w^2/(1+w) v_prev) / h = b - G v1."""
+    G, C = np.atleast_2d(G), np.atleast_2d(C)
+    reached = [sum(bp * (1.0 - 1e-12) <= t for bp in breakpoints) for t in times]
+    v = [np.zeros(len(G))]
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        if k == 0 or reached[k] > reached[k - 1]:
+            a0, rest = 1.0, v[k]
+        else:
+            w = h / (times[k] - times[k - 1])
+            a0 = (1.0 + 2.0 * w) / (1.0 + w)
+            rest = (1.0 + w) * v[k] - w * w / (1.0 + w) * v[k - 1]
+        v.append(np.linalg.solve(G + C * (a0 / h), b(times[k + 1]) + C @ rest / h))
+    return np.array(v)

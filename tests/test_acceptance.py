@@ -20,7 +20,7 @@ from nanosim.nr import brute_force_dc, flop_compare, nr_dc
 from nanosim.stochastic import em_transient, ensemble, ito_sum, wiener_increments
 from nanosim.swec import dc_sweep, operating_point, transient
 
-from conftest import card, deck_path, deck_text
+from conftest import card, deck_path, deck_text, integrator_replay
 
 RTD = RtdModel(a=1e-4, b=2.0, cp=1.5, d=0.3, h=1.43e-8, n1=0.35, n2=0.0172)
 SCAN_MAX = 16.0          # covers peak (~3.31 V) and valley (~13.5 V)
@@ -110,16 +110,11 @@ def test_c04_linear_circuit_exactness():
     exact = 1.0 - np.exp(-series.times / 1e-9)
     analytic_err = float(np.max(np.abs(series.v("out") - exact)))
 
-    v = 0.0
-    replay = [v]
-    for t0, t1 in zip(series.times, series.times[1:]):
-        g = 1e-12 / (t1 - t0)
-        v = (1e-3 + g * v) / (1e-3 + g)
-        replay.append(v)
-    replay_err = float(np.max(np.abs(series.v("out") - np.array(replay))))
+    replay = integrator_replay(series.times, 1e-3, 1e-12, lambda t: [1e-3])[:, 0]
+    replay_err = float(np.max(np.abs(series.v("out") - replay)))
     ok = analytic_err <= 0.01 and replay_err <= 1e-10
     assert report(4, ok, f"analytic error {analytic_err:.2e} (<= 1e-2), "
-                         f"backward-Euler replay error {replay_err:.2e} (<= 1e-10)")
+                         f"BDF2 replay error {replay_err:.2e} (<= 1e-10)")
 
 
 def test_c05_dc_sweep_correctness():

@@ -11,10 +11,10 @@ from nanosim.devices import G_FLOOR, rtd_current
 from nanosim.netlist import ElementKind, TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
 from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, SimulationError, _Engine,
-                          dc_sweep, next_step_size, operating_point, pin_source,
-                          transient)
+                          _limiter, dc_sweep, next_step_size, operating_point,
+                          pin_source, transient)
 
-from conftest import card, deck_text
+from conftest import card, deck_text, integrator_replay
 
 _RTD_CARD = ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)"
 
@@ -27,39 +27,79 @@ def _rtd_divider(r, vin=0.0):
 
 class TestNextStepSize:
     def test_truncation_error_term(self):
-        # lte four times its budget allows half the step (lte grows as h**2)
+        # lte four times its budget allows half a backward-Euler step (lte
+        # grows as h**2)
         h = next_step_size(1e-12, lte=4e-4, lte_tol=1e-4, err=0.0, eps=0.01,
-                           h_min=1e-15, h_max=1.0)
+                           h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9 * 0.5e-12)
+
+    def test_cube_root_truncation_error_term(self):
+        # lte eight times its budget allows half a BDF2 step (lte grows as h**3)
+        h = next_step_size(1e-12, lte=8e-4, lte_tol=1e-4, err=0.0, eps=0.01,
+                           h_min=1e-15, h_max=1.0, order=2)
+        assert h == pytest.approx(0.9 * 0.5e-12)
+        # lte a 64th of its budget allows 0.9 * 4 h: the 2x growth cap binds
+        h = next_step_size(1e-12, lte=1e-4 / 64, lte_tol=1e-4, err=0.0, eps=0.01,
+                           h_min=1e-15, h_max=1.0, order=2)
+        assert h == 2e-12
+        assert _limiter(1e-12, h, 1e-4 / 64, 1e-4, 0.0, 0.01, 1.0, 2) == "growth"
+        # a quarter of its budget allows 0.9 * 4 ** (1/3) = 1.43 h
+        h = next_step_size(1e-12, 1e-4 / 4, 1e-4, 0.0, 0.01, 1e-15, 1.0, 2)
+        assert h == pytest.approx(0.9 * 4.0 ** (1.0 / 3.0) * 1e-12)
+        assert _limiter(1e-12, h, 1e-4 / 4, 1e-4, 0.0, 0.01, 1.0, 2) == "lte"
 
     def test_chord_lag_term(self):
         # a lag of four times eps allows half the step (the lag is taken to
-        # grow as h**2, like the truncation error)
-        h = next_step_size(1e-12, 0.0, 1e-4, err=0.04, eps=0.01, h_min=1e-15, h_max=1.0)
-        assert h == pytest.approx(0.9 * 0.5e-12)
+        # grow as h**2 whatever the order)
+        for order in (1, 2):
+            h = next_step_size(1e-12, 0.0, 1e-4, err=0.04, eps=0.01, h_min=1e-15,
+                               h_max=1.0, order=order)
+            assert h == pytest.approx(0.9 * 0.5e-12)
 
     def test_smaller_term_wins(self):
         h = next_step_size(1e-12, lte=1e-4 / 16, lte_tol=1e-4, err=0.04, eps=0.01,
-                           h_min=1e-15, h_max=1.0)
+                           h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9 * 0.5e-12)
         h = next_step_size(1e-12, lte=1e-4, lte_tol=1e-4, err=0.001, eps=0.01,
-                           h_min=1e-15, h_max=1.0)
+                           h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9e-12)
 
+    def test_cube_root_term_is_attributed(self):
+        # lte 8x its budget and a lag 5x eps: a BDF2 step's lte allows
+        # 0.9 * 0.5 h and the lag 0.9 * sqrt(1/5) h = 0.9 * 0.447 h, so the lag
+        # binds; read as a square root (backward Euler) the lte would allow
+        # only 0.9 * 0.354 h and bind instead
+        args = dict(lte=8e-4, lte_tol=1e-4, err=0.05, eps=0.01)
+        h2 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
+        assert h2 == pytest.approx(0.9 * math.sqrt(0.2) * 1e-12)
+        assert _limiter(1e-12, h2, **args, h_max=1.0, order=2) == "lag"
+        h1 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=1)
+        assert h1 == pytest.approx(0.9 * math.sqrt(0.125) * 1e-12)
+        assert _limiter(1e-12, h1, **args, h_max=1.0, order=1) == "lte"
+        # a lag 3x eps allows 0.9 * 0.577 h: the BDF2 step's lte binds
+        args["err"] = 0.03
+        h2 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
+        assert h2 == pytest.approx(0.9 * 0.5e-12)
+        assert _limiter(1e-12, h2, **args, h_max=1.0, order=2) == "lte"
+
     def test_no_terms_gives_h_max(self):
-        assert next_step_size(1.5, 0.0, 1e-4, 0.0, 0.01, 1e-15, 2.0) == 2.0
+        assert next_step_size(1.5, 0.0, 1e-4, 0.0, 0.01, 1e-15, 2.0, 2) == 2.0
 
     def test_clamps(self):
         # growth at most 2x, however small the estimates
-        assert next_step_size(1e-12, 1e-30, 1e-4, 1e-30, 0.01, 1e-15, 1.0) == 2e-12
-        assert next_step_size(1e-12, 0.0, 1e-4, 0.0, 0.01, 1e-15, 1.0) == 2e-12
-        assert next_step_size(1e-12, 1e6, 1e-4, 0.0, 0.01, 1e-15, 1.0) == 1e-15
-        assert next_step_size(1e-12, 0.0, 1e-4, 1e6, 0.01, 1e-15, 1.0) == 1e-15
-        assert next_step_size(1e-6, 0.0, 1e-4, 0.001, 0.01, 1e-15, 1e-6) == 1e-6
+        for order in (1, 2):
+            assert next_step_size(1e-12, 1e-30, 1e-4, 1e-30, 0.01, 1e-15, 1.0, order) == 2e-12
+            assert next_step_size(1e-12, 0.0, 1e-4, 0.0, 0.01, 1e-15, 1.0, order) == 2e-12
+            assert next_step_size(1e-12, 1e6, 1e-4, 0.0, 0.01, 1e-15, 1.0, order) == 1e-15
+            assert next_step_size(1e-12, 0.0, 1e-4, 1e6, 0.01, 1e-15, 1.0, order) == 1e-15
+            assert next_step_size(1e-6, 0.0, 1e-4, 0.001, 0.01, 1e-15, 1e-6, order) == 1e-6
 
     def test_nan_estimate_gives_h_min(self):
-        assert next_step_size(1e-12, math.nan, 1e-4, 0.0, 0.01, 1e-15, 1.0) == 1e-15
-        assert next_step_size(1e-12, 0.0, 1e-4, math.nan, 0.01, 1e-15, 1.0) == 1e-15
+        for order in (1, 2):
+            assert next_step_size(1e-12, math.nan, 1e-4, 0.0, 0.01, 1e-15, 1.0,
+                                  order) == 1e-15
+            assert next_step_size(1e-12, 0.0, 1e-4, math.nan, 0.01, 1e-15, 1.0,
+                                  order) == 1e-15
 
 
 class TestLocalError:
@@ -119,19 +159,11 @@ class TestLinearTransient:
         exact = 0.1 * -np.expm1(-series.times / 1e-9)
         assert np.max(np.abs(series.v("out") - exact)) <= 0.01 * 0.1
 
-    def test_rc_matches_backward_euler_replay(self):
+    def test_rc_matches_bdf2_replay(self):
         net = parse_netlist(deck_text("rc_lowpass.ckt"))
         series = transient(net, 5e-9)
-        # independent dense backward-Euler replay on the identical step sequence
-        r, c = 1e3, 1e-12
-        v = 0.0
-        replay = [v]
-        for t0, t1 in zip(series.times, series.times[1:]):
-            h = t1 - t0
-            g = c / h
-            v = (1.0 / r + g * v) / (1.0 / r + g)
-            replay.append(v)
-        replay = np.array(replay)
+        # independent dense replay of the recurrence on the accepted times
+        replay = integrator_replay(series.times, 1e-3, 1e-12, lambda t: [1e-3])[:, 0]
         got = series.v("out")
         scale = np.max(np.abs(replay))
         assert np.max(np.abs(got - replay)) <= 1e-10 * scale
@@ -141,24 +173,37 @@ class TestLinearTransient:
         series = transient(net, 5e-9)
         assert series.n_solves == series.steps_taken + series.steps_rejected
 
-    def test_rc_ladder_matches_backward_euler_replay(self):
+    def test_rc_ladder_matches_bdf2_replay(self):
         deck = ("V1 in 0 DC 2\nR1 in a 1k\nC1 a 0 2p\nR2 a b 3k\nC2 b 0 1p\n"
                 "R3 b 0 5k\n.tran 20n\n.end\n")
         series = transient(parse_netlist(deck), 20e-9)
-        # independent two-state backward-Euler replay on the same step sequence
+        # independent two-state replay on the same accepted times
         g1, g2, g3 = 1e-3, 1.0 / 3e3, 2e-4
-        c = np.array([2e-12, 1e-12])
         G = np.array([[g1 + g2, -g2], [-g2, g2 + g3]])
-        b = np.array([g1 * 2.0, 0.0])
-        v = np.zeros(2)
-        replay = [v.copy()]
-        for t0, t1 in zip(series.times, series.times[1:]):
-            A = G + np.diag(c / (t1 - t0))
-            v = np.linalg.solve(A, b + (c / (t1 - t0)) * v)
-            replay.append(v.copy())
-        replay = np.array(replay)
+        C = np.diag([2e-12, 1e-12])
+        replay = integrator_replay(series.times, G, C, lambda t: np.array([g1 * 2.0, 0.0]))
         got = np.column_stack([series.v("a"), series.v("b")])
         assert np.max(np.abs(got - replay)) <= 1e-10 * np.max(np.abs(replay))
+
+    def test_pwl_rc_matches_bdf2_replay(self):
+        # a PWL drive: each step from a source breakpoint is backward Euler
+        corners = ((0.0, 0.0), (1e-9, 1.0), (3e-9, 1.0), (3.5e-9, 0.2), (6e-9, 0.5))
+        pwl = " ".join(f"{t!r} {v!r}" for t, v in corners)
+        series = transient(parse_netlist(f"V1 in 0 PWL({pwl})\nR1 in out 1k\n"
+                                         "C1 out 0 1p\n.end\n"), 8e-9)
+        bps = [t for t, _ in corners[1:]]
+        assert all(np.min(np.abs(series.times - bp)) <= 1e-12 * bp for bp in bps)
+        ts, vs = zip(*corners)
+
+        def drive(t):
+            return [np.interp(t, ts, vs) * 1e-3]
+
+        replay = integrator_replay(series.times, 1e-3, 1e-12, drive, bps)[:, 0]
+        got = series.v("out")
+        assert np.max(np.abs(got - replay)) <= 1e-10 * np.max(np.abs(replay))
+        # the restarts matter: BDF2 straight across the corners is another answer
+        straight = integrator_replay(series.times, 1e-3, 1e-12, drive)[:, 0]
+        assert np.max(np.abs(got - straight)) > 1e-6
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(100.0, 1e5), st.floats(0.1e-12, 10e-12),
@@ -172,12 +217,8 @@ class TestLinearTransient:
         grid = np.linspace(0.0, 5.0 * tau, 5001)
         got = np.interp(grid, series.times, series.v("out"))
         assert np.max(np.abs(got + np.expm1(-grid / tau))) <= eps * 1.0
-        # against backward Euler replayed on the accepted steps
-        v, replay = 0.0, [0.0]
-        for h in np.diff(series.times):
-            g = c / h
-            v = (1.0 / r + g * v) / (1.0 / r + g)
-            replay.append(v)
+        # against the recurrence replayed on the accepted times
+        replay = integrator_replay(series.times, 1.0 / r, c, lambda t: [1.0 / r])[:, 0]
         assert np.max(np.abs(series.v("out") - replay)) <= 1e-10
 
     def test_noise_sources_rejected(self):
@@ -382,8 +423,10 @@ class TestNonlinearTransient:
         assert np.min(np.diff(series.times)) >= 1e-12
 
     def test_one_device_evaluation_per_solution(self, monkeypatch):
-        # every RTD is evaluated at the starting point and at each solution;
-        # a step from the committed point reads its conductance, not a call
+        # every RTD is evaluated at the starting point, at each solution and
+        # at its predicted bias for each attempt after the first step; the
+        # first step (accepted at its first attempt) reads the committed
+        # conductance, not a call
         import nanosim.swec as swec
         real, calls = swec.rtd_geq, []
 
@@ -395,7 +438,7 @@ class TestNonlinearTransient:
         net = parse_netlist(deck_text("rtd_dff.ckt"))
         series = transient(net, card(net, TranAnalysis).t_stop)
         rtds = len(net.elements_of(ElementKind.RTD))
-        assert len(calls) == rtds * (series.n_solves + 1)
+        assert len(calls) == rtds * (1 + series.n_solves + (series.n_solves - 1))
 
     @pytest.mark.parametrize("deck", ["rc_lowpass.ckt", "rtd_divider_tran.ckt",
                                       "fet_rtd_inverter.ckt"])
@@ -406,13 +449,24 @@ class TestNonlinearTransient:
         assert sum(series.limited_by.values()) == series.steps_taken
         assert series.limited_by["first"] == 1
 
-    def test_end_point_predictor_budget(self):
-        # conductances predicted at the step's end, where backward Euler
-        # stamps them, keep the flip-flop under 1400 solves
+    def test_bdf2_budget(self):
+        # second-order steps and bias predictions keep the flip-flop under
+        # 700 solves
         net = parse_netlist(deck_text("rtd_dff.ckt"))
         series = transient(net, card(net, TranAnalysis).t_stop)
-        assert series.n_solves <= 1400
+        assert series.n_solves <= 700
         assert series.hmin_warnings == 0
+
+    def test_bdf2_work_and_precision(self):
+        # the inverter at eps = 0.01 takes at most 300 solves and stays
+        # within 5 mV of its own run at eps = 1e-4, at its accepted points
+        net = parse_netlist(deck_text("fet_rtd_inverter.ckt"))
+        t_stop = card(net, TranAnalysis).t_stop
+        series = transient(net, t_stop, 0.01)
+        assert series.n_solves <= 300
+        ref = transient(net, t_stop, 1e-4)
+        got = np.interp(series.times, ref.times, ref.v("out"))
+        assert np.max(np.abs(series.v("out") - got)) <= 0.005
 
     def test_truncation_error_sets_most_steps(self):
         # with conductances predicted at the step's end the truncation
@@ -458,9 +512,9 @@ class TestWorkCounters:
     leave every step, rejection, solve and billed flop where it was."""
 
     @pytest.mark.parametrize("deck, steps, rejected, flops", [
-        pytest.param("fet_rtd_inverter.ckt", 532, 23, 150597, id="fet_rtd_inverter"),
-        pytest.param("rtd_divider_tran.ckt", 154, 2, 16069, id="rtd_divider_tran"),
-        pytest.param("rc_lowpass.ckt", 97, 0, 2716, id="rc_lowpass"),
+        pytest.param("fet_rtd_inverter.ckt", 211, 34, 55273, id="fet_rtd_inverter"),
+        pytest.param("rtd_divider_tran.ckt", 86, 1, 6984, id="rtd_divider_tran"),
+        pytest.param("rc_lowpass.ckt", 56, 0, 1568, id="rc_lowpass"),
     ])
     def test_transient(self, deck, steps, rejected, flops):
         net = parse_netlist(deck_text(deck))
