@@ -26,7 +26,8 @@ their own operations (see ``devices``); matrix stamping and bookkeeping are
 not billed. exp/ln/atan calls are reported as separate "transcendental"
 units rather than being converted to some flop equivalent.
 
-:func:`solve` is a dense LU with partial pivoting. An assembled
+:func:`solve` condenses out the nodes that grounded sources fix (last
+paragraph) and runs a dense LU with partial pivoting on the rest. An assembled
 :class:`MnaSystem` holds G as Python row lists and the right-hand side as a
 list, and the elimination and both substitutions run on them, because on
 the small systems the engines solve once per step the per-call cost of
@@ -34,8 +35,8 @@ numpy slicing outweighs the arithmetic. Measured per solve of a dense
 system against the same LU on numpy rows (2-core VM, Python 3.11, numpy
 2.4.6): 3 unknowns 19 vs 50 us, 5 unknowns 40 vs 85 us, 10 unknowns 114 vs
 195 us, 20 unknowns 457 vs 542 us, 30 unknowns 1230 vs 545 us. The
-crossover is about 20 unknowns; every shipped deck has at most 5. There is
-one code path for all sizes.
+crossover is about 20 unknowns; every shipped deck has at most 5, and 1
+after the condensation. There is one code path for all sizes.
 
 Each substitution row subtracts a dot product, and its rounding is kept
 bit for bit equal to numpy's ``A[k, :k] @ x[:k]``. A Python sum does not
@@ -49,14 +50,29 @@ so ``0 * inf = nan`` counts; a product that underflows to zero is not an
 exact zero and counts too. Rows with two or more nonzero products go to
 ``np.matmul``, as does a -0.0 entry whose products are all zero (the sign
 of its result depends on the sign of the zero the dot returns). MNA rows
-are sparse: on ``fet_rtd_inverter`` about 1 row in 8 needs the matmul.
+are sparse: on the full 5-unknown ``fet_rtd_inverter`` system about 1 row
+in 8 needs the matmul (its condensed one-unknown LU has no such row).
+
+A voltage source with one terminal at ground fixes that node's voltage, so
+the circuit records it once as a :class:`Pin` (source row, node, sign of
+the incidence) and every system it builds carries the partition. Such a
+system is solved condensed: each pinned node is set to +-its level
+exactly, the pinned columns of the other rows move to the right-hand side,
+the LU runs on the remaining rows only (free node voltages and the
+currents of floating sources), and each pinned source's current is read
+back from its node's KCL row. Every shipped deck has one free node, so
+every shipped solve is a one-unknown LU. A deck with no grounded source, a
+deck with a node pinned by two sources (singular), and a hand-built
+system carry no partition and take the full LU, as does a system whose
+right-hand side is nonzero but entirely subnormal. Moving a coefficient and
+summing one in the KCL read-back each bill one add and one multiply.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +81,8 @@ from .netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist, Waveform,
                       eval_waveform)
 
 _PIVOT_RTOL = 1e-14
+# the smallest normal double: below it a value loses significant bits
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class MnaError(RuntimeError):
@@ -100,13 +118,32 @@ class FlopCounter:
                            self.transcendentals - other.transcendentals)
 
 
+class Pin(NamedTuple):
+    """A voltage source with one terminal at ground: its source row, the
+    node it fixes, and the sign of its incidence there (+1.0 when the node
+    is its plus terminal, else -1.0): the node sits at sign * level."""
+
+    row: int
+    node: int
+    sign: float
+
+
+class Partition(NamedTuple):
+    """The unknowns :func:`solve` condenses out (``pins``) and the ones its
+    LU runs on (``free``, in system order)."""
+
+    pins: Tuple[Pin, ...]
+    free: Tuple[int, ...]
+
+
 @dataclass
 class MnaSystem:
     """Assembled dense system G x = rhs with its node/source index maps.
 
     G is held as Python row lists (``rows``) and the right-hand side as a
     list (``b``), which :func:`solve` eliminates on; ``G`` and ``rhs`` give
-    numpy copies for reading."""
+    numpy copies for reading. A system built by a :class:`Circuit` with a
+    grounded source carries its ``partition``."""
 
     n: int
     m: int
@@ -114,6 +151,7 @@ class MnaSystem:
     b: List[float]
     node_index: Dict[str, int]
     source_index: Dict[str, int]
+    partition: Optional[Partition] = None
 
     @property
     def size(self) -> int:
@@ -138,11 +176,6 @@ class Branch(NamedTuple):
     gate: int
 
 
-def vnode(x: np.ndarray, i: int) -> float:
-    """Voltage of dense node index ``i`` in ``x``; -1 is ground (0 V)."""
-    return 0.0 if i < 0 else float(x[i])
-
-
 def stamp_conductance(G, a: int, b: int, g: float) -> None:
     """Symmetric two-terminal conductance stamp into a 2-d array or a list
     of row lists; index -1 means ground."""
@@ -159,8 +192,9 @@ class Circuit:
     """A netlist compiled once: index maps, the static G (also as row
     lists, ``G_rows``), the node capacitance matrix ``C`` (every capacitor
     stamped like a conductance, in element order), :class:`Branch` lists,
-    device ``models``, and one waveform per source row, which callers may
-    replace between assemblies."""
+    device ``models``, one waveform per source row, which callers may
+    replace between assemblies, and the :class:`Partition` its systems
+    carry (None without a grounded source or with a node pinned twice)."""
 
     def __init__(self, net: Netlist):
         self.nodes = list(net.nodes)
@@ -193,6 +227,15 @@ class Circuit:
         self.C = np.zeros((n, n))
         for br in self.capacitors:
             stamp_conductance(self.C, br.a, br.b, br.el.value)
+        pins = [Pin(row, br.a, 1.0) if br.b < 0 else Pin(row, br.b, -1.0)
+                for row, br in enumerate(self.sources, start=n)
+                if (br.a < 0) != (br.b < 0)]
+        pinned = {p.node for p in pins}
+        self.partition = None
+        if pins and len(pinned) == len(pins):
+            fixed = pinned | {p.row for p in pins}
+            self.partition = Partition(tuple(pins), tuple(
+                j for j in range(self.size) if j not in fixed))
 
     @property
     def size(self) -> int:
@@ -212,7 +255,7 @@ class Circuit:
         time ``t`` on the right-hand side."""
         return MnaSystem(self.n, self.m, [row.copy() for row in self.G_rows],
                          [0.0] * self.n + self.source_levels(t),
-                         self.node_index, self.source_index)
+                         self.node_index, self.source_index, self.partition)
 
 
 def assemble(circuit: Circuit, geq: Sequence[float],
@@ -275,13 +318,57 @@ def _subtract_dot(xk: float, coeffs: List[float], xs: List[float]) -> float:
 
 
 def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
-    """LU factorization with partial pivoting; returns node voltages followed
-    by source branch currents. Raises :class:`SingularSystemError` when a
-    pivot falls below 1e-14 of its row scale. ``sys`` is left as it was.
-    The module docstring says why the elimination runs on Python lists and
-    how the substitutions keep numpy's rounding."""
-    size = sys.size
-    a = [row.copy() for row in sys.rows]
+    """The solution of ``sys``: node voltages followed by source branch
+    currents. A system with a partition is condensed first (module
+    docstring), unless its right-hand side is nonzero but entirely
+    subnormal: subnormals carry too few bits for the condensed and the full
+    elimination to agree to rounding, so such a system keeps the full LU.
+    The LU raises :class:`SingularSystemError` when a pivot falls below
+    1e-14 of its row scale. ``sys`` is left as it was."""
+    part = sys.partition
+    if part is None or 0.0 < max(map(abs, sys.b)) < _NORMAL_MIN:
+        return np.array(_lu([row.copy() for row in sys.rows], sys.b, fc), dtype=float)
+    rows, b = sys.rows, sys.b
+    pins, free = part.pins, part.free
+    x = [0.0] * sys.size
+    for pin in pins:
+        x[pin.node] = pin.sign * b[pin.row]
+    billed = 0
+    a, rhs = [], []
+    for i in free:
+        row, bi = rows[i], b[i]
+        for pin in pins:
+            g = row[pin.node]
+            if g != 0.0:
+                bi -= g * x[pin.node]
+                billed += 1
+        a.append([row[j] for j in free])
+        rhs.append(bi)
+    fc.count(billed, billed)
+    for j, xj in zip(free, _lu(a, rhs, fc)):
+        x[j] = xj
+    # KCL at a pinned node: sum_j G[p][j] x_j + sign * i_source = b[p]
+    billed = 0
+    for pin in pins:
+        acc = b[pin.node]
+        for j, g in enumerate(rows[pin.node]):
+            if g != 0.0 and j != pin.row:
+                acc -= g * x[j]
+                billed += 1
+        x[pin.row] = pin.sign * acc
+    fc.count(billed, billed)
+    return np.array(x, dtype=float)
+
+
+def _lu(a: List[List[float]], b: List[float], fc: FlopCounter) -> List[float]:
+    """LU factorization with partial pivoting of the rows ``a`` (eliminated
+    in place) against the right-hand side ``b``. Raises
+    :class:`SingularSystemError` when a pivot falls below 1e-14 of its row
+    scale. The module docstring says why the elimination runs on Python
+    lists and how the substitutions keep numpy's rounding."""
+    size = len(a)
+    if not size:
+        return []
     row_scale = [max(map(abs, row)) for row in a]
     if 0.0 in row_scale:
         raise SingularSystemError("structurally singular system (empty row)")
@@ -314,7 +401,6 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
         fc.count(elim, elim, divs)
         raise SingularSystemError("singular pivot at last column")
 
-    b = sys.b
     x = [b[i] for i in perm]
     # forward substitution (unit lower triangle)
     for k in range(1, size):
@@ -326,4 +412,4 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
         x[k] /= a[k][k]
     tri = size * (size - 1) // 2
     fc.count(elim + 2 * tri, elim + 2 * tri, divs + size)
-    return np.array(x, dtype=float)
+    return x

@@ -20,7 +20,7 @@ import numpy as np
 from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
 from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
-                  stamp_conductance, vnode)
+                  stamp_conductance)
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
 # the benchmark tracer patches dc_sweep, operating_point and pin_source here
 from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
@@ -55,10 +55,23 @@ class FlopCompare:
     speedup: float
 
 
-def _mos_terminals(br: Branch, xv: np.ndarray) -> Tuple[float, float, int, int]:
+def _mos_terminals(br: Branch, x: List[float]) -> Tuple[float, float, int, int]:
     """Bias (vgs, vds) and the nodes acting as drain and source."""
-    vgs, vds, rev = mos_bias(vnode(xv, br.a), vnode(xv, br.gate), vnode(xv, br.b))
-    return (vgs, vds, br.b, br.a) if rev else (vgs, vds, br.a, br.b)
+    a, g, b = br.a, br.gate, br.b
+    vgs, vds, rev = mos_bias(x[a] if a >= 0 else 0.0, x[g] if g >= 0 else 0.0,
+                             x[b] if b >= 0 else 0.0)
+    return (vgs, vds, b, a) if rev else (vgs, vds, a, b)
+
+
+def _max_abs(values) -> float:
+    """The largest |v|, NaN if any v is NaN (as ``np.max(np.abs(v))``), 0
+    for no values."""
+    worst = 0.0
+    for v in values:
+        v = abs(v)
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = None,
@@ -71,7 +84,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     top. Converged means the largest nodal KCL residual is at most
     ``_KCL_ATOL`` amps. A detected 2-cycle sets ``oscillation_detected``
     (iteration continues to ``max_iter`` so failed runs carry their full
-    cost).
+    cost). The iterates are Python lists; the report's ``x`` is an array.
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
@@ -82,27 +95,28 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     x = np.zeros(circuit.size)
     if initial_guess is not None:
         x[:len(initial_guess)] = initial_guess
+    x = x.tolist()
 
     models = {br.el.name: m for br, m in zip(circuit.devices, circuit.models)}
     levels = circuit.source_levels(0.0)
 
-    def kcl_residual(xv: np.ndarray) -> Tuple[float, List[float]]:
+    def kcl_residual(xv: List[float]) -> Tuple[float, List[float]]:
         """Largest net nodal current imbalance with true device currents,
         and those currents in ``circuit.devices`` order."""
-        r = np.zeros(n)
+        r = [0.0] * n
         currents = []
         for br in circuit.branches:
             el, a, b = br.el, br.a, br.b
             if el.kind is ElementKind.RESISTOR:
-                i = (vnode(xv, a) - vnode(xv, b)) / el.value
+                i = ((xv[a] if a >= 0 else 0.0) - (xv[b] if b >= 0 else 0.0)) / el.value
                 fc.count(adds=1, divs=1)
             elif el.kind is ElementKind.VSOURCE:
-                i = float(xv[circuit.source_index[el.name]])
+                i = xv[circuit.source_index[el.name]]
             elif el.kind is ElementKind.MOSFET:
                 vgs, vds, a, b = _mos_terminals(br, xv)
                 i = float(mos_current(models[el.name], vgs, vds, fc))
             elif el.kind in NONLINEAR_KINDS:
-                vbr = vnode(xv, a) - vnode(xv, b)
+                vbr = (xv[a] if a >= 0 else 0.0) - (xv[b] if b >= 0 else 0.0)
                 mdl = models[el.name]
                 if el.kind is ElementKind.RTD:
                     i = float(rtd_current(mdl, vbr, fc))
@@ -116,12 +130,14 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                 r[a] -= i
             if b >= 0:
                 r[b] += i
-        return (float(np.max(np.abs(r))) if n else 0.0), currents
+        return _max_abs(r), currents
 
-    def source_violation(xv: np.ndarray) -> float:
+    def source_violation(xv: List[float]) -> float:
         worst = 0.0
         for br, level in zip(circuit.sources, levels):
-            worst = max(worst, abs(vnode(xv, br.a) - vnode(xv, br.b) - level))
+            a, b = br.a, br.b
+            worst = max(worst, abs((xv[a] if a >= 0 else 0.0)
+                                   - (xv[b] if b >= 0 else 0.0) - level))
         return worst
 
     older = prev = None         # the two iterates before x (2-cycle test)
@@ -164,7 +180,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                         G[s_node][g_node] -= gm
                     rhs[s_node] += ieq
             else:
-                vbr = vnode(x, br.a) - vnode(x, br.b)
+                a, b = br.a, br.b
+                vbr = (x[a] if a >= 0 else 0.0) - (x[b] if b >= 0 else 0.0)
                 didv = rtd_didv if br.el.kind is ElementKind.RTD else nanowire_didv
                 gd = float(didv(mdl, vbr, fc))
                 stamp_conductance(G, br.a, br.b, gd)
@@ -176,13 +193,13 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                     rhs[br.b] += ieq
         older, prev = prev, x
         try:
-            x = solve(sys, fc)
+            x = solve(sys, fc).tolist()
         except SingularSystemError:
             break
         residual, currents = kcl_residual(x)
         if older is not None:
-            two_cycle = float(np.max(np.abs(x - older)))
-            moved = float(np.max(np.abs(x - prev)))
+            two_cycle = _max_abs([a - b for a, b in zip(x, older)])
+            moved = _max_abs([a - b for a, b in zip(x, prev)])
             if two_cycle <= _OSC_ATOL and moved > _OSC_VTOL:
                 osc_run += 1
                 if osc_run >= _OSC_RUNS:
@@ -193,7 +210,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
         converged = True
     return NrReport(converged=converged, iterations=iters,
                     oscillation_detected=oscillation and not converged, flops=fc,
-                    residual=residual, x=x, nodes=list(circuit.nodes))
+                    residual=residual, x=np.array(x), nodes=list(circuit.nodes))
 
 
 def brute_force_dc(rtd: RtdModel, r: float, vbias: float,

@@ -84,10 +84,15 @@ class TestOp:
 
     def test_parallel_sources_exit_code(self, tmp_path, capsys):
         deck = tmp_path / "vv.ckt"
-        deck.write_text("V1 1 0 DC 1\nV2 1 0 DC 2\nR1 1 0 1k\n.op\n.end\n")
-        code = main(["op", str(deck)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        # a node pinned twice, with either sign, and a loop of sources
+        for text in ("V1 1 0 DC 1\nV2 1 0 DC 2\nR1 1 0 1k\n",
+                     "V1 1 0 DC 1\nV2 0 1 DC 2\nR1 1 2 1k\nR2 2 0 1k\n",
+                     "V1 1 0 DC 1\nV2 2 0 DC 2\nV3 1 2 DC 1\nR1 1 0 1k\n"):
+            deck.write_text(text + ".op\n.end\n")
+            code = main(["op", str(deck)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure:") and "singular" in err
 
 
 class TestDc:

@@ -1,5 +1,6 @@
 """Nodal assembly and instrumented LU solver tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from nanosim.devices import G_FLOOR
 from nanosim.mna import (_PIVOT_RTOL, Circuit, FlopCounter, MnaError, MnaSystem,
-                         SingularSystemError, assemble, solve, stamp_conductance)
+                         Partition, Pin, SingularSystemError, assemble, solve,
+                         stamp_conductance)
 from nanosim.netlist import ElementKind, eval_waveform, parse_netlist
 
 
@@ -20,15 +22,59 @@ def _solve_net(deck, vstate=None, h=math.inf, t=0.0):
     return sys, solve(sys, fc), fc
 
 
+def _full_lu(sys):
+    """``sys`` solved by the LU over every unknown, without condensing the
+    grounded sources out."""
+    return solve(dataclasses.replace(sys, partition=None), FlopCounter())
+
+
 class TestAssemble:
     def test_ideal_source(self):
-        _, x, _ = _solve_net("V1 1 0 DC 5\nR1 1 0 1k\n.op\n.end\n")
-        assert x[0] == pytest.approx(5.0)
+        for deck, node, level in [
+            ("V1 1 0 DC 5\nR1 1 0 1k\n", "1", 5.0),
+            # the plus terminal at ground: the node sits at minus the level
+            ("V1 0 n DC 5\nR1 n 0 1k\n", "n", -5.0),
+            # every node pinned: no unknown is left for the LU
+            ("V1 1 0 DC 5\nV2 0 2 DC 3\nR1 1 2 1k\n", "2", -3.0),
+            # subnormal levels only: the rounding of the condensed solve
+            # would show at this tolerance, so the system keeps the full LU
+            ("Rg1 1 0 100\nRg2 2 0 100\nRg3 3 0 100\nR0 1 2 100\n"
+             "V0 3 2 DC 2.2250738585e-313\nV1 1 0 DC 0\n", "1", 0.0),
+        ]:
+            sys, x, _ = _solve_net(deck + ".op\n.end\n")
+            assert sys.partition is not None
+            assert x[sys.node_index[node]] == level
+            # the source currents, read back from KCL, agree with the full LU
+            np.testing.assert_allclose(x, _full_lu(sys), rtol=1e-12, atol=0.0)
 
     def test_divider(self):
-        sys, x, _ = _solve_net("V1 1 0 DC 5\nR1 1 2 1k\nR2 2 0 1k\n.op\n.end\n")
-        assert x[sys.node_index["1"]] == pytest.approx(5.0)
-        assert x[sys.node_index["2"]] == pytest.approx(2.5)
+        for deck, flops in [
+            ("V1 1 0 DC 5\nR1 1 2 1k\nR2 2 0 1k\n", FlopCounter(3, 3, 1)),
+            # a floating 0 V source (an ammeter) beside the grounded one
+            ("V1 1 0 DC 5\nR1 1 2 1k\nVm 2 3 DC 0\nR2 3 0 1k\n",
+             FlopCounter(14, 14, 6)),
+        ]:
+            sys, x, fc = _solve_net(deck + ".op\n.end\n")
+            assert x[sys.node_index["1"]] == pytest.approx(5.0)
+            assert x[sys.node_index["2"]] == pytest.approx(2.5)
+            np.testing.assert_allclose(x, _full_lu(sys), rtol=1e-12, atol=0.0)
+            # one add and one multiply per coefficient moved to the right-hand
+            # side or summed in the KCL read-back, plus the reduced LU's bill
+            assert fc == flops
+
+    def test_partition(self):
+        circuit = Circuit(parse_netlist(
+            "V1 0 a DC 1\nV2 b a DC 2\nV3 c 0 DC 3\nR1 b 0 1k\nR2 c d 1k\n"
+            "R3 d 0 1k\n.end\n"))
+        assert circuit.partition == Partition(pins=(Pin(4, 0, -1.0), Pin(6, 2, 1.0)),
+                                              free=(1, 3, 5))
+        # no grounded source, or a node pinned twice (a singular deck): the
+        # systems keep every unknown
+        for deck in ("V1 1 2 DC 1\nR1 1 0 1k\nR2 2 0 1k\n",
+                     "V1 1 0 DC 1\nV2 0 1 DC 2\nR1 1 0 1k\n"):
+            circuit = Circuit(parse_netlist(deck + ".end\n"))
+            assert circuit.partition is None
+            assert assemble(circuit, []).partition is None
 
     def test_capacitor_companion_stamp(self):
         net = parse_netlist("V1 1 0 DC 1\nC1 2 0 1p\nR1 1 2 1k\n.end\n")
@@ -425,26 +471,28 @@ class TestKcl:
                 lines.append(f"Rg{i} n{i} 0 {rng.uniform(1000, 100_000):.3f}")
             net = parse_netlist("\n".join(lines) + "\n.end\n")
             sys = assemble(Circuit(net), [])
-            x = solve(sys, FlopCounter())
+            assert sys.partition is not None
+            # condensed (V1 pins n0) and over every unknown
+            for x in (solve(sys, FlopCounter()), _full_lu(sys)):
 
-            def v(node):
-                return 0.0 if node == "0" else x[sys.node_index[node]]
+                def v(node):
+                    return 0.0 if node == "0" else x[sys.node_index[node]]
 
-            resid = {nd: 0.0 for nd in net.nodes}
-            for el in net.elements:
-                if el.kind.value == "resistor":
-                    i_r = (v(el.nodes[0]) - v(el.nodes[1])) / el.value
-                    if el.nodes[0] != "0":
-                        resid[el.nodes[0]] -= i_r
-                    if el.nodes[1] != "0":
-                        resid[el.nodes[1]] += i_r
-                elif el.kind.value == "vsource":
-                    cur = x[sys.source_index[el.name]]
-                    if el.nodes[0] != "0":
-                        resid[el.nodes[0]] -= cur
-                    if el.nodes[1] != "0":
-                        resid[el.nodes[1]] += cur
-            assert max(abs(r) for r in resid.values()) <= 1e-10
+                resid = {nd: 0.0 for nd in net.nodes}
+                for el in net.elements:
+                    if el.kind.value == "resistor":
+                        i_r = (v(el.nodes[0]) - v(el.nodes[1])) / el.value
+                        if el.nodes[0] != "0":
+                            resid[el.nodes[0]] -= i_r
+                        if el.nodes[1] != "0":
+                            resid[el.nodes[1]] += i_r
+                    elif el.kind.value == "vsource":
+                        cur = x[sys.source_index[el.name]]
+                        if el.nodes[0] != "0":
+                            resid[el.nodes[0]] -= cur
+                        if el.nodes[1] != "0":
+                            resid[el.nodes[1]] += cur
+                assert max(abs(r) for r in resid.values()) <= 1e-10
 
 
 class TestFlopCounter:

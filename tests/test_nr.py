@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanosim import nr
 from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
@@ -63,6 +65,14 @@ class TestNrDc:
         assert op.settled
         i_d = rep.nodes.index("d")
         assert abs(rep.x[i_d] - op.v("d")) <= 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
+    def test_largest_term_is_numpys(self, values):
+        # the KCL residual and the 2-cycle tests take the largest |v| of a
+        # list; a NaN must stick, as under np.max
+        got, want = nr._max_abs(values), float(np.max(np.abs(values)))
+        assert got == want or (got != got and want != want)
 
     def test_noise_rejected(self):
         net = parse_netlist(deck_text("ou_step.ckt"))
@@ -136,8 +146,8 @@ class TestFlopCompare:
                                                 n * one.divs, n * one.transcendentals)
 
     @pytest.mark.parametrize("deck, swec, newton", [
-        pytest.param("rtd_divider.ckt", 14490, 15110, id="rtd_divider"),         # 60 points
-        pytest.param("nanowire_divider.ckt", 9936, 11395, id="nanowire_divider"),  # 40 points
+        pytest.param("rtd_divider.ckt", 8967, 12128, id="rtd_divider"),         # 60 points
+        pytest.param("nanowire_divider.ckt", 6072, 9526, id="nanowire_divider"),  # 40 points
     ])
     def test_deck_sweep_totals(self, deck, swec, newton):
         net = parse_netlist(deck_text(deck))

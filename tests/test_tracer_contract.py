@@ -6,9 +6,16 @@ not use is there only because the tracer patches it."""
 import ast
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nanosim import nr, swec
+from nanosim.netlist import DcAnalysis, TranAnalysis, parse_netlist
+
+from conftest import card, deck_text
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nanosim"
@@ -53,3 +60,29 @@ def test_unused_imports_finds_dead_names():
 def test_unused_imports_are_traced(module):
     unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert unused <= {attr for attr, _ in PATCHES.get(module, [])}
+
+
+def test_solve_calls_match_reported_counts(monkeypatch):
+    """The traced run counts linear solves by wrapping ``swec.solve`` and
+    ``nr.solve``: whatever ``solve`` does inside, each transient attempt,
+    settle iteration and Newton iterate makes exactly one call there."""
+    calls = Counter()
+    for module in (swec, nr):
+        def counted(sys, fc, inner=module.solve, who=module.__name__):
+            calls[who] += 1
+            return inner(sys, fc)
+        monkeypatch.setattr(module, "solve", counted)
+
+    net = parse_netlist(deck_text("fet_rtd_inverter.ckt"))
+    series = swec.transient(net, card(net, TranAnalysis).t_stop)
+    assert calls.pop("nanosim.swec") == series.n_solves == (series.steps_taken
+                                                            + series.steps_rejected)
+    net = parse_netlist(deck_text("rtd_divider.ckt"))
+    dc = card(net, DcAnalysis)
+    sweep = swec.dc_sweep(net, dc.source, dc.start, dc.stop, dc.points)
+    assert calls.pop("nanosim.swec") == sweep.point_solves.sum() == sweep.n_solves
+    net = parse_netlist(deck_text("rtd_divider_bistable.ckt"))
+    for guess, max_iter in ((None, 100), (np.array([12.0, 3.7894736842105265]), 40)):
+        rep = nr.nr_dc(net, initial_guess=guess, max_iter=max_iter)
+        assert calls.pop("nanosim.nr") == rep.iterations
+    assert not calls
