@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +65,24 @@ def _value_flag(text: str) -> float:
         return parse_value(text)
     except NetlistError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _settings(args: argparse.Namespace, net: Netlist, analysis: type,
+              missing: str) -> dict:
+    """Each field of the ``analysis`` card type from its flag, else from the
+    deck's card. A field neither gives is left out, so the analysis
+    function's default applies; one without a default raises ``missing``."""
+    card = next((a for a in net.analyses if isinstance(a, analysis)), None)
+    setting = {}
+    for f in fields(analysis):
+        value = getattr(args, f.name)
+        if value is None and card is not None:
+            value = getattr(card, f.name)
+        if value is not None:
+            setting[f.name] = value
+        elif f.default is MISSING:
+            raise NetlistError(missing)
+    return setting
 
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray,
@@ -137,19 +155,13 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
 def cmd_dc(args: argparse.Namespace) -> RunReport:
     report = RunReport()
     net = _load(args.deck)
-    card = next((a for a in net.analyses if isinstance(a, DcAnalysis)), None)
-    source = args.source or (card.source if card else None)
-    start = args.start if args.start is not None else (card.start if card else None)
-    stop = args.stop if args.stop is not None else (card.stop if card else None)
-    points = args.points if args.points is not None else (card.points if card else None)
-    if source is None or start is None or stop is None or points is None:
-        raise NetlistError("dc sweep needs --source/--from/--to/--points "
-                           "or a .dc card in the deck")
-    if points < 2:
+    setting = _settings(args, net, DcAnalysis, "dc sweep needs --source/--from/--to/"
+                        "--points or a .dc card in the deck")
+    if setting["points"] < 2:
         raise NetlistError("--points must be at least 2")
     out = _out_path(args.deck, "dc", args.out)
     gp = _plot_path(out) if args.plot else None
-    sweep = dc_sweep(net, source, start, stop, int(points))
+    sweep = dc_sweep(net, **setting)
     report.flops = sweep.flops.total()
 
     header = ["bias"] + [f"i({name})" for name in sweep.currents] \
@@ -175,17 +187,13 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
 def cmd_tran(args: argparse.Namespace) -> RunReport:
     report = RunReport()
     net = _load(args.deck)
-    card = next((a for a in net.analyses if isinstance(a, TranAnalysis)), None)
-    t_stop = args.tstop if args.tstop is not None else (card.t_stop if card else None)
-    if t_stop is None:
-        raise NetlistError("transient needs --tstop or a .tran card in the deck")
-    eps = args.eps if args.eps is not None else \
-        (card.eps if card and card.eps is not None else 0.01)
+    setting = _settings(args, net, TranAnalysis,
+                        "transient needs --tstop or a .tran card in the deck")
     if args.resample is not None and args.resample < 1:
         raise NetlistError("--resample must be at least 1")
     out = _out_path(args.deck, "tran", args.out)
     gp = _plot_path(out) if args.plot else None
-    series = transient(net, t_stop, eps)
+    series = transient(net, **setting)
     report.steps = series.steps_taken
     report.rejections = series.steps_rejected
     report.flops = series.flops.total()
@@ -215,19 +223,13 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
 def cmd_stoch(args: argparse.Namespace) -> RunReport:
     report = RunReport()
     net = _load(args.deck)
-    card = next((a for a in net.analyses if isinstance(a, StochAnalysis)), None)
-    t_stop = args.tstop if args.tstop is not None else (card.t_stop if card else None)
-    dt = args.dt if args.dt is not None else (card.dt if card else None)
-    paths = args.paths if args.paths is not None else (card.paths if card else None)
-    seed = args.seed if args.seed is not None else (card.seed if card else 0)
-    if t_stop is None or dt is None or paths is None:
-        raise NetlistError("stochastic run needs --tstop/--dt/--paths "
-                           "or a .stoch card in the deck")
+    setting = _settings(args, net, StochAnalysis, "stochastic run needs --tstop/--dt/"
+                        "--paths or a .stoch card in the deck")
     window = tuple(args.window) if args.window else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            stats = ensemble(net, dt, t_stop, int(paths), seed=int(seed), window=window)
+            stats = ensemble(net, **setting, window=window)
         finally:
             # the step-size warning, also ahead of a divergence failure
             for w in caught:
@@ -243,7 +245,7 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
             cols.append(stats.quantiles[q][:, i])
     rows = np.column_stack(cols)
     out = _out_path(args.deck, "stoch", args.out)
-    comments = [f"seed={stats.seed} paths={stats.paths} dt={_fmt(dt)} "
+    comments = [f"seed={stats.seed} paths={stats.paths} dt={_fmt(setting['dt'])} "
                 f"window=[{_fmt(stats.window[0])},{_fmt(stats.window[1])}]"]
     peak_bits = []
     for i, node in enumerate(stats.nodes):
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("tran", help="adaptive transient")
     p_tr.add_argument("deck")
-    p_tr.add_argument("--tstop", type=_value_flag)
+    p_tr.add_argument("--tstop", dest="t_stop", metavar="TSTOP", type=_value_flag)
     p_tr.add_argument("--eps", type=_value_flag)
     p_tr.add_argument("--resample", type=int,
                       help="emit n uniformly spaced samples instead of the "
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("stoch", help="stochastic ensemble transient")
     p_st.add_argument("deck")
-    p_st.add_argument("--tstop", type=_value_flag)
+    p_st.add_argument("--tstop", dest="t_stop", metavar="TSTOP", type=_value_flag)
     p_st.add_argument("--dt", type=_value_flag)
     p_st.add_argument("--paths", type=int)
     p_st.add_argument("--seed", type=int)

@@ -112,11 +112,6 @@ class FlopCounter:
     def total(self) -> int:
         return self.adds + self.muls + self.divs + self.transcendentals
 
-    def __sub__(self, other: "FlopCounter") -> "FlopCounter":
-        return FlopCounter(self.adds - other.adds, self.muls - other.muls,
-                           self.divs - other.divs,
-                           self.transcendentals - other.transcendentals)
-
 
 class Pin(NamedTuple):
     """A voltage source with one terminal at ground: its source row, the

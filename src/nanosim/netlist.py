@@ -1,26 +1,29 @@
 """SPICE-subset netlist parser for the nanodevice simulator.
 
 One card per line, ``*`` comment lines, ``+`` continuation lines. Supported
-cards:
+cards (the element cards are ``_CARDS``, the model types ``_MODEL_TYPES``):
 
     R<name> n1 n2 <ohms>
     C<name> n1 n2 <farads>
-    V<name> n+ n- DC <volts> | PWL(t1 v1 t2 v2 ...) | PULSE(v1 v2 td tr tf pw per)
+    V<name> n+ n- DC <v> | PWL(t1 v1 t2 v2 ...) | PULSE(v1 v2 td tr tf pw per)
     XRTD<name> n1 n2 <model>
-    XNW<name>  n1 n2 <model>
+    XNW<name> n1 n2 <model>
     M<name> nd ng ns nb <model>      (bulk terminal parsed and ignored)
     N<name> n+ n- <intensity>        (white-noise current injection)
-    .model <name> RTD|NMOS|NW (<key>=<val> ...)
+    .model <name> RTD (A= B= C= D= H= n1= n2= [T=300] [area=1])
+    .model <name> NMOS (k= W= L= Vth=)
+    .model <name> NW (g0= vstep= nsteps= smooth=)
     .op
     .dc <source> <start> <stop> <points>
     .tran <tstop> [eps=<e>]
     .stoch <tstop> <dt> <paths> [seed=<s>]
     .end
 
-Values accept engineering suffixes f/p/n/u/m/k/meg/g. Node names are
-arbitrary identifiers; ``0`` is ground. Model cards for RTDs take keys
-A B C D H n1 n2 T area; NMOS takes k W L Vth; NW takes g0 vstep nsteps
-smooth.
+Values accept engineering suffixes f/p/n/u/m/k/meg/g. Counts (``points``,
+``paths``, ``seed``, ``nsteps``) must be integers: ``2.9`` is rejected,
+``1k`` is 1000. Model keys are case-insensitive, each given at most once;
+keys in brackets are optional. Node names are arbitrary identifiers; ``0``
+is ground.
 
 Example:
     >>> net = parse_netlist('''* divider
@@ -38,12 +41,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, NoReturn, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Tuple, Union
 
-from .devices import DeviceError, MosModel, NanowireModel, RtdModel
+from .devices import DeviceError, DeviceModel, MosModel, NanowireModel, RtdModel
 
 SUFFIX_MULTIPLIERS = {
     "f": 1e-15,
@@ -246,20 +249,17 @@ class StochAnalysis:
     t_stop: float
     dt: float
     paths: int
-    seed: int = 0
+    seed: Optional[int] = None
 
 
 Analysis = Union[OpAnalysis, DcAnalysis, TranAnalysis, StochAnalysis]
-
-ModelCard = Union[RtdModel, MosModel, NanowireModel]
-
 
 @dataclass(frozen=True)
 class Netlist:
     title: str
     nodes: Tuple[str, ...]
     elements: Tuple[Element, ...]
-    models: Dict[str, ModelCard]
+    models: Dict[str, DeviceModel]
     analyses: Tuple[Analysis, ...]
 
     def elements_of(self, *kinds: ElementKind) -> List[Element]:
@@ -271,20 +271,68 @@ class Netlist:
                 return el
         raise KeyError(name)
 
-    def model_of(self, el: Element) -> ModelCard:
+    def model_of(self, el: Element) -> DeviceModel:
         return self.models[el.model.lower()]
 
 
-_MODEL_KINDS = {
-    ElementKind.RTD: RtdModel,
-    ElementKind.MOSFET: MosModel,
-    ElementKind.NANOWIRE: NanowireModel,
+class _Card(NamedTuple):
+    """An element card: its name in messages, its form (one word per token),
+    its kind and, where its last token is a value rather than a model name,
+    the rule the value must meet and the message when it does not."""
+
+    label: str
+    usage: str
+    kind: ElementKind
+    rule: Optional[Callable[[float], bool]] = None
+    message: str = ""
+
+
+# by card prefix; a voltage source's tail is a waveform (``_Parser.vsource``)
+_CARDS = {
+    "r": _Card("resistor", "R<name> n1 n2 <ohms>", ElementKind.RESISTOR,
+               lambda v: v > 0, "resistance must be positive"),
+    "c": _Card("capacitor", "C<name> n1 n2 <farads>", ElementKind.CAPACITOR,
+               lambda v: v > 0, "capacitance must be positive"),
+    "v": _Card("source", "V<name> n+ n- DC <v> | PWL(...) | PULSE(...)",
+               ElementKind.VSOURCE),
+    "xrtd": _Card("XRTD", "XRTD<name> n1 n2 <model>", ElementKind.RTD),
+    "xnw": _Card("XNW", "XNW<name> n1 n2 <model>", ElementKind.NANOWIRE),
+    "m": _Card("MOSFET", "M<name> nd ng ns nb <model>", ElementKind.MOSFET),
+    "n": _Card("noise", "N<name> n+ n- <intensity>", ElementKind.NOISE,
+               lambda v: v >= 0, "noise intensity must be nonnegative"),
 }
 
-_RTD_KEYS = {"a": "a", "b": "b", "c": "cp", "d": "d", "h": "h",
-             "n1": "n1", "n2": "n2", "t": "temp", "area": "area"}
-_NMOS_KEYS = {"k": "k", "w": "w", "l": "l", "vth": "vth"}
-_NW_KEYS = {"g0": "g0", "vstep": "vstep", "nsteps": "nsteps", "smooth": "smooth"}
+
+class _ModelType(NamedTuple):
+    """A ``.model`` type: the class it builds, the element kind it serves
+    and its card keys in print order, each with the field it sets."""
+
+    cls: type
+    kind: ElementKind
+    keys: Tuple[Tuple[str, str], ...]
+
+    @property
+    def counts(self) -> Tuple[str, ...]:
+        """The fields that hold counts (annotated ``int``)."""
+        return tuple(f.name for f in fields(self.cls) if f.type in (int, "int"))
+
+
+_MODEL_TYPES = {
+    "RTD": _ModelType(RtdModel, ElementKind.RTD, (
+        ("A", "a"), ("B", "b"), ("C", "cp"), ("D", "d"), ("H", "h"),
+        ("n1", "n1"), ("n2", "n2"), ("T", "temp"), ("area", "area"))),
+    "NMOS": _ModelType(MosModel, ElementKind.MOSFET, (
+        ("k", "k"), ("W", "w"), ("L", "l"), ("Vth", "vth"))),
+    "NW": _ModelType(NanowireModel, ElementKind.NANOWIRE, (
+        ("g0", "g0"), ("vstep", "vstep"), ("nsteps", "nsteps"), ("smooth", "smooth"))),
+}
+
+# one <key>=<value> of a .model body
+_PAIR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^\s(),]+)")
+
+
+def _type_of(card: DeviceModel) -> Tuple[str, _ModelType]:
+    return next((name, t) for name, t in _MODEL_TYPES.items() if isinstance(card, t.cls))
 
 
 class _Parser:
@@ -292,7 +340,7 @@ class _Parser:
         self.lines = source.splitlines()
         self.title = ""
         self.elements: List[Element] = []
-        self.models: Dict[str, ModelCard] = {}
+        self.models: Dict[str, DeviceModel] = {}
         self.analyses: List[Analysis] = []
         self.node_seen: List[str] = []
         self.saw_end = False
@@ -306,6 +354,12 @@ class _Parser:
 
     def value(self, tok: str, lineno: int) -> float:
         return parse_value(tok, lineno, self.lines[lineno - 1])
+
+    def count(self, tok: str, what: str, lineno: int) -> int:
+        v = self.value(tok, lineno)
+        if not v.is_integer():
+            self.fail(f"{what} must be an integer", lineno)
+        return int(v)
 
     def add_node(self, name: str):
         if name != "0" and name not in self.node_seen:
@@ -356,49 +410,30 @@ class _Parser:
 
     def dispatch(self, lineno: int, text: str):
         tokens = text.split()
-        head = tokens[0]
-        hl = head.lower()
-        if hl.startswith("."):
-            self.directive(lineno, tokens)
-        elif hl.startswith("xrtd"):
-            self.two_terminal_device(lineno, tokens, ElementKind.RTD)
-        elif hl.startswith("xnw"):
-            self.two_terminal_device(lineno, tokens, ElementKind.NANOWIRE)
-        elif hl.startswith("r"):
-            self.resistor(lineno, tokens)
-        elif hl.startswith("c"):
-            self.capacitor(lineno, tokens)
-        elif hl.startswith("v"):
-            self.vsource(lineno, tokens, text)
-        elif hl.startswith("m"):
-            self.mosfet(lineno, tokens)
-        elif hl.startswith("n"):
-            self.noise(lineno, tokens)
-        else:
-            self.fail(f"unknown card '{head}'", lineno)
+        head = tokens[0].lower()
+        if head.startswith("."):
+            return self.directive(lineno, tokens)
+        card = next((c for prefix, c in _CARDS.items() if head.startswith(prefix)), None)
+        if card is None:
+            self.fail(f"unknown card '{tokens[0]}'", lineno)
+        if card.kind is ElementKind.VSOURCE:
+            return self.vsource(lineno, tokens, card)
+        self.element_card(lineno, tokens, card)
 
-    def resistor(self, lineno: int, tokens: List[str]):
-        if len(tokens) != 4:
-            self.fail("resistor card requires: R<name> n1 n2 <ohms>", lineno)
-        r = self.value(tokens[3], lineno)
-        if r <= 0:
-            self.fail("resistance must be positive", lineno)
-        self.add_element(Element(tokens[0], ElementKind.RESISTOR,
-                                 (tokens[1], tokens[2]), value=r), lineno)
+    def element_card(self, lineno: int, tokens: List[str], card: _Card):
+        if len(tokens) != len(card.usage.split()):
+            self.fail(f"{card.label} card requires: {card.usage}", lineno)
+        name, *nodes, last = tokens
+        value, model = None, last
+        if card.rule is not None:
+            value, model = self.value(last, lineno), None
+            if not card.rule(value):
+                self.fail(card.message, lineno)
+        self.add_element(Element(name, card.kind, tuple(nodes), value, model), lineno)
 
-    def capacitor(self, lineno: int, tokens: List[str]):
-        if len(tokens) != 4:
-            self.fail("capacitor card requires: C<name> n1 n2 <farads>", lineno)
-        c = self.value(tokens[3], lineno)
-        if c <= 0:
-            self.fail("capacitance must be positive", lineno)
-        self.add_element(Element(tokens[0], ElementKind.CAPACITOR,
-                                 (tokens[1], tokens[2]), value=c), lineno)
-
-    def vsource(self, lineno: int, tokens: List[str], text: str):
+    def vsource(self, lineno: int, tokens: List[str], card: _Card):
         if len(tokens) < 4:
-            self.fail("source card requires: V<name> n+ n- DC <v> | PWL(...) | PULSE(...)",
-                      lineno)
+            self.fail(f"{card.label} card requires: {card.usage}", lineno)
         spec = " ".join(tokens[3:])
         sl = spec.lower()
         try:
@@ -432,30 +467,6 @@ class _Parser:
         inner = body[1:-1].replace(",", " ")
         return [self.value(tok, lineno) for tok in inner.split()]
 
-    def two_terminal_device(self, lineno: int, tokens: List[str], kind: ElementKind):
-        card = "XRTD" if kind is ElementKind.RTD else "XNW"
-        if len(tokens) != 4:
-            self.fail(f"{card} card requires: {card}<name> n1 n2 <model>", lineno)
-        self.add_element(Element(tokens[0], kind, (tokens[1], tokens[2]),
-                                 model=tokens[3]), lineno)
-
-    def mosfet(self, lineno: int, tokens: List[str]):
-        if len(tokens) != 6:
-            self.fail("MOSFET card requires: M<name> nd ng ns nb <model>", lineno)
-        # bulk terminal (tokens[4]) is parsed but ignored by the model
-        self.add_element(Element(tokens[0], ElementKind.MOSFET,
-                                 (tokens[1], tokens[2], tokens[3], tokens[4]),
-                                 model=tokens[5]), lineno)
-
-    def noise(self, lineno: int, tokens: List[str]):
-        if len(tokens) != 4:
-            self.fail("noise card requires: N<name> n+ n- <intensity>", lineno)
-        intensity = self.value(tokens[3], lineno)
-        if intensity < 0:
-            self.fail("noise intensity must be nonnegative", lineno)
-        self.add_element(Element(tokens[0], ElementKind.NOISE,
-                                 (tokens[1], tokens[2]), value=intensity), lineno)
-
     # -- directives --
 
     def directive(self, lineno: int, tokens: List[str]):
@@ -469,7 +480,7 @@ class _Parser:
         elif name == ".dc":
             if len(tokens) != 5:
                 self.fail(".dc requires: .dc <source> <start> <stop> <points>", lineno)
-            pts = int(self.value(tokens[4], lineno))
+            pts = self.count(tokens[4], ".dc points", lineno)
             if pts < 2:
                 self.fail(".dc requires at least 2 points", lineno)
             self.analyses.append(DcAnalysis(tokens[1], self.value(tokens[2], lineno),
@@ -488,61 +499,57 @@ class _Parser:
             if len(tokens) < 4:
                 self.fail(".stoch requires: .stoch <tstop> <dt> <paths> [seed=<s>]",
                           lineno)
-            seed = 0
+            seed = None
             for tok in tokens[4:]:
                 if tok.lower().startswith("seed="):
-                    seed = int(self.value(tok[5:], lineno))
+                    seed = self.count(tok[5:], ".stoch seed", lineno)
                 else:
                     self.fail(f"unknown .stoch option '{tok}'", lineno)
-            self.analyses.append(StochAnalysis(self.value(tokens[1], lineno),
-                                               self.value(tokens[2], lineno),
-                                               int(self.value(tokens[3], lineno)),
-                                               seed))
+            self.analyses.append(StochAnalysis(
+                self.value(tokens[1], lineno), self.value(tokens[2], lineno),
+                self.count(tokens[3], ".stoch paths", lineno), seed))
         else:
             self.fail(f"unknown directive '{tokens[0]}'", lineno)
 
     def model_card(self, lineno: int, tokens: List[str]):
         if len(tokens) < 3:
-            self.fail(".model requires: .model <name> RTD|NMOS|NW (<key>=<val> ...)",
-                      lineno)
+            self.fail(f".model requires: .model <name> {'|'.join(_MODEL_TYPES)} "
+                      "(<key>=<val> ...)", lineno)
         mname = tokens[1].lower()
-        mtype = tokens[2].upper()
         if mname in self.models:
             self.fail(f"duplicate model name '{tokens[1]}'", lineno)
         body = " ".join(tokens[3:]).strip()
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-        params: Dict[str, float] = {}
-        for match in re.finditer(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^\s(),]+)", body):
-            params[match.group(1).lower()] = self.value(match.group(2), lineno)
+        pairs = [(m.group(1).lower(), self.value(m.group(2), lineno))
+                 for m in _PAIR_RE.finditer(body)]
+        stray = _PAIR_RE.sub(" ", body).replace(",", " ").split()
+        if stray:
+            self.fail(f"unexpected text '{stray[0]}' in the .model body", lineno)
+        mtype = _MODEL_TYPES.get(tokens[2].upper())
+        if mtype is None:
+            *others, last = _MODEL_TYPES
+            self.fail(f"unknown model type '{tokens[2]}' (want {', '.join(others)} "
+                      f"or {last})", lineno)
+        field_of = {key.lower(): field for key, field in mtype.keys}
+        kwargs = {}
+        for key, val in pairs:
+            field = field_of.get(key)
+            if field is None:
+                self.fail(f"unknown model key '{key}'", lineno)
+            if field in kwargs:
+                self.fail(f"model key '{key}' given twice", lineno)
+            if field in mtype.counts:
+                if not val.is_integer():
+                    self.fail(f"model key '{key}' must be an integer", lineno)
+                val = int(val)
+            kwargs[field] = val
         try:
-            if mtype == "RTD":
-                kwargs = self._map_keys(params, _RTD_KEYS, lineno)
-                self.models[mname] = RtdModel(**kwargs)
-            elif mtype == "NMOS":
-                kwargs = self._map_keys(params, _NMOS_KEYS, lineno)
-                self.models[mname] = MosModel(**kwargs)
-            elif mtype == "NW":
-                kwargs = self._map_keys(params, _NW_KEYS, lineno)
-                if "nsteps" in kwargs:
-                    kwargs["nsteps"] = int(kwargs["nsteps"])
-                self.models[mname] = NanowireModel(**kwargs)
-            else:
-                self.fail(f"unknown model type '{tokens[2]}' (want RTD, NMOS or NW)",
-                          lineno)
+            self.models[mname] = mtype.cls(**kwargs)
         except DeviceError as exc:
             self.fail(f"invalid model parameters: {exc}", lineno)
         except TypeError:
             self.fail(f"model '{tokens[1]}' is missing required parameters", lineno)
-
-    def _map_keys(self, params: Dict[str, float], table: Dict[str, str],
-                  lineno: int) -> Dict[str, float]:
-        out = {}
-        for key, val in params.items():
-            if key not in table:
-                self.fail(f"unknown model key '{key}'", lineno)
-            out[table[key]] = val
-        return out
 
     # -- post-parse validation --
 
@@ -554,13 +561,12 @@ class _Parser:
             lineno = by_line[el.name.lower()]
             if "0" in el.nodes:
                 touches_ground = True
-            if el.kind in _MODEL_KINDS:
-                want = _MODEL_KINDS[el.kind]
+            if el.model is not None:
                 card = self.models.get(el.model.lower())
                 if card is None:
                     self.fail(f"unknown model '{el.model}' referenced by '{el.name}'",
                               lineno)
-                if not isinstance(card, want):
+                if _type_of(card)[1].kind is not el.kind:
                     self.fail(f"model '{el.model}' has the wrong kind for '{el.name}'",
                               lineno)
         if self.elements and not touches_ground:
@@ -614,32 +620,23 @@ def _fmt_wave(w: Waveform) -> str:
             + ")")
 
 
-def _fmt_model(name: str, card: ModelCard) -> str:
-    if isinstance(card, RtdModel):
-        body = (f"A={_fmt(card.a)} B={_fmt(card.b)} C={_fmt(card.cp)} "
-                f"D={_fmt(card.d)} H={_fmt(card.h)} n1={_fmt(card.n1)} "
-                f"n2={_fmt(card.n2)} T={_fmt(card.temp)} area={_fmt(card.area)}")
-        return f".model {name} RTD ({body})"
-    if isinstance(card, MosModel):
-        return (f".model {name} NMOS (k={_fmt(card.k)} W={_fmt(card.w)} "
-                f"L={_fmt(card.l)} Vth={_fmt(card.vth)})")
-    return (f".model {name} NW (g0={_fmt(card.g0)} vstep={_fmt(card.vstep)} "
-            f"nsteps={card.nsteps} smooth={_fmt(card.smooth)})")
+def _fmt_model(name: str, card: DeviceModel) -> str:
+    tname, mtype = _type_of(card)
+    body = " ".join(f"{key}={getattr(card, field)}" if field in mtype.counts
+                    else f"{key}={_fmt(getattr(card, field))}"
+                    for key, field in mtype.keys)
+    return f".model {name} {tname} ({body})"
 
 
 def pretty_print(net: Netlist) -> str:
     """Regenerate deck text that reparses to a structurally equal netlist."""
     lines = [f"* {net.title}" if net.title else "*"]
     for el in net.elements:
-        nds = " ".join(el.nodes)
-        if el.kind in (ElementKind.RESISTOR, ElementKind.CAPACITOR):
-            lines.append(f"{el.name} {nds} {_fmt(el.value)}")
-        elif el.kind is ElementKind.VSOURCE:
-            lines.append(f"{el.name} {nds} {_fmt_wave(el.waveform)}")
-        elif el.kind is ElementKind.NOISE:
-            lines.append(f"{el.name} {nds} {_fmt(el.value)}")
+        if el.waveform is not None:
+            last = _fmt_wave(el.waveform)
         else:
-            lines.append(f"{el.name} {nds} {el.model}")
+            last = el.model if el.model is not None else _fmt(el.value)
+        lines.append(f"{el.name} {' '.join(el.nodes)} {last}")
     for name, card in net.models.items():
         lines.append(_fmt_model(name, card))
     for an in net.analyses:
@@ -651,7 +648,7 @@ def pretty_print(net: Netlist) -> str:
             tail = f" eps={_fmt(an.eps)}" if an.eps is not None else ""
             lines.append(f".tran {_fmt(an.t_stop)}{tail}")
         elif isinstance(an, StochAnalysis):
-            lines.append(f".stoch {_fmt(an.t_stop)} {_fmt(an.dt)} {an.paths} "
-                         f"seed={an.seed}")
+            tail = f" seed={an.seed}" if an.seed is not None else ""
+            lines.append(f".stoch {_fmt(an.t_stop)} {_fmt(an.dt)} {an.paths}{tail}")
     lines.append(".end")
     return "\n".join(lines) + "\n"

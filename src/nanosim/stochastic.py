@@ -44,9 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
+from .devices import G_FLOOR, DeviceModel, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from .mna import Circuit, FlopCounter
-from .netlist import ElementKind, ModelCard, Netlist
+from .netlist import ElementKind, Netlist
 from .swec import SimulationError, WaveformSeries
 
 # doubles per block of lockstep steps, counting every per-block array: the
@@ -141,7 +141,7 @@ class _StateSystem:
     drive_terms: List[List[Tuple[float, int]]]
     # nonlinear element kind, its model, and its a, b and gate terminals as
     # drift terminals (see _terminal); only devices with a state row
-    devices: List[Tuple[ElementKind, ModelCard, int, int, int]]
+    devices: List[Tuple[ElementKind, DeviceModel, int, int, int]]
 
 
 def _build_state_system(net: Netlist) -> _StateSystem:

@@ -224,9 +224,11 @@ class _Engine:
         self.models = circuit.models
         self.dev_states = [DeviceState() for _ in self.devices]
         self.terminals = [(br.a, br.b, br.gate) for br in self.devices]
-        # nodes held by a source cannot respond to a conductance change or
-        # carry a truncation error: both error tests skip them
-        held = {i for br in circuit.sources for i in (br.a, br.b) if i >= 0}
+        # the nodes grounded sources pin (the unknowns solve condenses out)
+        # cannot respond to a conductance change or carry a truncation
+        # error: both error tests skip them
+        part = circuit.partition
+        held = {pin.node for pin in part.pins} if part is not None else set()
         cap = circuit.C.diagonal().tolist()
         self.state_nodes = [j for j in range(self.n) if cap[j] > 0.0 and j not in held]
         self.error_terminals = [

@@ -387,6 +387,18 @@ class TestStoch:
         assert code == 0
         assert "seed=31" in _read(str(out))
 
+    def test_flags_and_card_merge_field_by_field(self, tmp_path, capsys):
+        out = tmp_path / "ou.csv"
+        code = main(["stoch", deck_path("ou_step.ckt"), "--paths", "50", "--out", str(out)])
+        assert code == 0
+        assert "# seed=42 paths=50 dt=1e-08 " in _read(str(out))   # seed, dt: the card's
+        # a card without seed=: the ensemble's own default
+        deck = tmp_path / "ou.ckt"
+        deck.write_text(_read(deck_path("ou_step.ckt")).replace(" seed=42", ""))
+        code = main(["stoch", str(deck), "--paths", "50", "--out", str(out)])
+        assert code == 0
+        assert "# seed=0 paths=50 " in _read(str(out))
+
     def test_window_flag(self, tmp_path, capsys):
         out = tmp_path / "ou.csv"
         code = main(["stoch", deck_path("ou_step.ckt"), "--paths", "50",

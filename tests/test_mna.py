@@ -502,9 +502,3 @@ class TestFlopCounter:
         assert fc.total() == 10
         fc.count(adds=1)
         assert fc.total() == 11
-
-    def test_difference(self):
-        a = FlopCounter(5, 5, 5, 5)
-        b = FlopCounter(1, 2, 3, 4)
-        d = a - b
-        assert (d.adds, d.muls, d.divs, d.transcendentals) == (4, 3, 2, 1)

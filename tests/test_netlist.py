@@ -1,17 +1,24 @@
 """Parser, waveform and validation tests."""
 
+import dataclasses
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nanosim.netlist import (Dc, ElementKind, NetlistError, Pulse, Pwl,
-                             StochAnalysis, TranAnalysis, DcAnalysis,
+from nanosim import netlist
+from nanosim.netlist import (_CARDS, _MODEL_TYPES, Dc, ElementKind, NetlistError,
+                             Pulse, Pwl, StochAnalysis, TranAnalysis, DcAnalysis,
                              eval_waveform, parse_netlist, parse_value,
                              pretty_print, waveform_breakpoints)
 
 from conftest import DECKS, deck_text
+
+RTD_KEYS = "A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172"
 
 
 class TestParseValue:
@@ -203,3 +210,209 @@ class TestRoundTrip:
         net = parse_netlist(deck_text(deck))
         again = parse_netlist(pretty_print(net))
         assert again == net
+
+
+class TestModelBody:
+    def model(self, body: str, mtype: str = "RTD"):
+        net = parse_netlist(f"R1 1 0 1k\n.model M1 {mtype} {body}\n.end\n")
+        return net.models["m1"]
+
+    @pytest.mark.parametrize("body", [
+        f"({RTD_KEYS} garbage)",
+        f"(A=1e-4 garbage B=2 {RTD_KEYS[11:]})",
+        f"({RTD_KEYS}",                         # unbalanced
+        f"({RTD_KEYS} (T=300))",
+        f"({RTD_KEYS} =5)",
+        f"({RTD_KEYS} area 2)",
+    ])
+    def test_stray_text_rejected(self, body):
+        with pytest.raises(NetlistError, match="unexpected text") as exc:
+            self.model(body)
+        assert str(exc.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize("extra", ["A=5", "a=5", "T=300 t=200"])
+    def test_repeated_key_rejected(self, extra):
+        with pytest.raises(NetlistError, match="given twice"):
+            self.model(f"({RTD_KEYS} {extra})")
+
+    @pytest.mark.parametrize("body", [
+        f"({RTD_KEYS})",
+        RTD_KEYS,
+        "(a = 1e-4, b=2,c=1.5 D=0.3 h=1.43e-8 N1=0.35 n2=0.0172)",
+        f"( {RTD_KEYS} T=300 )",
+    ])
+    def test_accepted_forms(self, body):
+        m = self.model(body)
+        assert (m.a, m.b, m.cp, m.d, m.h, m.n1, m.n2, m.temp, m.area) == (
+            1e-4, 2.0, 1.5, 0.3, 1.43e-8, 0.35, 0.0172, 300.0, 1.0)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("line, what", [
+        (".dc V1 0 1 2.9", ".dc points"),
+        (".dc V1 0 1 1.5", ".dc points"),
+        (".stoch 1u 1n 10.5 seed=3", ".stoch paths"),
+        (".stoch 1u 1n 10 seed=3.7", ".stoch seed"),
+        (".model W NW (g0=2e-5 vstep=0.5 nsteps=2.7 smooth=0.05)", "model key 'nsteps'"),
+    ])
+    def test_fractions_rejected(self, line, what):
+        with pytest.raises(NetlistError, match=re.escape(f"{what} must be an integer")):
+            parse_netlist(f"V1 1 0 DC 1\nR1 1 0 1k\n{line}\n.end\n")
+
+    def test_whole_numbers_in_any_notation(self):
+        net = parse_netlist("V1 1 0 DC 1\nR1 1 0 1k\n.dc V1 0 1 1k\n"
+                            ".stoch 1u 1n 2e3 seed=4.0\n"
+                            ".model W NW (g0=2e-5 vstep=0.5 nsteps=5.0 smooth=0.05)\n.end\n")
+        dc, stoch = net.analyses
+        counts = (dc.points, stoch.paths, stoch.seed, net.models["w"].nsteps)
+        assert counts == (1000, 2000, 4, 5)
+        assert all(type(c) is int for c in counts)
+
+
+def _dialect_lines(text: str) -> list:
+    """The card lines of the first code block after the README's
+    "Netlist dialect" heading, whitespace collapsed."""
+    block = text.split("## Netlist dialect", 1)[1].split("```")[1]
+    return [" ".join(line.split()) for line in block.splitlines() if line.strip()]
+
+
+def _docstring_lines(text: str) -> list:
+    """The indented card lines of the module docstring, ahead of its example."""
+    return [" ".join(line.split()) for line in text.split("Example:")[0].splitlines()
+            if line.startswith("    ")]
+
+
+class TestDialectDocs:
+    """The README's dialect block and the module docstring list exactly the
+    tables' cards and keys."""
+
+    README = os.path.join(DECKS, os.pardir, "README.md")
+
+    @pytest.fixture(params=["README", "docstring"])
+    def lines(self, request):
+        if request.param == "docstring":
+            return _docstring_lines(netlist.__doc__)
+        with open(self.README, encoding="utf-8") as fh:
+            return _dialect_lines(fh.read())
+
+    def test_model_lines_name_the_table_keys(self, lines):
+        listed = {}
+        for line in lines:
+            m = re.match(r"\.model <name> (\w+) \((.*)\)", line)
+            if m:
+                listed[m.group(1)] = re.findall(r"(\[?)(\w+)=([^\s\]]*)", m.group(2))
+        assert set(listed) == set(_MODEL_TYPES)
+        for name, mtype in _MODEL_TYPES.items():
+            assert [key for _, key, _ in listed[name]] == [key for key, _ in mtype.keys]
+            defaults = {f.name: f.default for f in dataclasses.fields(mtype.cls)}
+            for (bracket, key, default), (_, field) in zip(listed[name], mtype.keys):
+                # a key is optional exactly when its field has a default
+                assert bool(bracket) == (defaults[field] is not dataclasses.MISSING)
+                if bracket:
+                    assert float(default) == defaults[field]
+
+    def test_element_lines_give_the_table_forms(self, lines):
+        cards = [line for line in lines if not line.startswith(".")]
+        heads = {line.split()[0] for line in cards}
+        assert heads == {card.usage.split()[0] for card in _CARDS.values()}
+        for card in _CARDS.values():
+            (line,) = [ln for ln in cards if ln.split()[0] == card.usage.split()[0]]
+            # the source's form abbreviates its waveforms
+            assert line.startswith(card.usage.split(" | ")[0])
+
+
+# --- generated decks ----------------------------------------------------------
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=4)
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _number(draw, values=_POSITIVE):
+    """A value as deck text: plain, or with an engineering suffix."""
+    x = draw(values)
+    suffix = draw(st.sampled_from(["", "f", "p", "n", "u", "m", "k", "meg", "g"]))
+    mult = netlist.SUFFIX_MULTIPLIERS.get(suffix, 1.0)
+    return f"{x / mult!r}{suffix}" if suffix else repr(x)
+
+
+@st.composite
+def _waveform(draw):
+    form = draw(st.sampled_from(["DC", "PWL", "PULSE"]))
+    if form == "DC":
+        return f"DC {draw(_number(st.floats(-10, 10)))}"
+    if form == "PWL":
+        steps = draw(st.lists(_POSITIVE, min_size=1, max_size=4))
+        times = np.cumsum(steps).tolist()
+        levels = draw(st.lists(st.floats(-5, 5), min_size=len(times),
+                               max_size=len(times)))
+        return "PWL(" + " ".join(f"{t!r} {v!r}" for t, v in zip(times, levels)) + ")"
+    v1, v2, delay = (draw(st.floats(-5, 5)) for _ in range(3))
+    rise, fall, width = (draw(_POSITIVE) for _ in range(3))
+    period = (rise + fall + width) * draw(st.floats(1.01, 3.0))
+    return "PULSE(" + " ".join(repr(x) for x in (v1, v2, delay, rise, fall, width,
+                                                    period)) + ")"
+
+
+@st.composite
+def _model(draw, name: str, mtype: str):
+    """A .model card with every required key, a random subset of the
+    optional ones, in random order and case."""
+    spec = _MODEL_TYPES[mtype]
+    defaults = {f.name: f.default for f in dataclasses.fields(spec.cls)}
+    pairs = []
+    for key, field in spec.keys:
+        if defaults[field] is not dataclasses.MISSING and not draw(st.booleans()):
+            continue
+        value = (str(draw(st.integers(1, 50))) if field in spec.counts
+                 else draw(_number()))
+        pairs.append(f"{draw(st.sampled_from([key, key.upper(), key.lower()]))}={value}")
+    pairs = draw(st.permutations(pairs))
+    sep = draw(st.sampled_from([" ", ", ", "\n+ "]))
+    return f".model {name} {mtype} (" + sep.join(pairs) + ")"
+
+
+@st.composite
+def _deck(draw):
+    nodes = draw(st.lists(_NAMES.filter(lambda n: n != "0"), min_size=1, max_size=3,
+                          unique=True))
+    lines = [f"* {draw(st.text('abc XYZ', max_size=6))}"]
+    lines += [f"RG{i} {nd} 0 1k" for i, nd in enumerate(nodes)]   # a path to ground
+    model_of = {t.kind: f"m{i}" for i, t in enumerate(_MODEL_TYPES.values())}
+    for i, (prefix, card) in enumerate(_CARDS.items()):
+        head = draw(st.sampled_from([prefix, prefix.upper()])) + str(i)
+        terminals = [draw(st.sampled_from(nodes + ["0"]))
+                     for _ in range(len(card.usage.split()) - 2)]
+        if card.kind is ElementKind.VSOURCE:
+            terminals, last, source = terminals[:2], draw(_waveform()), head
+        elif card.rule is None:
+            last = draw(st.sampled_from([model_of[card.kind], model_of[card.kind].upper()]))
+        else:
+            last = draw(_number(st.floats(0.0 if card.rule(0.0) else 1e-3, 1e3)))
+        lines.append(" ".join([head] + terminals + [last]))
+    lines += [draw(_model(model_of[t.kind], name)) for name, t in _MODEL_TYPES.items()]
+    lines.append(".op")
+    lines.append(f".dc {source.upper()} {draw(_number())} {draw(_number())} "
+                 f"{draw(st.integers(2, 500))}")
+    eps = f" eps={draw(st.floats(1e-4, 0.5))!r}" if draw(st.booleans()) else ""
+    lines.append(f".tran {draw(_number())}{eps}")
+    seeds = st.integers(0, 3) | st.integers(0, 2**31)      # 0 must come up
+    seed = f" SEED={draw(seeds)}" if draw(st.booleans()) else ""
+    lines.append(f".stoch {draw(_number())} {draw(_number())} "
+                 f"{draw(st.integers(1, 10**4))}{seed}")
+    lines.append(".end")
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedRoundTrip:
+    # each deck holds every card, model type and analysis card; drawing one
+    # takes about 30 ms, so 60 decks keep this test near 2 s
+    @settings(max_examples=60, deadline=None)
+    @given(_deck())
+    def test_parse_print_fixed_point(self, deck):
+        net = parse_netlist(deck)
+        assert {el.kind for el in net.elements} == set(ElementKind)
+        text = pretty_print(net)
+        again = parse_netlist(text)
+        assert again == net
+        assert pretty_print(again) == text

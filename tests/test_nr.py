@@ -142,8 +142,8 @@ class TestFlopCompare:
         nanowire_dgeq_dv(model, 1.0, one)
         n = len(calls)
         assert n > 1
-        assert billed - unbilled == FlopCounter(n * one.adds, n * one.muls,
-                                                n * one.divs, n * one.transcendentals)
+        unbilled.count(n * one.adds, n * one.muls, n * one.divs, n * one.transcendentals)
+        assert billed == unbilled
 
     @pytest.mark.parametrize("deck, swec, newton", [
         pytest.param("rtd_divider.ckt", 8967, 12128, id="rtd_divider"),         # 60 points

@@ -221,6 +221,32 @@ class TestLinearTransient:
         replay = integrator_replay(series.times, 1.0 / r, c, lambda t: [1.0 / r])[:, 0]
         assert np.max(np.abs(series.v("out") - replay)) <= 1e-10
 
+    def test_capacitor_behind_floating_source_within_eps(self):
+        # V2 fixes a - b, not a: C1's node still carries a truncation error
+        deck = ("V1 in 0 PULSE(0 1 0 1n 1n 10u 20u)\nR1 in b 1k\nV2 a b DC 0\n"
+                "C1 a 0 1n\n.end\n")
+        series = transient(parse_netlist(deck), 50e-6, 0.01)
+        assert series.limited_by["lte"] > 0
+
+        def ramp_response(y0, u0, slope, dt, tau=1e-6):
+            # tau y' = u - y with u = u0 + slope * t, from y0
+            return u0 + slope * (dt - tau) + (y0 - u0 + slope * tau) * math.exp(-dt / tau)
+
+        # the exact response to the drive, linear between its corners
+        corners = [0.0, 1e-9, 10.001e-6, 10.002e-6, 20e-6, 20.001e-6, 30.001e-6,
+                   30.002e-6, 40e-6, 40.001e-6, 50e-6]
+        drive = [0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+        slopes = np.diff(drive) / np.diff(corners)
+        start = [0.0]
+        for k, slope in enumerate(slopes):
+            start.append(ramp_response(start[k], drive[k], slope,
+                                       corners[k + 1] - corners[k]))
+        seg = np.minimum(np.searchsorted(corners, series.times, side="right") - 1,
+                         len(slopes) - 1)
+        exact = [ramp_response(start[k], drive[k], slopes[k], t - corners[k])
+                 for k, t in zip(seg, series.times)]
+        assert np.max(np.abs(series.v("a") - exact)) <= 0.01 * 1.0
+
     def test_noise_sources_rejected(self):
         net = parse_netlist(deck_text("ou_step.ckt"))
         with pytest.raises(SimulationError):
