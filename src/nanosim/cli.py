@@ -28,7 +28,7 @@ import numpy as np
 from .devices import DeviceError
 from .mna import MnaError
 from .netlist import (DcAnalysis, Netlist, NetlistError, StochAnalysis,
-                      TranAnalysis, parse_netlist, parse_value)
+                      TranAnalysis, parse_count, parse_netlist, parse_value)
 from .nr import flop_compare
 from .stochastic import StochasticError, ensemble
 from .swec import (SimulationError, WaveformSeries, dc_sweep, operating_point,
@@ -59,12 +59,17 @@ def _load(path: str) -> Netlist:
         return parse_netlist(fh.read())
 
 
-def _value_flag(text: str) -> float:
+def _value_flag(text: str, parse=parse_value):
     # argparse turns this into its one-line usage error (exit 1 in main)
     try:
-        return parse_value(text)
+        return parse(text)
     except NetlistError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _count_flag(text: str) -> int:
+    # the deck cards' count rule
+    return _value_flag(text, lambda t: parse_count(t, f"'{t}'"))
 
 
 def _settings(args: argparse.Namespace, net: Netlist, analysis: type,
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dc.add_argument("--source")
     p_dc.add_argument("--from", dest="start", type=_value_flag)
     p_dc.add_argument("--to", dest="stop", type=_value_flag)
-    p_dc.add_argument("--points", type=int)
+    p_dc.add_argument("--points", type=_count_flag)
     p_dc.add_argument("--out")
     p_dc.add_argument("--plot", action="store_true")
     p_dc.add_argument("--compare-nr", action="store_true")
@@ -305,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("deck")
     p_st.add_argument("--tstop", dest="t_stop", metavar="TSTOP", type=_value_flag)
     p_st.add_argument("--dt", type=_value_flag)
-    p_st.add_argument("--paths", type=int)
-    p_st.add_argument("--seed", type=int)
+    p_st.add_argument("--paths", type=_count_flag)
+    p_st.add_argument("--seed", type=_count_flag)
     p_st.add_argument("--window", nargs=2, type=_value_flag,
                       metavar=("T_A", "T_B"))
     p_st.add_argument("--out")

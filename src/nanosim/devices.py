@@ -159,38 +159,24 @@ DeviceModel = Union[RtdModel, MosModel, NanowireModel]
 
 @dataclass
 class DeviceState:
-    """Per-device history owned by the engine, mutated between steps.
+    """One device's recent history, the input of :func:`geq_predict` and
+    :func:`device_step_bound` (the transient engine keeps its own).
 
-    ``v_now``, ``v_prev`` and ``v_prev2`` are the stamped branch voltage
-    (terminal voltage for two-poles, Vds for a MOSFET) at the last three
-    accepted points, which the transient engine extrapolates to the end of
-    each step to predict the conductance; ``ctrl_*`` are the controlling
-    voltage at the same points (Vgs for a MOSFET, the branch voltage
-    otherwise). ``h_prev`` is the last accepted step (0 before the first),
-    ``geq_now`` the conductance at the last accepted point, and
-    ``overdrive`` Vgs - Vth for MOSFETs (read by :func:`device_step_bound`).
+    ``v_now`` and ``v_prev`` are the stamped branch voltage (terminal
+    voltage for two-poles, Vds for a MOSFET) at the last two accepted
+    points and ``ctrl_now`` and ``ctrl_prev`` the controlling voltage there
+    (Vgs for a MOSFET, the branch voltage otherwise). ``h_prev`` is the
+    step between them (0 before the first), ``geq_now`` the conductance at
+    the last point, and ``overdrive`` Vgs - Vth for MOSFETs.
     """
 
     v_now: float = 0.0
     v_prev: float = 0.0
-    v_prev2: float = 0.0
     h_prev: float = 0.0
     geq_now: float = G_FLOOR
     ctrl_now: float = 0.0
     ctrl_prev: float = 0.0
-    ctrl_prev2: float = 0.0
     overdrive: float = 0.0
-
-    def slew(self) -> float:
-        """Backward-difference dV/dt of the branch voltage; 0 without history."""
-        if self.h_prev <= 0.0:
-            return 0.0
-        return (self.v_now - self.v_prev) / self.h_prev
-
-    def ctrl_slew(self) -> float:
-        if self.h_prev <= 0.0:
-            return 0.0
-        return (self.ctrl_now - self.ctrl_prev) / self.h_prev
 
 
 def _as_array(v):
@@ -660,11 +646,11 @@ def device_step_bound(state: DeviceState, mosfet: bool) -> float:
     if mosfet:
         if state.overdrive <= 0.0:
             return math.inf
-        alpha = state.ctrl_slew()
+        alpha = (state.ctrl_now - state.ctrl_prev) / state.h_prev
         if alpha == 0.0:
             return math.inf
         return 2.0 * abs(state.overdrive) / abs(alpha)
-    dvdt = state.slew()
+    dvdt = (state.v_now - state.v_prev) / state.h_prev
     if dvdt == 0.0:
         return math.inf
     return 2.0 * abs(state.v_now) / abs(dvdt)

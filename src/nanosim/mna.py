@@ -312,9 +312,9 @@ def _subtract_dot(xk: float, coeffs: List[float], xs: List[float]) -> float:
     return xk
 
 
-def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
-    """The solution of ``sys``: node voltages followed by source branch
-    currents. A system with a partition is condensed first (module
+def solve(sys: MnaSystem, fc: FlopCounter) -> List[float]:
+    """The solution of ``sys`` as a list of floats: node voltages followed
+    by source branch currents. A system with a partition is condensed first (module
     docstring), unless its right-hand side is nonzero but entirely
     subnormal: subnormals carry too few bits for the condensed and the full
     elimination to agree to rounding, so such a system keeps the full LU.
@@ -322,7 +322,7 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
     1e-14 of its row scale. ``sys`` is left as it was."""
     part = sys.partition
     if part is None or 0.0 < max(map(abs, sys.b)) < _NORMAL_MIN:
-        return np.array(_lu([row.copy() for row in sys.rows], sys.b, fc), dtype=float)
+        return list(map(float, _lu([row.copy() for row in sys.rows], sys.b, fc)))
     rows, b = sys.rows, sys.b
     pins, free = part.pins, part.free
     x = [0.0] * sys.size
@@ -352,7 +352,7 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> np.ndarray:
                 billed += 1
         x[pin.row] = pin.sign * acc
     fc.count(billed, billed)
-    return np.array(x, dtype=float)
+    return list(map(float, x))
 
 
 def _lu(a: List[List[float]], b: List[float], fc: FlopCounter) -> List[float]:

@@ -20,10 +20,12 @@ cards (the element cards are ``_CARDS``, the model types ``_MODEL_TYPES``):
     .end
 
 Values accept engineering suffixes f/p/n/u/m/k/meg/g. Counts (``points``,
-``paths``, ``seed``, ``nsteps``) must be integers: ``2.9`` is rejected,
-``1k`` is 1000. Model keys are case-insensitive, each given at most once;
-keys in brackets are optional. Node names are arbitrary identifiers; ``0``
-is ground.
+``paths``, ``seed``, ``nsteps``) must be integers (:func:`parse_count`):
+``2.9`` is rejected, ``1k`` is 1000, an integer literal is taken exactly.
+Model keys are case-insensitive, each given at most once; keys in brackets
+are optional. Each analysis card is given at most once, and each of its
+options too; ``.op`` and ``.end`` take nothing after them. Node names are
+arbitrary identifiers; ``0`` is ground.
 
 Example:
     >>> net = parse_netlist('''* divider
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Tuple, Union
@@ -60,6 +62,7 @@ SUFFIX_MULTIPLIERS = {
 }
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_INTEGER_RE = re.compile(r"[+-]?\d+")
 
 
 class NetlistError(Exception):
@@ -96,6 +99,19 @@ def parse_value(text: str, line_number: Optional[int] = None,
             if _NUMBER_RE.match(body):
                 return float(body) * SUFFIX_MULTIPLIERS[suffix]
     raise NetlistError(f"cannot parse value '{text}'", line_number, line_text)
+
+
+def parse_count(text: str, what: str, line_number: Optional[int] = None,
+                line_text: Optional[str] = None) -> int:
+    """Parse a count: an integer literal exactly, any other value
+    (:func:`parse_value`) if it is a whole number (``1k`` is 1000, ``2.5``
+    an error naming the count ``what``)."""
+    if _INTEGER_RE.fullmatch(text.strip()):
+        return int(text)
+    v = parse_value(text, line_number, line_text)
+    if not v.is_integer():
+        raise NetlistError(f"{what} must be an integer", line_number, line_text)
+    return int(v)
 
 
 # --- waveforms ---------------------------------------------------------------
@@ -330,6 +346,17 @@ _MODEL_TYPES = {
 # one <key>=<value> of a .model body
 _PAIR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^\s(),]+)")
 
+# analysis cards by name: the class each builds and its form. The fields
+# without a default are the card's values in order, those with one its
+# <field>=<value> options; a value is parsed by its field's annotation
+# (a str as written, a float as a value, an int as a count).
+_ANALYSES = {
+    ".op": (OpAnalysis, ".op"),
+    ".dc": (DcAnalysis, ".dc <source> <start> <stop> <points>"),
+    ".tran": (TranAnalysis, ".tran <tstop> [eps=<e>]"),
+    ".stoch": (StochAnalysis, ".stoch <tstop> <dt> <paths> [seed=<s>]"),
+}
+
 
 def _type_of(card: DeviceModel) -> Tuple[str, _ModelType]:
     return next((name, t) for name, t in _MODEL_TYPES.items() if isinstance(card, t.cls))
@@ -342,6 +369,7 @@ class _Parser:
         self.elements: List[Element] = []
         self.models: Dict[str, DeviceModel] = {}
         self.analyses: List[Analysis] = []
+        self._analysis_lines: Dict[str, int] = {}
         self.node_seen: List[str] = []
         self.saw_end = False
         self._names_ci: Dict[str, int] = {}
@@ -356,10 +384,7 @@ class _Parser:
         return parse_value(tok, lineno, self.lines[lineno - 1])
 
     def count(self, tok: str, what: str, lineno: int) -> int:
-        v = self.value(tok, lineno)
-        if not v.is_integer():
-            self.fail(f"{what} must be an integer", lineno)
-        return int(v)
+        return parse_count(tok, what, lineno, self.lines[lineno - 1])
 
     def add_node(self, name: str):
         if name != "0" and name not in self.node_seen:
@@ -471,45 +496,40 @@ class _Parser:
 
     def directive(self, lineno: int, tokens: List[str]):
         name = tokens[0].lower()
+        if name == ".model":
+            return self.model_card(lineno, tokens)
         if name == ".end":
+            if len(tokens) > 1:
+                self.fail(f"unexpected text '{tokens[1]}' after {tokens[0]}", lineno)
             self.saw_end = True
-        elif name == ".model":
-            self.model_card(lineno, tokens)
-        elif name == ".op":
-            self.analyses.append(OpAnalysis())
-        elif name == ".dc":
-            if len(tokens) != 5:
-                self.fail(".dc requires: .dc <source> <start> <stop> <points>", lineno)
-            pts = self.count(tokens[4], ".dc points", lineno)
-            if pts < 2:
-                self.fail(".dc requires at least 2 points", lineno)
-            self.analyses.append(DcAnalysis(tokens[1], self.value(tokens[2], lineno),
-                                            self.value(tokens[3], lineno), pts))
-        elif name == ".tran":
-            if len(tokens) < 2:
-                self.fail(".tran requires: .tran <tstop> [eps=<e>]", lineno)
-            eps = None
-            for tok in tokens[2:]:
-                if tok.lower().startswith("eps="):
-                    eps = self.value(tok[4:], lineno)
-                else:
-                    self.fail(f"unknown .tran option '{tok}'", lineno)
-            self.analyses.append(TranAnalysis(self.value(tokens[1], lineno), eps))
-        elif name == ".stoch":
-            if len(tokens) < 4:
-                self.fail(".stoch requires: .stoch <tstop> <dt> <paths> [seed=<s>]",
-                          lineno)
-            seed = None
-            for tok in tokens[4:]:
-                if tok.lower().startswith("seed="):
-                    seed = self.count(tok[5:], ".stoch seed", lineno)
-                else:
-                    self.fail(f"unknown .stoch option '{tok}'", lineno)
-            self.analyses.append(StochAnalysis(
-                self.value(tokens[1], lineno), self.value(tokens[2], lineno),
-                self.count(tokens[3], ".stoch paths", lineno), seed))
-        else:
+            return
+        if name not in _ANALYSES:
             self.fail(f"unknown directive '{tokens[0]}'", lineno)
+        first = self._analysis_lines.setdefault(name, lineno)
+        if first != lineno:
+            self.fail(f"second {name} card (the first is on line {first})", lineno)
+        cls, usage = _ANALYSES[name]
+        values = [f for f in fields(cls) if f.default is MISSING]
+        options = {f.name: f for f in fields(cls) if f.default is not MISSING}
+        if len(tokens) <= len(values):
+            self.fail(f"{name} requires: {usage}", lineno)
+
+        def parse(f, tok):
+            if "int" in f.type:
+                return self.count(tok, f"{name} {f.name}", lineno)
+            return self.value(tok, lineno) if "float" in f.type else tok
+        setting = {f.name: parse(f, tok) for f, tok in zip(values, tokens[1:])}
+        for tok in tokens[len(values) + 1:]:
+            key, eq, text = tok.partition("=")
+            key = key.lower()
+            if not eq or key not in options:
+                self.fail(f"unknown {name} option '{tok}'", lineno)
+            if key in setting:
+                self.fail(f"{name} option '{key}' given twice", lineno)
+            setting[key] = parse(options[key], text)
+        if name == ".dc" and setting["points"] < 2:
+            self.fail(".dc requires at least 2 points", lineno)
+        self.analyses.append(cls(**setting))
 
     def model_card(self, lineno: int, tokens: List[str]):
         if len(tokens) < 3:
@@ -521,7 +541,7 @@ class _Parser:
         body = " ".join(tokens[3:]).strip()
         if body.startswith("(") and body.endswith(")"):
             body = body[1:-1]
-        pairs = [(m.group(1).lower(), self.value(m.group(2), lineno))
+        pairs = [(m.group(1).lower(), m.group(2), self.value(m.group(2), lineno))
                  for m in _PAIR_RE.finditer(body)]
         stray = _PAIR_RE.sub(" ", body).replace(",", " ").split()
         if stray:
@@ -533,23 +553,24 @@ class _Parser:
                       f"or {last})", lineno)
         field_of = {key.lower(): field for key, field in mtype.keys}
         kwargs = {}
-        for key, val in pairs:
+        for key, text, val in pairs:
             field = field_of.get(key)
             if field is None:
                 self.fail(f"unknown model key '{key}'", lineno)
             if field in kwargs:
                 self.fail(f"model key '{key}' given twice", lineno)
             if field in mtype.counts:
-                if not val.is_integer():
-                    self.fail(f"model key '{key}' must be an integer", lineno)
-                val = int(val)
+                val = self.count(text, f"model key '{key}'", lineno)
             kwargs[field] = val
+        required = {f.name for f in fields(mtype.cls) if f.default is MISSING}
+        missing = [key for key, field in mtype.keys if field in required - kwargs.keys()]
+        if missing:
+            self.fail(f"model '{tokens[1]}' is missing required parameters: "
+                      f"{', '.join(missing)}", lineno)
         try:
             self.models[mname] = mtype.cls(**kwargs)
         except DeviceError as exc:
             self.fail(f"invalid model parameters: {exc}", lineno)
-        except TypeError:
-            self.fail(f"model '{tokens[1]}' is missing required parameters", lineno)
 
     # -- post-parse validation --
 
@@ -640,15 +661,12 @@ def pretty_print(net: Netlist) -> str:
     for name, card in net.models.items():
         lines.append(_fmt_model(name, card))
     for an in net.analyses:
-        if isinstance(an, OpAnalysis):
-            lines.append(".op")
-        elif isinstance(an, DcAnalysis):
-            lines.append(f".dc {an.source} {_fmt(an.start)} {_fmt(an.stop)} {an.points}")
-        elif isinstance(an, TranAnalysis):
-            tail = f" eps={_fmt(an.eps)}" if an.eps is not None else ""
-            lines.append(f".tran {_fmt(an.t_stop)}{tail}")
-        elif isinstance(an, StochAnalysis):
-            tail = f" seed={an.seed}" if an.seed is not None else ""
-            lines.append(f".stoch {_fmt(an.t_stop)} {_fmt(an.dt)} {an.paths}{tail}")
+        words = [next(name for name, (cls, _) in _ANALYSES.items() if isinstance(an, cls))]
+        for f in fields(an):
+            v = getattr(an, f.name)
+            if v is not None:
+                text = _fmt(v) if "float" in f.type else str(v)
+                words.append(text if f.default is MISSING else f"{f.name}={text}")
+        lines.append(" ".join(words))
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -193,7 +193,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                     rhs[br.b] += ieq
         older, prev = prev, x
         try:
-            x = solve(sys, fc).tolist()
+            x = solve(sys, fc)
         except SingularSystemError:
             break
         residual, currents = kcl_residual(x)

@@ -40,9 +40,12 @@ error from the root of the step's order plus one (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4): after a BDF2 step the next step or retry is
 h * min(2, 0.9 (lte_tol / lte)**(1/3), 0.9 sqrt(eps / err)), after a
 backward-Euler step the lte term is a square root; clamped to [h_min,
-h_max] and cut at source breakpoints. ``WaveformSeries.limited_by`` counts
-the accepted steps by what set h. At eps = 0.01, ``fet_rtd_inverter`` takes
-245 solves and no step under 1 ps.
+h_max]. :func:`next_step_size` applies that one rule and names what set
+the step: "h_max", "growth" (the 2x cap), or "lag" or "lte" for the
+estimate that allowed less. A step cut at a source breakpoint or at t_stop
+is "breakpoint", the first step "first", and ``WaveformSeries.limited_by``
+counts the accepted steps by label. At eps = 0.01, ``fet_rtd_inverter``
+takes 245 solves and no step under 1 ps.
 
 Operating points iterate the DC system (capacitors open) with each
 device's chord conductance at the last iterate, one solve per iteration.
@@ -83,7 +86,7 @@ import numpy as np
 
 # device_step_bound, geq_predict, rtd_dgeq_dv and nanowire_dgeq_dv are not
 # called; the benchmark tracer patches them here
-from .devices import (DeviceState, G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
+from .devices import (G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, assemble, solve
@@ -158,39 +161,24 @@ class DcSweep:
         return int(self.point_solves.sum())
 
 
-def _step_factors(lte: float, lte_tol: float, err: float, eps: float,
-                  order: int) -> Tuple[float, float]:
-    """The factors by which the truncation error ``lte`` of an order-``order``
-    step (growing as h**(order + 1)) and the chord lag ``err`` (growing as
-    h**2) let the step change, 0.9 of the step each allows; inf where an
-    estimate is zero and bounds nothing."""
+def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
+                   h_min: float, h_max: float, order: int) -> Tuple[float, str]:
+    """The step after step ``h`` of order ``order`` with truncation error
+    ``lte`` (budget ``lte_tol``) and chord lag ``err`` (budget ``eps``),
+    by the module docstring's rule (an estimate of zero bounds nothing),
+    and what set it: "h_max", "growth" (the 2x cap), or "lag" or "lte" for
+    the estimate that allowed less, also where h_min clamps the step up; a
+    tie is "lte". A NaN estimate gives (h_min, "lte")."""
+    if not (lte >= 0.0 and err >= 0.0):
+        return h_min, "lte"
     f_lte = 0.9 * (lte_tol / lte) ** (1.0 / (order + 1)) if lte > 0.0 else math.inf
     f_lag = 0.9 * math.sqrt(eps / err) if err > 0.0 else math.inf
-    return f_lte, f_lag
-
-
-def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
-                   h_min: float, h_max: float, order: int) -> float:
-    """The step after step ``h`` of order ``order`` with truncation error
-    ``lte`` (budget ``lte_tol``) and chord lag ``err`` (budget ``eps``): the
-    smaller step the two estimates allow (:func:`_step_factors`), at most
-    2h, clamped to [h_min, h_max]. A NaN estimate gives h_min."""
-    if not (lte >= 0.0 and err >= 0.0):
-        return h_min
-    f = min(2.0, *_step_factors(lte, lte_tol, err, eps, order))
-    return min(max(f * h, h_min), h_max)
-
-
-def _limiter(h: float, h_next: float, lte: float, lte_tol: float, err: float,
-             eps: float, h_max: float, order: int) -> str:
-    """Which bound of :func:`next_step_size` gave ``h_next`` after step ``h``
-    (a step clamped up to h_min counts for the estimate that asked for less)."""
+    h_next = min(max(min(2.0, f_lte, f_lag) * h, h_min), h_max)
     if h_next >= h_max:
-        return "h_max"
+        return h_next, "h_max"
     if h_next >= 2.0 * h:
-        return "growth"
-    f_lte, f_lag = _step_factors(lte, lte_tol, err, eps, order)
-    return "lag" if f_lag < f_lte else "lte"
+        return h_next, "growth"
+    return h_next, "lag" if f_lag < f_lte else "lte"
 
 
 # --- engine internals ---------------------------------------------------------
@@ -202,14 +190,14 @@ class _Engine:
     """One compiled circuit and the history of each nonlinear device.
 
     Per-device data are lists index-aligned with ``circuit.devices``: kind,
-    model, :class:`DeviceState`, terminal indices, and the terminals the
-    local error test reads (source-held nodes left out once, here). A step
-    attempt works on Python floats and lists from start to finish: the
-    solution of :func:`solve` becomes one list, each device is evaluated
-    once at it, and the conductances are lists in device order.
-    Device kernels, :func:`assemble` and :func:`solve` are called through
-    this module's globals, once per device or attempt, so a tracer that
-    replaces them sees every call.
+    model, terminal indices, the terminals the local error test reads
+    (source-held nodes left out once, here), the (branch, controlling)
+    biases at the last three accepted points, newest first, and the
+    conductances at the last. A step attempt works on Python floats and
+    lists from start to finish, and evaluates each device once at the
+    solution. Device kernels, :func:`assemble` and :func:`solve` are called
+    through this module's globals, once per device or attempt, so a tracer
+    that replaces them sees every call.
     """
 
     def __init__(self, net: Netlist):
@@ -222,8 +210,9 @@ class _Engine:
         self.devices = circuit.devices
         self.kinds = [br.el.kind for br in self.devices]
         self.models = circuit.models
-        self.dev_states = [DeviceState() for _ in self.devices]
         self.terminals = [(br.a, br.b, br.gate) for br in self.devices]
+        self.history = [[(0.0, 0.0)] * len(self.devices)] * 3
+        self.geq = [G_FLOOR] * len(self.devices)
         # the nodes grounded sources pin (the unknowns solve condenses out)
         # cannot respond to a conductance change or carry a truncation
         # error: both error tests skip them
@@ -236,53 +225,55 @@ class _Engine:
              if j >= 0 and j not in held]
             for a, b, _ in self.terminals]
 
-    def evaluate(self, x: List[float]
-                 ) -> Tuple[List[Tuple[float, float]], List[float]]:
-        """Every device's bias at solution x, (branch voltage, controlling
-        voltage): (vds, vgs) for a MOSFET, the terminal voltage twice
-        otherwise; and its conductance at that bias, floored at G_FLOOR."""
-        fc, biases, geqs = self.fc, [], []
-        for kind, m, (a, b, gate) in zip(self.kinds, self.models, self.terminals):
-            va = x[a] if a >= 0 else 0.0
-            vb = x[b] if b >= 0 else 0.0
-            if kind is _MOSFET:
-                vgs, v, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
-                g = mos_geq(m, vgs, v, fc)
-                biases.append((v, vgs))
-            else:
-                v = va - vb
-                g = rtd_geq(m, v, fc) if kind is _RTD else nanowire_geq(m, v, fc)
-                biases.append((v, v))
-            geqs.append(G_FLOOR if g < G_FLOOR else g)
-        return biases, geqs
-
-    def step_geq(self, h: float, h_prev: float, h_prev2: float) -> List[float]:
-        """The floored conductance each device is stamped with for a step
-        ``h`` from the committed solution: its kernel evaluated at its bias
-        extrapolated to the step's end through the last three accepted
-        points, ``h_prev`` and ``h_prev2`` apart (a line through two while
-        ``h_prev2`` is 0; the committed conductance with no step behind)."""
-        if h_prev <= 0.0:
-            return [st.geq_now for st in self.dev_states]
-        # v(t + h) = v_now + c0 (v_now - v_prev) + c1 (v_prev - v_prev2),
-        # the Newton form of the interpolating polynomial
-        c0, c1 = h / h_prev, 0.0
-        if h_prev2 > 0.0:
-            k = h * (h + h_prev) / (h_prev + h_prev2)
-            c0, c1 = (h + k) / h_prev, -k / h_prev2
+    def conductances(self, biases: List[Tuple[float, float]]) -> List[float]:
+        """Every device's conductance at its (branch, controlling) bias,
+        floored at G_FLOOR; a MOSFET's branch voltage is taken at 0 or
+        above."""
         fc, out = self.fc, []
-        for kind, m, st in zip(self.kinds, self.models, self.dev_states):
-            v = st.v_now + c0 * (st.v_now - st.v_prev) + c1 * (st.v_prev - st.v_prev2)
+        for kind, m, (v, ctrl) in zip(self.kinds, self.models, biases):
             if kind is _MOSFET:
-                vgs = st.ctrl_now + c0 * (st.ctrl_now - st.ctrl_prev) + c1 * (
-                    st.ctrl_prev - st.ctrl_prev2)
-                g = mos_geq(m, vgs, 0.0 if v < 0.0 else v, fc)
+                g = mos_geq(m, ctrl, 0.0 if v < 0.0 else v, fc)
             elif kind is _RTD:
                 g = rtd_geq(m, v, fc)
             else:
                 g = nanowire_geq(m, v, fc)
             out.append(G_FLOOR if g < G_FLOOR else g)
         return out
+
+    def evaluate(self, x: List[float]
+                 ) -> Tuple[List[Tuple[float, float]], List[float]]:
+        """Every device's bias at solution x, (branch voltage, controlling
+        voltage): (vds, vgs) for a MOSFET, the terminal voltage twice
+        otherwise; and its conductance there."""
+        biases = []
+        for kind, (a, b, gate) in zip(self.kinds, self.terminals):
+            va = x[a] if a >= 0 else 0.0
+            vb = x[b] if b >= 0 else 0.0
+            if kind is _MOSFET:
+                vgs, v, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
+                biases.append((v, vgs))
+            else:
+                v = va - vb
+                biases.append((v, v))
+        return biases, self.conductances(biases)
+
+    def step_geq(self, h: float, h_prev: float, h_prev2: float) -> List[float]:
+        """The conductance each device is stamped with for a step ``h``
+        from the committed solution: at its bias extrapolated to the step's
+        end through the last three accepted points, ``h_prev`` and
+        ``h_prev2`` apart (a line through two while ``h_prev2`` is 0; the
+        committed conductance with no step behind)."""
+        if h_prev <= 0.0:
+            return self.geq
+        # v(t + h) = v_now + c0 (v_now - v_prev) + c1 (v_prev - v_prev2),
+        # the Newton form of the interpolating polynomial
+        c0, c1 = h / h_prev, 0.0
+        if h_prev2 > 0.0:
+            k = h * (h + h_prev) / (h_prev + h_prev2)
+            c0, c1 = (h + k) / h_prev, -k / h_prev2
+        return self.conductances([
+            (v + c0 * (v - vp) + c1 * (vp - vpp), c + c0 * (c - cp) + c1 * (cp - cpp))
+            for (v, c), (vp, cp), (vpp, cpp) in zip(*self.history)])
 
     def local_error(self, g_pred: List[float], g_act: List[float],
                     x_old: List[float], x_new: List[float], h: float,
@@ -306,15 +297,11 @@ class _Engine:
                     err = e
         return err
 
-    def commit_states(self, biases: List[Tuple[float, float]], g_act: List[float],
-                      h: float) -> None:
-        """Record the accepted solution's biases, its conductances and the
-        step ``h`` in every device history."""
-        for st, (v, ctrl), g in zip(self.dev_states, biases, g_act):
-            st.v_prev2, st.v_prev, st.v_now = st.v_prev, st.v_now, v
-            st.ctrl_prev2, st.ctrl_prev, st.ctrl_now = st.ctrl_prev, st.ctrl_now, ctrl
-            st.h_prev = h
-            st.geq_now = g
+    def commit_states(self, biases: List[Tuple[float, float]],
+                      g_act: List[float]) -> None:
+        """Record the accepted solution's biases and conductances."""
+        self.history = [biases, *self.history[:2]]
+        self.geq = g_act
 
     def run(self, t_stop: float, eps: float) -> WaveformSeries:
         """Transient from zero node voltages to ``t_stop`` with error budget
@@ -325,7 +312,7 @@ class _Engine:
         x = [0.0] * self.circuit.size
         x_prev = x[:n]
         # the starting point is committed with no step behind it (h_prev 0)
-        self.commit_states(*self.evaluate(x), 0.0)
+        self.commit_states(*self.evaluate(x))
         waveforms = self.circuit.waveforms
         breakpoints = sorted({bp for w in waveforms
                               for bp in waveform_breakpoints(w, t_stop)})
@@ -369,7 +356,7 @@ class _Engine:
                     hist = [p + beta * (p - q) for p, q in zip(x, x_prev)]
                 g_pred = self.step_geq(h, h_prev, h_prev2)
                 sys = assemble(self.circuit, g_pred, vstate=hist, h=h_eff, t=t + h)
-                x_new = solve(sys, self.fc).tolist()
+                x_new = solve(sys, self.fc)
                 solves += 1
                 biases, g_act = self.evaluate(x_new)
                 err = self.local_error(g_pred, g_act, hist, x_new, h_eff, lte_tol)
@@ -391,8 +378,8 @@ class _Engine:
                         lte = d
                 lte *= c
                 # also the retry step of a rejected attempt: it shrinks
-                h_next = next_step_size(h, lte, lte_tol, err, eps, _H_MIN, h_max, order)
-                why_next = _limiter(h, h_next, lte, lte_tol, err, eps, h_max, order)
+                h_next, why_next = next_step_size(h, lte, lte_tol, err, eps,
+                                                  _H_MIN, h_max, order)
                 if err <= eps and lte <= lte_tol:
                     break
                 if h <= _H_MIN * (1.0 + 1e-12):
@@ -400,7 +387,7 @@ class _Engine:
                     break
                 rejected += 1
                 h, why = h_next, why_next
-            self.commit_states(biases, g_act, h)
+            self.commit_states(biases, g_act)
             x_prev, x = x[:n], x_new
             t += h
             h_prev2, h_prev = h_prev, h
@@ -432,7 +419,7 @@ class _Engine:
         ``tol`` * h, h = ``_OP_RAMP`` / 10."""
         circuit, n, fc = self.circuit, self.n, self.fc
         if not self.devices:
-            return solve(assemble(circuit, [], t=0.0), fc).tolist(), True, 1
+            return solve(assemble(circuit, [], t=0.0), fc), True, 1
         h = _OP_RAMP / 10.0
         held = circuit.waveforms
         t_on = 0.0
@@ -458,7 +445,7 @@ class _Engine:
                         c = kappa * rows[j][j]
                         rows[j][j] += c
                         b[j] += c * x[j]
-                x_new = solve(sys, fc).tolist()
+                x_new = solve(sys, fc)
                 solves += 1
                 u = [(a - b) * (1.0 + kappa) for a, b in zip(x_new[:n], x)]
                 x = x_new

@@ -139,6 +139,16 @@ class TestDc:
         code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "1"])
         assert code == 1
 
+    def test_points_parse_as_on_the_card(self, tmp_path, capsys):
+        deck = tmp_path / "r.ckt"
+        deck.write_text("V1 1 0 DC 0\nR1 1 2 1k\nR2 2 0 1k\n.dc V1 0 8 1k\n.end\n")
+        for flag in ([], ["--points", "1k"], ["--points", "1000.0"]):
+            out = tmp_path / "r.csv"
+            assert main(["dc", str(deck), "--out", str(out)] + flag) == 0
+            assert capsys.readouterr().out == f"wrote {out} (1000 points)\n"
+        assert main(["dc", str(deck), "--points", "2.5"]) == 1
+        assert "argument --points: '2.5' must be an integer" in capsys.readouterr().err
+
     def test_resistor_sweep_constant_slope(self, tmp_path, capsys):
         deck = tmp_path / "r.ckt"
         deck.write_text("V1 1 0 DC 0\nR1 1 2 1k\nR2 2 0 1k\n.dc V1 0 8 9\n.end\n")
@@ -398,6 +408,31 @@ class TestStoch:
         code = main(["stoch", str(deck), "--paths", "50", "--out", str(out)])
         assert code == 0
         assert "# seed=0 paths=50 " in _read(str(out))
+
+    def test_counts_parse_as_on_cards(self, tmp_path, capsys):
+        out = tmp_path / "ou.csv"
+        code = main(["stoch", deck_path("ou_step.ckt"), "--paths", "4.0", "--seed", "4e1",
+                     "--out", str(out)])
+        assert code == 0
+        assert "# seed=40 paths=4 " in _read(str(out))
+        assert main(["stoch", deck_path("ou_step.ckt"), "--paths", "2.5"]) == 1
+        assert "argument --paths: '2.5' must be an integer" in capsys.readouterr().err
+
+    def test_seed_beyond_double_precision(self, tmp_path, capsys):
+        # 2**53 + 1 from the card and from the flag is the same run, and not
+        # the run of 2**53
+        deck = tmp_path / "ou.ckt"
+        deck.write_text(_read(deck_path("ou_step.ckt")).replace(
+            " seed=42", " seed=9007199254740993"))
+        runs = {}
+        for name, argv in (("card", [str(deck)]),
+                           ("flag", [deck_path("ou_step.ckt"), "--seed", "9007199254740993"]),
+                           ("2**53", [deck_path("ou_step.ckt"), "--seed", "9007199254740992"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["stoch", *argv, "--paths", "8", "--out", str(out)]) == 0
+            runs[name] = _read(str(out))
+        assert "# seed=9007199254740993 " in runs["card"]
+        assert runs["card"] == runs["flag"] != runs["2**53"]
 
     def test_window_flag(self, tmp_path, capsys):
         out = tmp_path / "ou.csv"

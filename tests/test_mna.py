@@ -266,8 +266,10 @@ class TestAssembleMatchesReference:
         vstate = vstate[[int(nd) - 1 for nd in net.nodes]]
         circuit = Circuit(net)
         geq_list = _in_device_order(circuit, geq)
-        x = solve(assemble(circuit, geq_list, vstate=vstate, h=h, t=t), FlopCounter())
-        x_ref = solve(_assemble_ref(net, geq, vstate=vstate, h=h, t=t), FlopCounter())
+        x = np.asarray(solve(assemble(circuit, geq_list, vstate=vstate, h=h, t=t),
+                             FlopCounter()))
+        x_ref = np.asarray(solve(_assemble_ref(net, geq, vstate=vstate, h=h, t=t),
+                                 FlopCounter()))
         assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_missing_conductance_names_the_device(self):
@@ -365,7 +367,7 @@ def _outcome(solver, G, rhs):
     sys = MnaSystem(n=len(rhs), m=0, rows=G.tolist(), b=rhs.tolist(), node_index={},
                     source_index={})
     try:
-        return solver(sys, fc).tobytes(), fc
+        return np.asarray(solver(sys, fc)).tobytes(), fc
     except SingularSystemError as exc:
         return f"SingularSystemError: {exc}", fc
 

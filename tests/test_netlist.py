@@ -235,6 +235,16 @@ class TestModelBody:
         with pytest.raises(NetlistError, match="given twice"):
             self.model(f"({RTD_KEYS} {extra})")
 
+    @pytest.mark.parametrize("mtype, body, missing", [
+        ("RTD", "(A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35)", "n2"),
+        ("RTD", "(B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 T=300)", "A, n2"),
+        ("NW", "(g0=2e-5 smooth=0.05)", "vstep, nsteps"),
+    ])
+    def test_missing_keys_named(self, mtype, body, missing):
+        with pytest.raises(NetlistError, match=re.escape(
+                f"model 'M1' is missing required parameters: {missing}\n")):
+            self.model(body, mtype)
+
     @pytest.mark.parametrize("body", [
         f"({RTD_KEYS})",
         RTD_KEYS,
@@ -267,6 +277,42 @@ class TestCounts:
         counts = (dc.points, stoch.paths, stoch.seed, net.models["w"].nsteps)
         assert counts == (1000, 2000, 4, 5)
         assert all(type(c) is int for c in counts)
+
+
+    def test_integer_literal_exact(self):
+        # 2**53 + 1 has no double: a count must not pass through one
+        net = parse_netlist("V1 1 0 DC 1\nR1 1 0 1k\n"
+                            ".stoch 1u 1n 4 seed=9007199254740993\n.end\n")
+        assert net.analyses[0].seed == 9007199254740993
+
+
+class TestAnalysisCards:
+    BODY = "V1 1 0 DC 1\nR1 1 0 1k\n"
+
+    @pytest.mark.parametrize("cards, message", [
+        (".op foo bar\n", "line 3: unknown .op option 'foo'"),
+        (".dc V1 0 1 3 4\n", "line 3: unknown .dc option '4'"),
+        (".tran 1n eps=0.1 eps=0.2\n", "line 3: .tran option 'eps' given twice"),
+        (".stoch 1u 1n 4 seed=1 SEED=2\n", "line 3: .stoch option 'seed' given twice"),
+        (".tran 1n\n.op\n.TRAN 2n eps=0.1\n",
+         "line 5: second .tran card (the first is on line 3)"),
+        (".dc V1 0 1 3\n.dc V1 0 2 5\n", "line 4: second .dc card (the first is on line 3)"),
+        (".stoch 1u 1n 4\n* comment\n.stoch 2u 1n 4\n",
+         "line 5: second .stoch card (the first is on line 3)"),
+    ])
+    def test_rejected(self, cards, message):
+        with pytest.raises(NetlistError, match=re.escape(message + "\n")):
+            parse_netlist(f"{self.BODY}{cards}.end\n")
+
+    def test_nothing_after_end(self):
+        with pytest.raises(NetlistError, match=re.escape(
+                "line 4: unexpected text 'now' after .END\n")):
+            parse_netlist(f"{self.BODY}.op\n.END now\n")
+
+    def test_one_card_of_each(self):
+        net = parse_netlist(f"{self.BODY}.op\n.dc V1 0 1 3\n.tran 1n eps=0.1\n"
+                            ".stoch 1u 1n 4 seed=2\n.end\n")
+        assert len(net.analyses) == 4
 
 
 def _dialect_lines(text: str) -> list:

@@ -11,8 +11,8 @@ from nanosim.devices import G_FLOOR, rtd_current
 from nanosim.netlist import ElementKind, TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
 from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, SimulationError, _Engine,
-                          _limiter, dc_sweep, next_step_size, operating_point,
-                          pin_source, transient)
+                          dc_sweep, next_step_size, operating_point, pin_source,
+                          transient)
 
 from conftest import card, deck_text, integrator_replay
 
@@ -29,40 +29,44 @@ class TestNextStepSize:
     def test_truncation_error_term(self):
         # lte four times its budget allows half a backward-Euler step (lte
         # grows as h**2)
-        h = next_step_size(1e-12, lte=4e-4, lte_tol=1e-4, err=0.0, eps=0.01,
-                           h_min=1e-15, h_max=1.0, order=1)
+        h, _ = next_step_size(1e-12, lte=4e-4, lte_tol=1e-4, err=0.0, eps=0.01,
+                              h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9 * 0.5e-12)
 
     def test_cube_root_truncation_error_term(self):
         # lte eight times its budget allows half a BDF2 step (lte grows as h**3)
-        h = next_step_size(1e-12, lte=8e-4, lte_tol=1e-4, err=0.0, eps=0.01,
-                           h_min=1e-15, h_max=1.0, order=2)
+        h, _ = next_step_size(1e-12, lte=8e-4, lte_tol=1e-4, err=0.0, eps=0.01,
+                              h_min=1e-15, h_max=1.0, order=2)
         assert h == pytest.approx(0.9 * 0.5e-12)
         # lte a 64th of its budget allows 0.9 * 4 h: the 2x growth cap binds
-        h = next_step_size(1e-12, lte=1e-4 / 64, lte_tol=1e-4, err=0.0, eps=0.01,
-                           h_min=1e-15, h_max=1.0, order=2)
+        h, why = next_step_size(1e-12, lte=1e-4 / 64, lte_tol=1e-4, err=0.0, eps=0.01,
+                                h_min=1e-15, h_max=1.0, order=2)
         assert h == 2e-12
-        assert _limiter(1e-12, h, 1e-4 / 64, 1e-4, 0.0, 0.01, 1.0, 2) == "growth"
+        assert why == "growth"
         # a quarter of its budget allows 0.9 * 4 ** (1/3) = 1.43 h
-        h = next_step_size(1e-12, 1e-4 / 4, 1e-4, 0.0, 0.01, 1e-15, 1.0, 2)
+        h, why = next_step_size(1e-12, 1e-4 / 4, 1e-4, 0.0, 0.01, 1e-15, 1.0, 2)
         assert h == pytest.approx(0.9 * 4.0 ** (1.0 / 3.0) * 1e-12)
-        assert _limiter(1e-12, h, 1e-4 / 4, 1e-4, 0.0, 0.01, 1.0, 2) == "lte"
+        assert why == "lte"
 
     def test_chord_lag_term(self):
         # a lag of four times eps allows half the step (the lag is taken to
         # grow as h**2 whatever the order)
         for order in (1, 2):
-            h = next_step_size(1e-12, 0.0, 1e-4, err=0.04, eps=0.01, h_min=1e-15,
-                               h_max=1.0, order=order)
+            h, _ = next_step_size(1e-12, 0.0, 1e-4, err=0.04, eps=0.01, h_min=1e-15,
+                                  h_max=1.0, order=order)
             assert h == pytest.approx(0.9 * 0.5e-12)
 
     def test_smaller_term_wins(self):
-        h = next_step_size(1e-12, lte=1e-4 / 16, lte_tol=1e-4, err=0.04, eps=0.01,
-                           h_min=1e-15, h_max=1.0, order=1)
+        h, _ = next_step_size(1e-12, lte=1e-4 / 16, lte_tol=1e-4, err=0.04, eps=0.01,
+                              h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9 * 0.5e-12)
-        h = next_step_size(1e-12, lte=1e-4, lte_tol=1e-4, err=0.001, eps=0.01,
-                           h_min=1e-15, h_max=1.0, order=1)
+        h, _ = next_step_size(1e-12, lte=1e-4, lte_tol=1e-4, err=0.001, eps=0.01,
+                              h_min=1e-15, h_max=1.0, order=1)
         assert h == pytest.approx(0.9e-12)
+        # both allow 0.9 * 0.5 h exactly: a tie counts for the truncation error
+        h, why = next_step_size(1e-12, lte=4e-4, lte_tol=1e-4, err=0.04, eps=0.01,
+                                h_min=1e-15, h_max=1.0, order=1)
+        assert (h, why) == (pytest.approx(0.9 * 0.5e-12), "lte")
 
     def test_cube_root_term_is_attributed(self):
         # lte 8x its budget and a lag 5x eps: a BDF2 step's lte allows
@@ -70,36 +74,50 @@ class TestNextStepSize:
         # binds; read as a square root (backward Euler) the lte would allow
         # only 0.9 * 0.354 h and bind instead
         args = dict(lte=8e-4, lte_tol=1e-4, err=0.05, eps=0.01)
-        h2 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
+        h2, why = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
         assert h2 == pytest.approx(0.9 * math.sqrt(0.2) * 1e-12)
-        assert _limiter(1e-12, h2, **args, h_max=1.0, order=2) == "lag"
-        h1 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=1)
+        assert why == "lag"
+        h1, why = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=1)
         assert h1 == pytest.approx(0.9 * math.sqrt(0.125) * 1e-12)
-        assert _limiter(1e-12, h1, **args, h_max=1.0, order=1) == "lte"
+        assert why == "lte"
         # a lag 3x eps allows 0.9 * 0.577 h: the BDF2 step's lte binds
         args["err"] = 0.03
-        h2 = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
+        h2, why = next_step_size(1e-12, **args, h_min=1e-15, h_max=1.0, order=2)
         assert h2 == pytest.approx(0.9 * 0.5e-12)
-        assert _limiter(1e-12, h2, **args, h_max=1.0, order=2) == "lte"
+        assert why == "lte"
 
     def test_no_terms_gives_h_max(self):
-        assert next_step_size(1.5, 0.0, 1e-4, 0.0, 0.01, 1e-15, 2.0, 2) == 2.0
+        assert next_step_size(1.5, 0.0, 1e-4, 0.0, 0.01, 1e-15, 2.0, 2)[0] == 2.0
 
     def test_clamps(self):
         # growth at most 2x, however small the estimates
         for order in (1, 2):
-            assert next_step_size(1e-12, 1e-30, 1e-4, 1e-30, 0.01, 1e-15, 1.0, order) == 2e-12
-            assert next_step_size(1e-12, 0.0, 1e-4, 0.0, 0.01, 1e-15, 1.0, order) == 2e-12
-            assert next_step_size(1e-12, 1e6, 1e-4, 0.0, 0.01, 1e-15, 1.0, order) == 1e-15
-            assert next_step_size(1e-12, 0.0, 1e-4, 1e6, 0.01, 1e-15, 1.0, order) == 1e-15
-            assert next_step_size(1e-6, 0.0, 1e-4, 0.001, 0.01, 1e-15, 1e-6, order) == 1e-6
+            def step(h, lte, err, h_max=1.0):
+                return next_step_size(h, lte, 1e-4, err, 0.01, 1e-15, h_max, order)[0]
+            assert step(1e-12, 1e-30, 1e-30) == 2e-12
+            assert step(1e-12, 0.0, 0.0) == 2e-12
+            assert step(1e-12, 1e6, 0.0) == 1e-15
+            assert step(1e-12, 0.0, 1e6) == 1e-15
+            assert step(1e-6, 0.0, 0.001, h_max=1e-6) == 1e-6
 
     def test_nan_estimate_gives_h_min(self):
         for order in (1, 2):
             assert next_step_size(1e-12, math.nan, 1e-4, 0.0, 0.01, 1e-15, 1.0,
-                                  order) == 1e-15
+                                  order) == (1e-15, "lte")
             assert next_step_size(1e-12, 0.0, 1e-4, math.nan, 0.01, 1e-15, 1.0,
-                                  order) == 1e-15
+                                  order) == (1e-15, "lte")
+
+
+class TestConductances:
+    def test_mos_branch_voltage_taken_at_zero_or_above(self):
+        # an extrapolated Vds can fall below 0; the channel sees 0 there
+        eng = _Engine(parse_netlist(deck_text("fet_rtd_inverter.ckt")))
+        k = eng.kinds.index(ElementKind.MOSFET)
+        biases = eng.evaluate([0.0] * eng.circuit.size)[0]
+
+        def geq(vds):
+            return eng.conductances(biases[:k] + [(vds, 2.0)] + biases[k + 1:])[k]
+        assert geq(-0.3) == geq(0.0) != geq(0.3)
 
 
 class TestLocalError:
