@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("deck")
     p_tr.add_argument("--tstop", dest="t_stop", metavar="TSTOP", type=_value_flag)
     p_tr.add_argument("--eps", type=_value_flag)
-    p_tr.add_argument("--resample", type=int,
+    p_tr.add_argument("--resample", type=_count_flag,
                       help="emit n uniformly spaced samples instead of the "
                            "adaptive grid")
     p_tr.add_argument("--out")

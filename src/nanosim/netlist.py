@@ -50,15 +50,15 @@ from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Tuple, 
 
 from .devices import DeviceError, DeviceModel, MosModel, NanowireModel, RtdModel
 
-SUFFIX_MULTIPLIERS = {
-    "f": 1e-15,
-    "p": 1e-12,
-    "n": 1e-9,
-    "u": 1e-6,
-    "m": 1e-3,
-    "k": 1e3,
-    "meg": 1e6,
-    "g": 1e9,
+SUFFIX_EXPONENTS = {
+    "f": -15,
+    "p": -12,
+    "n": -9,
+    "u": -6,
+    "m": -3,
+    "k": 3,
+    "meg": 6,
+    "g": 9,
 }
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -93,11 +93,13 @@ def parse_value(text: str, line_number: Optional[int] = None,
         raise NetlistError("empty value", line_number, line_text)
     if _NUMBER_RE.match(s):
         return float(s)
-    for suffix in ("meg",) + tuple(k for k in SUFFIX_MULTIPLIERS if k != "meg"):
+    for suffix in ("meg",) + tuple(k for k in SUFFIX_EXPONENTS if k != "meg"):
         if s.endswith(suffix):
-            body = s[: -len(suffix)]
-            if _NUMBER_RE.match(body):
-                return float(body) * SUFFIX_MULTIPLIERS[suffix]
+            number = _NUMBER_RE.match(s[: -len(suffix)])
+            if number:
+                # one literal, so the value rounds once
+                exponent = int((number.group(2) or "e0")[1:]) + SUFFIX_EXPONENTS[suffix]
+                return float(f"{s[:number.end(1)]}e{exponent}")
     raise NetlistError(f"cannot parse value '{text}'", line_number, line_text)
 
 

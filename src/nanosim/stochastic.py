@@ -29,9 +29,10 @@ levels, the same on every path, go into a row array of their own. Device
 terminals on a pinned node read that scalar level. A block is reduced or
 copied out before the next one overwrites it.
 
-Paths are reproducible: path k of a run with seed s draws its increments
-from an independent substream keyed by (s, k), so results are bit-identical
-across runs and block sizes.
+A run with seed s draws its increments from one stream, keyed (s, 0), step
+by step, each step's paths in order and each path's noise sources in card
+order. Results are bit-identical across runs and block sizes; a path's
+increments depend on the path count.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def _rng_for_path(seed: int, path: int) -> np.random.Generator:
 def wiener_increments(n: int, dt: float, seed: int = 0) -> WienerPath:
     """n i.i.d. Gaussian increments with mean 0 and variance dt.
 
-    Deterministic for a given seed; independent paths should use distinct
-    seeds or the per-path substreams the ensemble machinery provides.
+    Deterministic for a given seed; a one-path run with one noise source
+    draws the same stream.
     """
     if n < 1:
         raise ValueError("need at least one increment")
@@ -313,15 +314,14 @@ def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
     Reduce or copy them before the next block."""
     ns, nnoise = len(ss.state), ss.noise_cols.shape[1]
     # per path and step: a state row and its quantile copy, a noise row and
-    # its image C^-1 B dW, stored step-major
+    # its image C^-1 B dW, both stored step-major
     block = max(1, min(steps, _BLOCK_DOUBLES // (paths * (3 * ns + nnoise))))
     rows = np.empty((paths, block + 1, ns))
     levels = np.empty((block + 1, len(ss.pinned)))
-    dws = np.empty((paths, block, nnoise))
+    dws = np.empty((block, paths, nnoise))
     noise = np.empty((block, paths, ns))
-    from .seeding import path_rngs      # numpy.random loads on the first run
-    fills = [rng.standard_normal for rng in path_rngs(seed, paths)]
-    path_dws = list(dws)
+    # the stream fills a buffer in order, so a block boundary moves no draw
+    draw = _rng_for_path(seed, 0).standard_normal
     cinv_b = _apply_cinv(ss, ss.noise_cols.T)                 # nnoise x ns
     sqrt_dt = math.sqrt(dt)
     x = np.tile(x0, (paths, 1))
@@ -331,14 +331,11 @@ def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
     levels[0] = level
     for j0 in range(0, steps, block):
         b = min(block, steps - j0)
-        if b < block:
-            path_dws = [dw[:b] for dw in path_dws]
-        for fill, dw in zip(fills, path_dws):
-            fill(out=dw)
-        dws[:, :b] *= sqrt_dt
+        draw(out=dws[:b])
+        dws[:b] *= sqrt_dt
         # one matmul per step of the block, each on that step's paths x noise
         # slice, as a step-by-step product takes it
-        np.matmul(dws[:, :b].transpose(1, 0, 2), cinv_b, out=noise[:b])
+        np.matmul(dws[:b], cinv_b, out=noise[:b])
         for k in range(1, b + 1):
             # X_k = (X_{k-1} + dt C^-1 drift) + C^-1 B dW_k, in place
             _drift(ss, x, level, fc, out=drift)
@@ -412,11 +409,11 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
              x0: Optional[np.ndarray] = None) -> EnsembleStats:
     """Monte-Carlo ensemble of EM paths with pointwise and window-peak stats.
 
-    All paths advance together, a block of steps at a time; every path
-    draws from its own (seed, path-index) substream. Each block is reduced
-    over the path axis before the next one overwrites it, so memory does
-    not grow with the step count. The step-size warning and the divergence
-    error are those of :func:`em_transient`.
+    All paths advance together, a block of steps at a time, drawing from
+    the run's one stream. Each block is reduced over the path axis before
+    the next one overwrites it, so memory does not grow with the step
+    count. The step-size warning and the divergence error are those of
+    :func:`em_transient`.
     """
     if paths < 2:
         raise ValueError("ensemble requires at least 2 paths")

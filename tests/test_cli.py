@@ -192,6 +192,16 @@ class TestTran:
         assert data.shape[0] == 41
         assert np.allclose(np.diff(data[:, 0]), data[1, 0] - data[0, 0])
 
+    def test_resample_parses_as_a_count(self, tmp_path, capsys):
+        out = tmp_path / "rc.csv"
+        argv = ["tran", deck_path("rc_lowpass.ckt"), "--out", str(out), "--resample"]
+        assert main(argv + ["1k"]) == 0
+        assert _csv_rows(str(out))[1].shape[0] == 1000
+        out.unlink()
+        assert main(argv + ["2.5"]) == 1
+        assert "argument --resample: '2.5' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -378,7 +378,7 @@ def _number(draw, values=_POSITIVE):
     """A value as deck text: plain, or with an engineering suffix."""
     x = draw(values)
     suffix = draw(st.sampled_from(["", "f", "p", "n", "u", "m", "k", "meg", "g"]))
-    mult = netlist.SUFFIX_MULTIPLIERS.get(suffix, 1.0)
+    mult = 10.0 ** netlist.SUFFIX_EXPONENTS.get(suffix, 0)
     return f"{x / mult!r}{suffix}" if suffix else repr(x)
 
 
