@@ -9,20 +9,29 @@ one linear solve per step, with no Newton iterations.
 All evaluation functions accept scalars or numpy arrays for the voltage
 argument and an optional flop counter used by the performance comparisons.
 
-The per-step engines evaluate one bias point at a time, so a Python float
-(``np.float64`` included) takes a scalar path in every kernel (in
-``mos_geq`` and ``mos_current`` both voltages must be floats): the
+Each kernel has one body for floats and arrays. Its entry step,
+:func:`_voltage`, checks the voltage finite and picks the path from the
+argument type alone. The per-step engines evaluate one bias point at a
+time, so a Python float (``np.float64`` included; in ``mos_geq`` and
+``mos_current`` both voltages must be floats) takes a scalar path: the
 arithmetic stays on Python floats and a float comes back, with no array,
-mask or ``np.where``, and one ``FlopCounter.count`` per call. Anything
-else, such as the ensemble drift or the swept currents, takes the array
-path. The path follows the argument type alone. Both paths give the same
-bits and bill the same flops. That is why the scalar path still calls the
-numpy ufuncs (``np.exp``, ``np.arctan``, ...) on its floats: ``math.exp``
-and ``math.expm1`` round differently from numpy's kernels in the last bit
-for a few per cent of arguments, while a ufunc on a float runs the same
-kernel as on an array. The model-only subexpressions of the RTD kernels
-are computed once per model (``RtdModel.consts``), and scalar sums over
-nanowire steps follow numpy's order (:func:`_np_sum`).
+mask or ``np.where``. Anything else, such as the ensemble drift or the
+swept currents, takes the array path. Each kernel states its per-element
+flop tally once and bills it for the elements it evaluated, one for a
+float. The terms the RTD kernels share come from one
+:func:`_rtd_resonance` for either path. Where the control flow really
+differs (the MOSFET regions, the nanowire step sums, ``_log1pexp``'s
+masks against the one exponential of :func:`_log1pexp_sigmoid`) both
+branches stay inside the one helper or kernel.
+
+Both paths give the same bits and bill the same flops. That is why the
+scalar path still calls the numpy ufuncs (``np.exp``, ``np.arctan``, ...)
+on its floats: ``math.exp`` and ``math.expm1`` round differently from
+numpy's kernels in the last bit for a few per cent of arguments, while a
+ufunc on a float runs the same kernel as on an array. The model-only
+subexpressions of the RTD kernels are computed once per model
+(``RtdModel.consts``), and scalar sums over nanowire steps follow numpy's
+order (:func:`_np_sum`).
 """
 
 from __future__ import annotations
@@ -184,15 +193,26 @@ def _as_array(v):
     return (True, arr.reshape(1)) if arr.ndim == 0 else (False, arr)
 
 
-def _restore(scalar: bool, out):
+def _voltage(v, floats: bool = True):
+    """A kernel's voltage argument as ``(scalar, va, n)``; raises unless it
+    is finite. A Python float (``np.float64`` included) takes the scalar
+    path: ``va`` is that float and ``scalar`` None. Anything else, and a
+    float when ``floats`` is false, takes the array path through
+    :func:`_as_array`, with ``scalar`` true for a 0-d argument. ``n`` is
+    the number of elements the kernel bills."""
+    if floats and isinstance(v, float):
+        if math.isfinite(v):
+            return None, float(v), 1
+    else:
+        scalar, va = _as_array(v)
+        if np.isfinite(va).all():
+            return scalar, va, va.size
+    raise DeviceError("device voltage must be finite")
+
+
+def _restore(scalar, out):
+    """A kernel's result in the form of its argument: a float for a 0-d one."""
     return float(out[0]) if scalar else out
-
-
-def _finite(v: float) -> float:
-    """A scalar-path voltage as a Python float; raises if it is not finite."""
-    if not math.isfinite(v):
-        raise DeviceError("device voltage must be finite")
-    return float(v)
 
 
 def _clamped(f, x):
@@ -224,62 +244,6 @@ def _log1pexp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid(x):
-    """Overflow-safe logistic function."""
-    if isinstance(x, float):
-        if x >= 0.0:
-            return 1.0 / (1.0 + float(np.exp(-x)))
-        ex = float(np.exp(x))
-        return ex / (1.0 + ex)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _np_sum(terms: list) -> float:
-    """Sum of floats in the order ``np.sum`` takes along a row: left to
-    right below eight terms; from eight on numpy's pairwise sum splits the
-    row over eight accumulators, so numpy itself sums them."""
-    if len(terms) < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    return float(np.sum(terms))
-
-
-def _check_finite(va: np.ndarray) -> None:
-    if not np.isfinite(va).all():
-        raise DeviceError("device voltage must be finite")
-
-
-def _count(fc: "FlopCounter | None", n: int, adds=0, muls=0, divs=0, transcendentals=0):
-    if fc is not None:
-        fc.count(adds=adds * n, muls=muls * n, divs=divs * n,
-                 transcendentals=transcendentals * n)
-
-
-_HALF_PI = 0.5 * math.pi
-
-
-def _rtd_resonance(m: RtdModel, va: np.ndarray):
-    """Terms shared by the RTD kernels at voltages ``va``: the thermal
-    exponent u, the Fermi arguments x1 and x2, their log-ratio term,
-    w = cp - n1*v and the atan window."""
-    c = m.consts
-    u, b_cp = c.u, c.b_cp
-    n1v = m.n1 * va
-    x1 = (b_cp + n1v) * u
-    x2 = (b_cp - n1v) * u
-    log_ratio = _log1pexp(x1) - _log1pexp(x2)
-    w = m.cp - n1v
-    window = _HALF_PI + np.arctan(w / m.d)
-    return u, x1, x2, log_ratio, w, window
-
-
 def _log1pexp_sigmoid(x: float, sigmoid: bool):
     """``(_log1pexp(x), _sigmoid(x))`` at a float, the second 0.0 unless
     ``sigmoid``; where both need the same exponential it is computed once."""
@@ -296,20 +260,61 @@ def _log1pexp_sigmoid(x: float, sigmoid: bool):
     return lg, 1.0 / (1.0 + float(np.exp(-x)))
 
 
-def _rtd_resonance_f(m: RtdModel, v: float, sigmoids: bool):
-    """Float twin of :func:`_rtd_resonance` at a finite ``v``: (log ratio,
-    w, window, s), where s is sigmoid(x1) + sigmoid(x2) if ``sigmoids``."""
+def _sigmoid(x):
+    """Overflow-safe logistic function."""
+    if isinstance(x, float):
+        if x >= 0.0:
+            return 1.0 / (1.0 + float(np.exp(-x)))
+        ex = float(np.exp(x))
+        return ex / (1.0 + ex)
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _np_sum(terms):
+    """Sum over the last axis in ``np.sum``'s order. A list of floats is
+    summed left to right below eight terms; from eight on numpy's pairwise
+    sum splits the row over eight accumulators, so numpy itself sums it."""
+    if not isinstance(terms, list):
+        return np.sum(terms, axis=-1)
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    return float(np.sum(terms))
+
+
+_HALF_PI = 0.5 * math.pi
+
+
+def _rtd_resonance(m: RtdModel, v, sigmoids: bool):
+    """Terms shared by the RTD kernels at finite ``v``, as (log ratio, w,
+    window, s): the log ratio ln(1 + e^x1) - ln(1 + e^x2) of the Fermi
+    arguments x1, x2 = (b - cp +- n1*v) * q/kT, w = cp - n1*v, the window
+    pi/2 + atan(w/d), and s = sigmoid(x1) + sigmoid(x2) if ``sigmoids``,
+    else 0. Floats for a float, arrays for an array."""
     c = m.consts
-    u, b_cp = c.u, c.b_cp
     n1v = m.n1 * v
-    l1, s1 = _log1pexp_sigmoid((b_cp + n1v) * u, sigmoids)
-    l2, s2 = _log1pexp_sigmoid((b_cp - n1v) * u, sigmoids)
+    x1 = (c.b_cp + n1v) * c.u
+    x2 = (c.b_cp - n1v) * c.u
     w = m.cp - n1v
-    return l1 - l2, w, _HALF_PI + float(np.arctan(w / m.d)), s1 + s2
+    atan = np.arctan(w / m.d)
+    if isinstance(v, float):
+        l1, s1 = _log1pexp_sigmoid(x1, sigmoids)
+        l2, s2 = _log1pexp_sigmoid(x2, sigmoids)
+        return l1 - l2, w, _HALF_PI + float(atan), s1 + s2
+    s = _sigmoid(x1) + _sigmoid(x2) if sigmoids else 0.0
+    return _log1pexp(x1) - _log1pexp(x2), w, _HALF_PI + atan, s
 
 
-def _rtd_current_f(m: RtdModel, v: float) -> float:
-    log_ratio, _, window, _ = _rtd_resonance_f(m, v, False)
+def _rtd_current(m: RtdModel, v):
+    """:func:`rtd_current` at a finite float or array, unbilled."""
+    log_ratio, _, window, _ = _rtd_resonance(m, v, False)
     return m.area * (m.a * log_ratio * window
                      + m.h * _clamped(np.expm1, m.consts.n2u * v))
 
@@ -320,42 +325,25 @@ def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Sum of the resonance term (log-ratio times the atan window) and the
     exponential valley term, scaled by ``area``. Exactly zero at v = 0.
     """
-    if isinstance(v, float):
-        j = _rtd_current_f(m, _finite(v))
-        if fc is not None:
-            fc.count(8, 9, 2, 6)
-        return j
-    scalar, va = _as_array(v)
-    _check_finite(va)
-    _, _, _, log_ratio, _, window = _rtd_resonance(m, va)
-    j1 = m.a * log_ratio * window
-    j2 = m.h * _clamped(np.expm1, m.consts.n2u * va)
-    _count(fc, va.size, adds=8, muls=9, divs=2, transcendentals=6)
-    return _restore(scalar, m.area * (j1 + j2))
+    scalar, va, n = _voltage(v)
+    j = _rtd_current(m, va)
+    if fc is not None:
+        fc.count(8 * n, 9 * n, 2 * n, 6 * n)
+    return _restore(scalar, j)
 
 
 def rtd_didv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     """Differential conductance dJ/dV (the slope a Newton solver stamps)."""
-    if isinstance(v, float):
-        scalar, va = None, _finite(v)
-        u = m.consts.u
-        log_ratio, w, window, sig = _rtd_resonance_f(m, va, True)
-    else:
-        scalar, va = _as_array(v)
-        _check_finite(va)
-        u, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
-        sig = _sigmoid(x1) + _sigmoid(x2)
+    scalar, va, n = _voltage(v)
+    u = m.consts.u
+    log_ratio, w, window, sig = _rtd_resonance(m, va, True)
     d_log = m.n1 * u * sig
     d_window = -m.n1 * m.d / (m.d * m.d + w * w)
     dj1 = m.a * (d_log * window + log_ratio * d_window)
     dj2 = m.h * m.n2 * u * _clamped(np.exp, m.n2 * u * va)
-    out = m.area * (dj1 + dj2)
-    if scalar is None:
-        if fc is not None:
-            fc.count(10, 16, 4, 8)
-        return out
-    _count(fc, va.size, adds=10, muls=16, divs=4, transcendentals=8)
-    return _restore(scalar, out)
+    if fc is not None:
+        fc.count(10 * n, 16 * n, 4 * n, 8 * n)
+    return _restore(scalar, m.area * (dj1 + dj2))
 
 
 def _rtd_slope_at_origin(m: RtdModel, fc: "FlopCounter | None") -> float:
@@ -368,26 +356,21 @@ def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Below ``V_EPS`` the 0/0 limit is replaced by the small-signal slope at
     the origin, evaluated by a central difference of :func:`rtd_current`.
     """
-    if isinstance(v, float):
-        v = _finite(v)
-        if abs(v) < V_EPS:
-            return _rtd_slope_at_origin(m, fc)
-        if fc is not None:
-            fc.count(8, 9, 3, 6)
-        return _rtd_current_f(m, v) / v
-    scalar, va = _as_array(v)
-    _check_finite(va)
-    tiny = np.abs(va) < V_EPS
-    if not tiny.any():
-        # no voltage near the origin: the whole array, same elements as masked
-        _count(fc, va.size, divs=1)
-        return _restore(scalar, rtd_current(m, va, fc) / va)
-    out = np.empty_like(va)
-    out[tiny] = _rtd_slope_at_origin(m, fc)
-    big = ~tiny
-    if np.any(big):
-        out[big] = rtd_current(m, va[big], fc) / va[big]
-        _count(fc, int(np.count_nonzero(big)), divs=1)
+    scalar, va, n = _voltage(v)
+    tiny = abs(va) < V_EPS
+    if scalar is None and tiny:
+        return _rtd_slope_at_origin(m, fc)
+    if scalar is None or not tiny.any():
+        # no voltage near the origin: the whole argument, same elements as masked
+        out = _rtd_current(m, va) / va
+    else:
+        out = np.empty_like(va)
+        out[tiny] = _rtd_slope_at_origin(m, fc)
+        big = ~tiny
+        n = int(np.count_nonzero(big))
+        out[big] = _rtd_current(m, va[big]) / va[big]
+    if fc is not None:
+        fc.count(8 * n, 9 * n, 3 * n, 6 * n)
     return _restore(scalar, out)
 
 
@@ -397,21 +380,12 @@ def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     Only defined away from the origin; callers must fall back to direct
     conductance evaluation when |v| < V_EPS.
     """
-    if isinstance(v, float):
-        scalar, va = None, _finite(v)
-        near_origin = abs(va) < V_EPS
-    else:
-        scalar, va = _as_array(v)
-        _check_finite(va)
-        near_origin = np.any(np.abs(va) < V_EPS)
-    if near_origin:
+    scalar, va, n = _voltage(v)
+    near_origin = abs(va) < V_EPS
+    if near_origin if scalar is None else near_origin.any():
         raise DeviceError("rtd_dgeq_dv undefined for |v| < V_EPS; evaluate directly")
-    if scalar is None:
-        log_ratio, w, window, sig = _rtd_resonance_f(m, va, True)
-    else:
-        _, x1, x2, log_ratio, w, window = _rtd_resonance(m, va)
-        sig = _sigmoid(x1) + _sigmoid(x2)
     c = m.consts
+    log_ratio, w, window, sig = _rtd_resonance(m, va, True)
     ey = _clamped(np.exp, c.n2u * va)
     a_log = m.a * log_ratio
     term1 = c.n1ua * sig * window
@@ -419,11 +393,8 @@ def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
     term3 = c.uhn2 * ey
     j = a_log * window + m.h * (ey - 1.0)
     out = m.area * ((term1 + term2 + term3) / va - j / (va * va))
-    if scalar is None:
-        if fc is not None:
-            fc.count(12, 18, 6, 8)
-        return out
-    _count(fc, va.size, adds=12, muls=18, divs=6, transcendentals=8)
+    if fc is not None:
+        fc.count(12 * n, 18 * n, 6 * n, 8 * n)
     return _restore(scalar, out)
 
 
@@ -446,36 +417,29 @@ def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
     return G_FLOOR if g < G_FLOOR else g
 
 
+# The MOSFET kernels keep a float and an array branch (an array mixes
+# regions); both bill one add (vgs - vth) per cut-off element and the region
+# tally per conducting one.
+
 def mos_current(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     """Square-law NMOS drain current; requires vds >= 0 (callers normalize)."""
-    if isinstance(vgs, float) and isinstance(vds, float):
-        vgs, vds = float(vgs), _finite(vds)
-        if vds < 0.0:
-            raise DeviceError("mos_current requires vds >= 0")
-        vov = vgs - m.vth
-        if vov <= 0.0:
-            if fc is not None:
-                fc.count(1)
-            return 0.0
-        if fc is not None:
-            fc.count(2, 4, 1)
-        beta = m.beta
-        if vds < vov:
-            return beta * (vov * vds - 0.5 * vds * vds)
-        return 0.5 * beta * vov * vov
-    scalar, vda = _as_array(vds)
-    _check_finite(vda)
-    if np.any(vda < 0.0):
+    scalar, vda, n = _voltage(vds, isinstance(vgs, float))
+    if vda < 0.0 if scalar is None else (vda < 0.0).any():
         raise DeviceError("mos_current requires vds >= 0")
-    vov = vgs - m.vth
-    if vov <= 0.0:
-        _count(fc, vda.size, adds=1)
-        return _restore(scalar, np.zeros_like(vda))
-    beta = m.beta
-    triode = beta * (vov * vda - 0.5 * vda * vda)
-    sat = 0.5 * beta * vov * vov
-    _count(fc, vda.size, adds=2, muls=4, divs=1)
-    return _restore(scalar, np.where(vda < vov, triode, sat))
+    vov = (float(vgs) if scalar is None else vgs) - m.vth
+    n_cut = n if vov <= 0.0 else 0
+    if n_cut:
+        out = 0.0 if scalar is None else np.zeros_like(vda)
+    elif scalar is None:
+        beta = m.beta
+        out = beta * (vov * vda - 0.5 * vda * vda) if vda < vov else 0.5 * beta * vov * vov
+    else:
+        beta = m.beta
+        out = np.where(vda < vov, beta * (vov * vda - 0.5 * vda * vda), 0.5 * beta * vov * vov)
+    if fc is not None:
+        on = n - n_cut
+        fc.count(n_cut + 2 * on, 4 * on, on)
+    return _restore(scalar, out)
 
 
 def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
@@ -485,42 +449,39 @@ def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
     which is returned below V_EPS. ``vgs`` and ``vds`` are each a scalar or
     an array of one common shape.
     """
-    if isinstance(vgs, float) and isinstance(vds, float):
-        vgs, vds = float(vgs), _finite(vds)
-        if vds < 0.0:
-            raise DeviceError("mos_geq requires vds >= 0")
-        vov = vgs - m.vth
-        if vov <= 0.0:
-            if fc is not None:
-                fc.count(1)
-            return 0.0
-        if fc is not None:
-            fc.count(2, 3, 1)
-        beta = m.beta
-        if vds < V_EPS:
-            return beta * vov
-        if vds < vov:
-            return beta * (vov - 0.5 * vds)
-        return 0.5 * beta * vov * vov / vds
-    scalar, vda = _as_array(vds)
-    _check_finite(vda)
-    if np.any(vda < 0.0):
+    scalar, vda, n = _voltage(vds, isinstance(vgs, float))
+    if vda < 0.0 if scalar is None else (vda < 0.0).any():
         raise DeviceError("mos_geq requires vds >= 0")
-    vov = np.subtract(vgs, m.vth)
-    scalar = scalar and vov.ndim == 0
-    if vov.size != vda.size:
-        vov, vda = np.broadcast_arrays(vov, vda)
-    cut = vov <= 0.0
-    n_cut = int(np.count_nonzero(cut))
-    _count(fc, n_cut, adds=1)
-    _count(fc, vda.size - n_cut, adds=2, muls=3, divs=1)
-    if n_cut == vda.size:
-        return _restore(scalar, np.zeros_like(vda))
-    beta = m.beta
-    out = np.where(vda < V_EPS, beta * vov,
-                   np.where(vda < vov, beta * (vov - 0.5 * vda),
-                            0.5 * beta * vov * vov / np.maximum(vda, V_EPS)))
-    out[cut] = 0.0
+    if scalar is None:
+        vov = float(vgs) - m.vth
+        n_cut = 1 if vov <= 0.0 else 0
+        if n_cut:
+            out = 0.0
+        elif vda < V_EPS:
+            out = m.beta * vov
+        elif vda < vov:
+            out = m.beta * (vov - 0.5 * vda)
+        else:
+            out = 0.5 * m.beta * vov * vov / vda
+    else:
+        vov = np.subtract(vgs, m.vth)
+        scalar = scalar and vov.ndim == 0
+        if vov.size != n:
+            vov, vda = np.broadcast_arrays(vov, vda)
+            n = vda.size
+        cut = vov <= 0.0
+        n_cut = int(np.count_nonzero(cut))
+        if n_cut == n:
+            out = np.zeros_like(vda)
+        else:
+            beta = m.beta
+            out = np.where(vda < V_EPS, beta * vov,
+                           np.where(vda < vov, beta * (vov - 0.5 * vda),
+                                    0.5 * beta * vov * vov / np.maximum(vda, V_EPS)))
+            out[cut] = 0.0
+    if fc is not None:
+        on = n - n_cut
+        fc.count(n_cut + 2 * on, 3 * on, on)
     return _restore(scalar, out)
 
 
@@ -562,74 +523,69 @@ def mos_gm(m: MosModel, vgs: float, vds: float) -> float:
     return m.beta * vov
 
 
-def _nanowire_steps(m: NanowireModel, av: float) -> list:
-    """The logistic step terms of the staircase at |v| = ``av``, as floats."""
-    return [_sigmoid((av - step) / m.smooth) for step in m.step_voltages]
+def _nanowire_steps(m: NanowireModel, v):
+    """The logistic step terms sigmoid((|v| - i*vstep) / smooth) at finite
+    ``v``: a list of floats for a float, else an array with the steps on a
+    trailing axis."""
+    if isinstance(v, float):
+        av = abs(v)
+        return [_sigmoid((av - step) / m.smooth) for step in m.step_voltages]
+    return _sigmoid((np.abs(v)[..., None] - m.step_voltages) / m.smooth)
+
+
+def _nanowire_geq(m: NanowireModel, v):
+    """:func:`nanowire_geq` at a finite float or array, unbilled."""
+    return m.g0 * _np_sum(_nanowire_steps(m, v))
+
+
+def _nanowire_dgeq_dv(m: NanowireModel, v):
+    """:func:`nanowire_dgeq_dv` at a finite float or array, unbilled."""
+    s = _nanowire_steps(m, v)
+    if isinstance(v, float):
+        terms = [x * (1.0 - x) for x in s]
+        sign = 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
+    else:
+        terms, sign = s * (1.0 - s), np.sign(v)
+    return (m.g0 / m.smooth) * _np_sum(terms) * sign
 
 
 def nanowire_geq(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Staircase conductance: monotone nondecreasing in |v|, symmetric in sign."""
-    n = m.nsteps
-    if isinstance(v, float):
-        g = m.g0 * _np_sum(_nanowire_steps(m, abs(_finite(v))))
-        if fc is not None:
-            fc.count(2 * n, n + 1, n, n)
-        return g
-    scalar, va = _as_array(v)
-    _check_finite(va)
-    av = np.abs(va)
-    steps = np.arange(1, n + 1) * m.vstep
-    g = m.g0 * np.sum(_sigmoid((av[..., None] - steps) / m.smooth), axis=-1)
-    _count(fc, va.size, adds=2 * n, muls=n + 1, divs=n, transcendentals=n)
+    scalar, va, n = _voltage(v)
+    g = _nanowire_geq(m, va)
+    if fc is not None:
+        kn = m.nsteps * n
+        fc.count(2 * kn, kn + n, kn, kn)
     return _restore(scalar, g)
 
 
 def nanowire_current(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Terminal current G(v) * v of the staircase nanowire."""
-    if isinstance(v, float):
-        v = float(v)
-        g = nanowire_geq(m, v, fc)
-        if fc is not None:
-            fc.count(muls=1)
-        return g * v
-    scalar, va = _as_array(v)
-    g = nanowire_geq(m, va, fc)
-    _count(fc, va.size, muls=1)
-    return _restore(scalar, g * va)
+    scalar, va, n = _voltage(v)
+    i = _nanowire_geq(m, va) * va
+    if fc is not None:   # nanowire_geq's tally and one multiply
+        kn = m.nsteps * n
+        fc.count(2 * kn, kn + 2 * n, kn, kn)
+    return _restore(scalar, i)
 
 
 def nanowire_dgeq_dv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """dG/dV of the staircase conductance (odd in v)."""
-    n = m.nsteps
-    if isinstance(v, float):
-        v = _finite(v)
-        s = _nanowire_steps(m, abs(v))
-        sign = 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
-        dg = (m.g0 / m.smooth) * _np_sum([x * (1.0 - x) for x in s]) * sign
-        if fc is not None:
-            fc.count(2 * n, 2 * n + 2, 1, n)
-        return dg
-    scalar, va = _as_array(v)
-    _check_finite(va)
-    av = np.abs(va)
-    steps = np.arange(1, n + 1) * m.vstep
-    s = _sigmoid((av[..., None] - steps) / m.smooth)
-    dg = (m.g0 / m.smooth) * np.sum(s * (1.0 - s), axis=-1) * np.sign(va)
-    _count(fc, va.size, adds=2 * n, muls=2 * n + 2, divs=1, transcendentals=n)
+    scalar, va, n = _voltage(v)
+    dg = _nanowire_dgeq_dv(m, va)
+    if fc is not None:
+        kn = m.nsteps * n
+        fc.count(2 * kn, 2 * kn + 2 * n, n, kn)
     return _restore(scalar, dg)
 
 
 def nanowire_didv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
     """Differential conductance d(G(v)*v)/dv for the Newton baseline."""
-    if isinstance(v, float):
-        v = float(v)
-        g = nanowire_geq(m, v, fc) + v * nanowire_dgeq_dv(m, v, fc)
-        if fc is not None:
-            fc.count(adds=1, muls=1)
-        return g
-    scalar, va = _as_array(v)
-    g = nanowire_geq(m, va, fc) + va * nanowire_dgeq_dv(m, va, fc)
-    _count(fc, va.size, adds=1, muls=1)
+    scalar, va, n = _voltage(v)
+    g = _nanowire_geq(m, va) + va * _nanowire_dgeq_dv(m, va)
+    if fc is not None:   # nanowire_geq's and nanowire_dgeq_dv's tallies, one add, one multiply
+        kn = m.nsteps * n
+        fc.count(4 * kn + n, 3 * kn + 4 * n, kn + n, 2 * kn)
     return _restore(scalar, g)
 
 

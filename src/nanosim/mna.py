@@ -322,7 +322,7 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> List[float]:
     1e-14 of its row scale. ``sys`` is left as it was."""
     part = sys.partition
     if part is None or 0.0 < max(map(abs, sys.b)) < _NORMAL_MIN:
-        return list(map(float, _lu([row.copy() for row in sys.rows], sys.b, fc)))
+        part = Partition((), tuple(range(sys.size)))
     rows, b = sys.rows, sys.b
     pins, free = part.pins, part.free
     x = [0.0] * sys.size

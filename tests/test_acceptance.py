@@ -7,11 +7,14 @@ naive Newton baseline; it is evaluated honestly from fresh counters.
 
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import nanosim
 from nanosim.cli import main as cli_main
 from nanosim.devices import (MosModel, RtdModel, mos_current, rtd_current,
                              rtd_dgeq_dv, rtd_geq)
@@ -313,18 +316,25 @@ def test_c13_fet_rtd_inverter(inverter_series):
                           f"{high_root:.3f} / {low_root:.3f} V")
 
 
-def test_c14_reproducibility(tmp_path, capsys, monkeypatch):
-    def run(out, threads):
-        monkeypatch.setenv("NANOSIM_THREADS", str(threads))
-        code = cli_main(["stoch", deck_path("ou_step.ckt"), "--paths", "400",
-                         "--seed", "7", "--out", str(out)])
-        assert code == 0
-        with open(out, "rb") as fh:
-            return fh.read()
+def test_c14_reproducibility(tmp_path):
+    args = ["stoch", deck_path("ou_step.ckt"), "--paths", "400", "--seed", "7", "--out"]
 
-    a = run(tmp_path / "a.csv", 1)
-    b = run(tmp_path / "b.csv", 1)
-    c = run(tmp_path / "c.csv", 4)
+    def run_with_threads(out, threads):
+        # BLAS and OpenMP read their thread counts when numpy loads, so each
+        # count needs a fresh interpreter
+        env = dict(os.environ, OMP_NUM_THREADS=str(threads),
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nanosim.__file__)))
+        proc = subprocess.run([sys.executable, "-c", "import sys; from nanosim.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *args, str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    a = run_with_threads(tmp_path / "a.csv", 1)
+    c = run_with_threads(tmp_path / "c.csv", 4)
+    assert cli_main(args + [str(tmp_path / "b.csv")]) == 0
+    b = (tmp_path / "b.csv").read_bytes()
 
     t1 = tmp_path / "t1.csv"
     t2 = tmp_path / "t2.csv"

@@ -228,15 +228,19 @@ class TestArrayFastPaths:
 
     @settings(max_examples=200, deadline=None)
     @given(_mixed_pieces(_RTD_PIECE_V), st.sampled_from(_RTD_MODELS),
-           st.sampled_from([rtd_geq, rtd_current]))
+           st.sampled_from([rtd_geq, rtd_current, rtd_didv]))
     def test_rtd_kernels_whole_equals_pieces(self, pieces, m, f):
         whole = np.concatenate(pieces)
         masks = (lambda v: np.abs(v) < V_EPS, lambda v: np.abs(v) >= 1.0)
         assert not any(_mixed(mask(piece)) for piece in pieces for mask in masks)
         assert any(_mixed(mask(whole)) for mask in masks)
-        got = f(m, whole)
-        want = np.concatenate([f(m, piece) for piece in pieces])
+        fc_whole, fc_pieces = FlopCounter(), FlopCounter()
+        got = f(m, whole, fc_whole)
+        want = np.concatenate([f(m, piece, fc_pieces) for piece in pieces])
         assert got.tobytes() == want.tobytes()
+        # rtd_geq bills the slope at the origin once per call, not per piece
+        if f is not rtd_geq:
+            assert fc_whole == fc_pieces
 
     @settings(max_examples=200, deadline=None)
     @given(_mixed_pieces(_LOG1PEXP_PIECE_X))
