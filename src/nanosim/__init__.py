@@ -5,10 +5,9 @@ conductance per time step (one linear solve per step, no Newton loops);
 uncertain inputs run through a fixed-step Euler-Maruyama ensemble engine.
 """
 
-from .devices import (DeviceState, G_FLOOR, MosModel, NanowireModel, RtdModel,
-                      V_EPS, device_step_bound, geq_predict, mos_current,
-                      mos_geq, nanowire_current, nanowire_geq, rtd_current,
-                      rtd_didv, rtd_dgeq_dv, rtd_geq)
+from .devices import (G_FLOOR, MosModel, NanowireModel, RtdModel, V_EPS,
+                      mos_current, mos_geq, nanowire_current, nanowire_geq,
+                      rtd_current, rtd_didv, rtd_dgeq_dv, rtd_geq)
 from .mna import (Circuit, FlopCounter, MnaSystem, SingularSystemError, assemble,
                   solve)
 from .netlist import (Dc, Element, ElementKind, Netlist, NetlistError, Pulse,
@@ -18,7 +17,6 @@ from .nr import NrReport, brute_force_dc, flop_compare, nr_dc
 from .stochastic import (EnsembleStats, WienerPath, em_transient, ensemble,
                          ito_sum, wiener_increments)
 from .swec import (DcSweep, OperatingPoint, SimulationError, WaveformSeries,
-                   dc_sweep, next_step_size, operating_point, pin_source,
-                   transient)
+                   dc_sweep, next_step_size, operating_point, transient)
 
 __version__ = "0.1.0"

@@ -28,7 +28,8 @@ import numpy as np
 from .devices import DeviceError
 from .mna import MnaError
 from .netlist import (DcAnalysis, Netlist, NetlistError, StochAnalysis,
-                      TranAnalysis, parse_count, parse_netlist, parse_value)
+                      TranAnalysis, _fmt, parse_count, parse_netlist, parse_value,
+                      read_deck)
 from .nr import flop_compare
 from .stochastic import StochasticError, ensemble
 from .swec import (SimulationError, WaveformSeries, dc_sweep, operating_point,
@@ -46,17 +47,6 @@ class RunReport:
     rejections: int = 0
     flops: int = 0
     exit_code: int = EXIT_OK
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _load(path: str) -> Netlist:
-    if not os.path.exists(path):
-        raise NetlistError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
 
 
 def _value_flag(text: str, parse=parse_value):
@@ -140,7 +130,7 @@ def _resample(series: WaveformSeries, n: int) -> np.ndarray:
 
 def cmd_op(args: argparse.Namespace) -> RunReport:
     report = RunReport()
-    net = _load(args.deck)
+    net = parse_netlist(read_deck(args.deck))
     op = operating_point(net)
     report.steps = op.n_solves
     report.flops = op.flops.total()
@@ -159,7 +149,7 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
 
 def cmd_dc(args: argparse.Namespace) -> RunReport:
     report = RunReport()
-    net = _load(args.deck)
+    net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, DcAnalysis, "dc sweep needs --source/--from/--to/"
                         "--points or a .dc card in the deck")
     if setting["points"] < 2:
@@ -191,7 +181,7 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
 
 def cmd_tran(args: argparse.Namespace) -> RunReport:
     report = RunReport()
-    net = _load(args.deck)
+    net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, TranAnalysis,
                         "transient needs --tstop or a .tran card in the deck")
     if args.resample is not None and args.resample < 1:
@@ -227,7 +217,7 @@ def cmd_tran(args: argparse.Namespace) -> RunReport:
 
 def cmd_stoch(args: argparse.Namespace) -> RunReport:
     report = RunReport()
-    net = _load(args.deck)
+    net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, StochAnalysis, "stochastic run needs --tstop/--dt/"
                         "--paths or a .stoch card in the deck")
     window = tuple(args.window) if args.window else None

@@ -621,9 +621,18 @@ def parse_netlist(source: str) -> Netlist:
     return _Parser(source).parse()
 
 
+def read_deck(path: str) -> str:
+    """The text of the deck file at ``path``; a file that cannot be read
+    raises a one-line :class:`NetlistError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise NetlistError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def parse_netlist_file(path: str) -> Netlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
+    return parse_netlist(read_deck(path))
 
 
 # --- pretty printing ----------------------------------------------------------

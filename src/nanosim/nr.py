@@ -7,6 +7,12 @@ Gmin stepping or damping. On non-monotonic devices it reproduces the
 classic failure mode where iterates bounce between two points without
 converging; a 2-cycle detector flags that explicitly. It exists to
 validate the conductance-stepping engine and to compare operation counts.
+
+Every device has one linearized form, SPICE's MOSFET companion (Nagel,
+UCB ERL-M520, 1975): a branch current i from a node ``d`` to a node ``s``
+with slope gds against v = v_d - v_s and gm against the gate bias vgs. A
+MOSFET's ``s`` is its lower terminal, as :func:`~nanosim.devices.mos_bias`
+picks it; an RTD or nanowire is the case with no gate and gm = 0.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import numpy as np
 
 from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
-from .mna import (Branch, Circuit, FlopCounter, SingularSystemError, solve,
-                  stamp_conductance)
+from .mna import Circuit, FlopCounter, SingularSystemError, solve
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
 # the benchmark tracer patches dc_sweep, operating_point and pin_source here
 from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
@@ -55,14 +60,6 @@ class FlopCompare:
     speedup: float
 
 
-def _mos_terminals(br: Branch, x: List[float]) -> Tuple[float, float, int, int]:
-    """Bias (vgs, vds) and the nodes acting as drain and source."""
-    a, g, b = br.a, br.gate, br.b
-    vgs, vds, rev = mos_bias(x[a] if a >= 0 else 0.0, x[g] if g >= 0 else 0.0,
-                             x[b] if b >= 0 else 0.0)
-    return (vgs, vds, b, a) if rev else (vgs, vds, a, b)
-
-
 def _max_abs(values) -> float:
     """The largest |v|, NaN if any v is NaN (as ``np.max(np.abs(v))``), 0
     for no values."""
@@ -80,11 +77,13 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
 
     ``net`` may be a compiled :class:`Circuit`. Capacitors are open
     circuits; noise sources are rejected. Each iteration starts from the
-    circuit's static G and source values and stamps the device Jacobians on
-    top. Converged means the largest nodal KCL residual is at most
-    ``_KCL_ATOL`` amps. A detected 2-cycle sets ``oscillation_detected``
-    (iteration continues to ``max_iter`` so failed runs carry their full
-    cost). The iterates are Python lists; the report's ``x`` is an array.
+    circuit's static G and source values and stamps every device's
+    linearized form (module docstring) on top, at the biases and currents
+    that the residual walk recorded at the iterate. Converged means the
+    largest nodal KCL residual is at most ``_KCL_ATOL`` amps. A detected
+    2-cycle sets ``oscillation_detected`` (iteration continues to
+    ``max_iter`` so failed runs carry their full cost). The iterates are
+    Python lists; the report's ``x`` is an array.
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
@@ -97,117 +96,93 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
         x[:len(initial_guess)] = initial_guess
     x = x.tolist()
 
-    models = {br.el.name: m for br, m in zip(circuit.devices, circuit.models)}
     levels = circuit.source_levels(0.0)
 
-    def kcl_residual(xv: List[float]) -> Tuple[float, List[float]]:
-        """Largest net nodal current imbalance with true device currents,
-        and those currents in ``circuit.devices`` order."""
-        r = [0.0] * n
-        currents = []
+    def walk(xv: List[float]) -> Tuple[float, float, list]:
+        """At ``xv``: the largest nodal KCL imbalance with true device
+        currents, the largest source-equation error, and one record per
+        device in ``circuit.devices`` order (kind, model, d, s, gate, v,
+        vgs, current)."""
+        xv = xv + [0.0]         # node -1, ground, reads 0 V
+        r = [0.0] * (n + 1)     # and takes any current
+        src = 0.0
+        devs = []
         for br in circuit.branches:
             el, a, b = br.el, br.a, br.b
-            if el.kind is ElementKind.RESISTOR:
-                i = ((xv[a] if a >= 0 else 0.0) - (xv[b] if b >= 0 else 0.0)) / el.value
+            kind = el.kind
+            if kind is ElementKind.RESISTOR:
+                i = (xv[a] - xv[b]) / el.value
                 fc.count(adds=1, divs=1)
-            elif el.kind is ElementKind.VSOURCE:
-                i = xv[circuit.source_index[el.name]]
-            elif el.kind is ElementKind.MOSFET:
-                vgs, vds, a, b = _mos_terminals(br, xv)
-                i = float(mos_current(models[el.name], vgs, vds, fc))
-            elif el.kind in NONLINEAR_KINDS:
-                vbr = (xv[a] if a >= 0 else 0.0) - (xv[b] if b >= 0 else 0.0)
-                mdl = models[el.name]
-                if el.kind is ElementKind.RTD:
-                    i = float(rtd_current(mdl, vbr, fc))
+            elif kind is ElementKind.VSOURCE:
+                k = circuit.source_index[el.name]
+                i = xv[k]
+                src = max(src, abs(xv[a] - xv[b] - levels[k - n]))
+            elif kind in NONLINEAR_KINDS:
+                mdl = circuit.models[len(devs)]
+                if kind is ElementKind.MOSFET:
+                    vgs, v, rev = mos_bias(xv[a], xv[br.gate], xv[b])
+                    a, b = (b, a) if rev else (a, b)
+                    i = float(mos_current(mdl, vgs, v, fc))
                 else:
-                    i = float(nanowire_current(mdl, vbr, fc))
+                    v, vgs = xv[a] - xv[b], 0.0
+                    kernel = rtd_current if kind is ElementKind.RTD else nanowire_current
+                    i = float(kernel(mdl, v, fc))
+                devs.append((kind, mdl, a, b, br.gate, v, vgs, i))
             else:
                 continue
-            if el.kind in NONLINEAR_KINDS:
-                currents.append(i)
-            if a >= 0:
-                r[a] -= i
-            if b >= 0:
-                r[b] += i
-        return _max_abs(r), currents
-
-    def source_violation(xv: List[float]) -> float:
-        worst = 0.0
-        for br, level in zip(circuit.sources, levels):
-            a, b = br.a, br.b
-            worst = max(worst, abs((xv[a] if a >= 0 else 0.0)
-                                   - (xv[b] if b >= 0 else 0.0) - level))
-        return worst
+            r[a] -= i
+            r[b] += i
+        r.pop()
+        return _max_abs(r), src, devs
 
     older = prev = None         # the two iterates before x (2-cycle test)
-    oscillation = False
-    osc_run = 0
-    converged = False
-    # the residual's device currents at x serve the next Jacobian stamp
-    residual, currents = kcl_residual(x)
-    iters = 0
-
-    for k in range(1, max_iter + 1):
-        if residual <= _KCL_ATOL and source_violation(x) <= _SRC_VTOL:
+    oscillation = converged = False
+    osc_run = iters = 0
+    while True:
+        residual, src, devs = walk(x)
+        if residual <= _KCL_ATOL and src <= _SRC_VTOL:
             converged = True
             break
-        iters = k
+        if iters >= max_iter:
+            break
+        iters += 1
         sys = circuit.system(0.0)
         G, rhs = sys.rows, sys.b
-        for br, i0 in zip(circuit.devices, currents):
-            mdl = models[br.el.name]
-            if br.el.kind is ElementKind.MOSFET:
-                vgs, vds, d_node, s_node = _mos_terminals(br, x)
-                g_node = br.gate
-                gds = mos_didv(mdl, vgs, vds)
-                gm = mos_gm(mdl, vgs, vds)
+        for kind, mdl, d, s, g, v, vgs, i0 in devs:
+            if kind is ElementKind.MOSFET:
+                gds = mos_didv(mdl, vgs, v)
+                gm = mos_gm(mdl, vgs, v)
                 fc.count(adds=4, muls=4)
-                # linearized drain current: i0 + gds*dvds + gm*dvgs
-                ieq = i0 - gds * vds - gm * vgs
-                if d_node >= 0:
-                    G[d_node][d_node] += gds
-                    if s_node >= 0:
-                        G[d_node][s_node] -= gds + gm
-                    if g_node >= 0:
-                        G[d_node][g_node] += gm
-                    rhs[d_node] -= ieq
-                if s_node >= 0:
-                    G[s_node][s_node] += gds + gm
-                    if d_node >= 0:
-                        G[s_node][d_node] -= gds
-                    if g_node >= 0:
-                        G[s_node][g_node] -= gm
-                    rhs[s_node] += ieq
             else:
-                a, b = br.a, br.b
-                vbr = (x[a] if a >= 0 else 0.0) - (x[b] if b >= 0 else 0.0)
-                didv = rtd_didv if br.el.kind is ElementKind.RTD else nanowire_didv
-                gd = float(didv(mdl, vbr, fc))
-                stamp_conductance(G, br.a, br.b, gd)
-                ieq = i0 - gd * vbr
+                didv = rtd_didv if kind is ElementKind.RTD else nanowire_didv
+                gds, gm = float(didv(mdl, v, fc)), 0.0
                 fc.count(adds=1, muls=1)
-                if br.a >= 0:
-                    rhs[br.a] -= ieq
-                if br.b >= 0:
-                    rhs[br.b] += ieq
+            # linearized branch current: i0 + gds*dv + gm*dvgs
+            ieq = i0 - gds * v - gm * vgs
+            if d >= 0:
+                G[d][d] += gds
+                if s >= 0:
+                    G[d][s] -= gds + gm
+                if g >= 0:
+                    G[d][g] += gm
+                rhs[d] -= ieq
+            if s >= 0:
+                G[s][s] += gds + gm
+                if d >= 0:
+                    G[s][d] -= gds
+                if g >= 0:
+                    G[s][g] -= gm
+                rhs[s] += ieq
         older, prev = prev, x
         try:
             x = solve(sys, fc)
         except SingularSystemError:
             break
-        residual, currents = kcl_residual(x)
         if older is not None:
             two_cycle = _max_abs([a - b for a, b in zip(x, older)])
             moved = _max_abs([a - b for a, b in zip(x, prev)])
-            if two_cycle <= _OSC_ATOL and moved > _OSC_VTOL:
-                osc_run += 1
-                if osc_run >= _OSC_RUNS:
-                    oscillation = True
-            else:
-                osc_run = 0
-    if not converged and residual <= _KCL_ATOL and source_violation(x) <= _SRC_VTOL:
-        converged = True
+            osc_run = osc_run + 1 if two_cycle <= _OSC_ATOL and moved > _OSC_VTOL else 0
+            oscillation = oscillation or osc_run >= _OSC_RUNS
     return NrReport(converged=converged, iterations=iters,
                     oscillation_detected=oscillation and not converged, flops=fc,
                     residual=residual, x=np.array(x), nodes=list(circuit.nodes))

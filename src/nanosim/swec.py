@@ -202,7 +202,7 @@ class _Engine:
 
     def __init__(self, net: Netlist):
         if net.elements_of(ElementKind.NOISE):
-            raise SimulationError("deck contains noise sources; use the stochastic engine")
+            raise ValueError("deck contains noise sources; use the stochastic engine")
         self.circuit = circuit = Circuit(net)
         self.fc = FlopCounter()
         self.n = circuit.n

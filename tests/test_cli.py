@@ -36,6 +36,14 @@ class TestOp:
         assert code == 1
         assert "no_such_deck.ckt" in err
 
+    def test_directory_path(self, tmp_path, capsys):
+        # a path that opens but is no file: one error line naming it
+        code = main(["op", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
     def test_compare_nr_prints_speedup(self, capsys):
         code = main(["op", deck_path("rtd_divider_bistable.ckt"), "--compare-nr"])
         out = capsys.readouterr().out
@@ -114,8 +122,8 @@ class TestDc:
         for args in (["op"], ["dc", "--source", "V1", "--from", "0", "--to", "1",
                               "--points", "3", "--out", str(tmp_path / "n.csv")]):
             code = main([args[0], str(deck)] + args[1:])
-            assert code == 2
-            assert capsys.readouterr().err.startswith("numerical failure:")
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("args", [
         ["op", deck_path("rtd_divider_bistable.ckt")],

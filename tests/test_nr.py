@@ -66,6 +66,27 @@ class TestNrDc:
         i_d = rep.nodes.index("d")
         assert abs(rep.x[i_d] - op.v("d")) <= 1e-3
 
+    def test_mos_divider_cost(self):
+        rep = nr_dc(parse_netlist(deck_text("mos_divider.ckt")))
+        assert rep.converged
+        assert rep.iterations == 2
+        assert rep.flops == FlopCounter(adds=23, muls=23, divs=7, transcendentals=0)
+
+    def test_mos_terminals_swapped_on_the_card(self):
+        # the channel is symmetric: with drain and source swapped, the lower
+        # terminal still acts as the source, so every iterate stamps the
+        # same branch through the reversed terminals
+        text = deck_text("mos_divider.ckt")
+        swapped = text.replace("M1 d g 0 0", "M1 0 g d 0")
+        assert swapped != text
+        want, got = (nr_dc(parse_netlist(t)) for t in (text, swapped))
+        assert got.nodes == want.nodes
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.converged, got.iterations, got.oscillation_detected, got.flops,
+                repr(got.residual)) == (want.converged, want.iterations,
+                                        want.oscillation_detected, want.flops,
+                                        repr(want.residual))
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
     def test_largest_term_is_numpys(self, values):
