@@ -1,11 +1,13 @@
 """Command-line front end: nanosim op|dc|tran|stoch <deck.ckt> [flags].
 
-Exit codes: 0 success, 1 input error, 2 numerical failure (settle failure,
-singular system, a device driven to a non-finite voltage, a stochastic
-state that diverged, a run that does not fit in memory), 3 success with
-warnings (e.g. the transient hit its minimum step with the error budget
-still exceeded, or a stochastic dt is not small against the fastest RC
-time constant), each warning printed as one "warning: ..." line on stderr.
+Exit codes: 0 success, 1 input error (also a value beyond the float range,
+or an output file that cannot be written once the analysis has run), 2
+numerical failure (settle failure, singular system, a device driven to a
+non-finite voltage, a stochastic state that diverged, a run that does not
+fit in memory), 3 success with warnings (e.g. the transient hit its minimum
+step with the error budget still exceeded, or a stochastic dt is not small
+against the fastest RC time constant), each warning printed as one
+"warning: ..." line on stderr.
 Waveforms go to CSV with full round-trip precision; --plot writes a
 gnuplot script alongside the data; tran --stats adds one stderr line of work
 counters and of what set each step. Deck directives provide the defaults;
@@ -21,7 +23,7 @@ import os
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from .netlist import (DcAnalysis, Netlist, NetlistError, StochAnalysis,
                       read_deck)
 from .nr import flop_compare
 from .stochastic import StochasticError, ensemble
-from .swec import (SimulationError, WaveformSeries, dc_sweep, operating_point,
-                   transient)
+from .swec import SimulationError, dc_sweep, operating_point, transient
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,146 +81,116 @@ def _settings(args: argparse.Namespace, net: Netlist, analysis: type,
     return setting
 
 
-def _write_csv(path: str, header: Sequence[str], rows: np.ndarray,
-               comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\r\n")
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
-
-
-def _write_plot(path: str, csv_path: str, title: str, ylabel: str,
-                columns: Sequence[str]) -> None:
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set xlabel 'column 1'",
-        f"set ylabel '{ylabel}'",
-        "set key autotitle columnhead",
-        "plot " + ", ".join(f"'{csv_path}' using 1:{i + 2} with lines"
-                            for i in range(len(columns) - 1)),
-        "pause -1",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _out_path(deck: str, suffix: str, flag: Optional[str]) -> str:
-    if flag:
-        return flag
-    base = os.path.splitext(os.path.basename(deck))[0]
-    return f"{base}_{suffix}.csv"
-
-
-def _plot_path(out: str) -> str:
-    """The gnuplot script's path beside the data file ``out`` (x.csv -> x.gp)."""
-    gp = os.path.splitext(out)[0] + ".gp"
+def _outputs(args: argparse.Namespace, suffix: str) -> Tuple[str, Optional[str]]:
+    """The data file (``--out``, else ``<deck>_<suffix>.csv``) and, with
+    ``--plot``, the gnuplot script beside it (x.csv -> x.gp)."""
+    out = args.out or f"{os.path.splitext(os.path.basename(args.deck))[0]}_{suffix}.csv"
+    gp = os.path.splitext(out)[0] + ".gp" if args.plot else None
     if gp == out:
         raise NetlistError(f"--plot would overwrite the data file {out}")
-    return gp
+    return out, gp
 
 
-def _resample(series: WaveformSeries, n: int) -> np.ndarray:
-    grid = np.linspace(series.times[0], series.times[-1], n)
-    cols = [grid] + [np.interp(grid, series.times, series.voltages[:, i])
-                     for i in range(series.voltages.shape[1])]
-    return np.column_stack(cols)
+def _write(paths: Tuple[str, Optional[str]], header: Sequence[str],
+           columns: Sequence[np.ndarray], comments: Sequence[str] = (),
+           title: str = "", ylabel: str = "") -> None:
+    """The comment lines, the header and the columns to the data file, then
+    the gnuplot script (if any) that plots every column against the first; a
+    file that cannot be written raises a one-line :class:`NetlistError`."""
+    out, gp = paths
+    path = out
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(f"# {c}\r\n" for c in comments)
+            fh.write(",".join(header) + "\r\n")
+            for row in np.column_stack(columns):
+                fh.write(",".join(_fmt(v) for v in row) + "\r\n")
+        if gp:
+            path = gp
+            plots = ", ".join(f"'{out}' using 1:{i} with lines"
+                              for i in range(2, len(header) + 1))
+            with open(gp, "w", encoding="utf-8") as fh:
+                fh.write(f"set datafile separator ','\nset title '{title}'\n"
+                         f"set xlabel 'column 1'\nset ylabel '{ylabel}'\n"
+                         f"set key autotitle columnhead\nplot {plots}\npause -1\n")
+    except OSError as exc:
+        raise NetlistError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _compare_nr(net: Netlist, result) -> None:
+    cmp_ = flop_compare(net, result)
+    print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} speedup={cmp_.speedup:.2f}")
 
 
 def cmd_op(args: argparse.Namespace) -> RunReport:
-    report = RunReport()
     net = parse_netlist(read_deck(args.deck))
     op = operating_point(net)
-    report.steps = op.n_solves
-    report.flops = op.flops.total()
     for node in op.nodes:
         print(f"v({node}) = {op.v(node):.6g}")
     if not op.settled:
         print("warning: operating point failed to settle", file=sys.stderr)
-        report.exit_code = EXIT_NUMERIC
-        return report
-    if args.compare_nr:
-        cmp_ = flop_compare(net, op)
-        print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
-              f"speedup={cmp_.speedup:.2f}")
-    return report
+    elif args.compare_nr:
+        _compare_nr(net, op)
+    return RunReport(steps=op.n_solves, flops=op.flops.total(),
+                     exit_code=EXIT_OK if op.settled else EXIT_NUMERIC)
 
 
 def cmd_dc(args: argparse.Namespace) -> RunReport:
-    report = RunReport()
     net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, DcAnalysis, "dc sweep needs --source/--from/--to/"
                         "--points or a .dc card in the deck")
     if setting["points"] < 2:
         raise NetlistError("--points must be at least 2")
-    out = _out_path(args.deck, "dc", args.out)
-    gp = _plot_path(out) if args.plot else None
+    paths = _outputs(args, "dc")
     sweep = dc_sweep(net, **setting)
-    report.flops = sweep.flops.total()
-
-    header = ["bias"] + [f"i({name})" for name in sweep.currents] \
-        + [f"v({n})" for n in sweep.nodes]
-    cols = [sweep.biases] + list(sweep.currents.values()) \
-        + [sweep.voltages[:, i] for i in range(len(sweep.nodes))]
-    rows = np.column_stack(cols)
-    _write_csv(out, header, rows)
-    print(f"wrote {out} ({len(sweep.biases)} points)")
-    if gp:
-        _write_plot(gp, out, "DC sweep", "current / voltage", header)
+    _write(paths, ["bias"] + [f"i({name})" for name in sweep.currents]
+           + [f"v({n})" for n in sweep.nodes],
+           [sweep.biases, *sweep.currents.values(), sweep.voltages],
+           title="DC sweep", ylabel="current / voltage")
+    print(f"wrote {paths[0]} ({len(sweep.biases)} points)")
     if args.compare_nr:
-        cmp_ = flop_compare(net, sweep)
-        print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} "
-              f"speedup={cmp_.speedup:.2f}")
-    if not bool(np.all(sweep.settled)):
-        bad = int(np.count_nonzero(~sweep.settled))
+        _compare_nr(net, sweep)
+    bad = int(np.count_nonzero(~sweep.settled))
+    if bad:
         print(f"warning: {bad} sweep points failed to settle", file=sys.stderr)
-        report.exit_code = EXIT_NUMERIC
-    return report
+    return RunReport(flops=sweep.flops.total(), exit_code=EXIT_NUMERIC if bad else EXIT_OK)
 
 
 def cmd_tran(args: argparse.Namespace) -> RunReport:
-    report = RunReport()
     net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, TranAnalysis,
                         "transient needs --tstop or a .tran card in the deck")
     if args.resample is not None and args.resample < 1:
         raise NetlistError("--resample must be at least 1")
-    out = _out_path(args.deck, "tran", args.out)
-    gp = _plot_path(out) if args.plot else None
+    paths = _outputs(args, "tran")
     series = transient(net, **setting)
-    report.steps = series.steps_taken
-    report.rejections = series.steps_rejected
-    report.flops = series.flops.total()
-
-    header = ["t"] + [f"v({n})" for n in series.nodes]
+    times = series.times
+    columns = [times, series.voltages]
     if args.resample:
-        rows = _resample(series, args.resample)
-    else:
-        rows = np.column_stack([series.times] + [series.voltages[:, i]
-                                                 for i in range(len(series.nodes))])
-    _write_csv(out, header, rows)
-    print(f"wrote {out} ({series.steps_taken} steps, "
+        grid = np.linspace(times[0], times[-1], args.resample)
+        columns = [grid, *(np.interp(grid, times, v) for v in series.voltages.T)]
+    _write(paths, ["t"] + [f"v({n})" for n in series.nodes], columns,
+           title="Transient", ylabel="node voltage (V)")
+    print(f"wrote {paths[0]} ({series.steps_taken} steps, "
           f"{series.steps_rejected} rejected)")
+    report = RunReport(steps=series.steps_taken, rejections=series.steps_rejected,
+                       flops=series.flops.total(),
+                       exit_code=EXIT_WARN if series.hmin_warnings else EXIT_OK)
     if args.stats:
         limits = " ".join(f"{k}={v}" for k, v in series.limited_by.items())
-        print(f"stats: steps={series.steps_taken} rejected={series.steps_rejected} "
+        print(f"stats: steps={report.steps} rejected={report.rejections} "
               f"solves={series.n_solves} flops={report.flops} {limits}", file=sys.stderr)
-    if gp:
-        _write_plot(gp, out, "Transient", "node voltage (V)", header)
     if series.hmin_warnings:
         print(f"warning: {series.hmin_warnings} steps hit h_min with the local "
               "error budget still exceeded", file=sys.stderr)
-        report.exit_code = EXIT_WARN
     return report
 
 
 def cmd_stoch(args: argparse.Namespace) -> RunReport:
-    report = RunReport()
     net = parse_netlist(read_deck(args.deck))
     setting = _settings(args, net, StochAnalysis, "stochastic run needs --tstop/--dt/"
                         "--paths or a .stoch card in the deck")
+    paths = _outputs(args, "stoch")
     window = tuple(args.window) if args.window else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -230,31 +201,24 @@ def cmd_stoch(args: argparse.Namespace) -> RunReport:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
 
-    header = ["t"]
-    cols = [stats.times]
+    # the pointwise and the peak quantiles share their levels
+    levels = [(q, f"q{int(round(q * 100)):02d}") for q in sorted(stats.quantiles)]
+    header, columns, peaks = ["t"], [stats.times], []
     for i, node in enumerate(stats.nodes):
         header += [f"mean({node})", f"var({node})"]
-        cols += [stats.mean[:, i], stats.variance[:, i]]
-        for q in sorted(stats.quantiles):
-            header.append(f"q{int(round(q * 100)):02d}({node})")
-            cols.append(stats.quantiles[q][:, i])
-    rows = np.column_stack(cols)
-    out = _out_path(args.deck, "stoch", args.out)
-    comments = [f"seed={stats.seed} paths={stats.paths} dt={_fmt(setting['dt'])} "
-                f"window=[{_fmt(stats.window[0])},{_fmt(stats.window[1])}]"]
-    peak_bits = []
-    for i, node in enumerate(stats.nodes):
-        qtxt = " ".join(f"q{int(round(q * 100)):02d}={_fmt(stats.peak_quantiles[q][i])}"
-                        for q in sorted(stats.peak_quantiles))
-        peak_bits.append(f"peak({node}): mean={_fmt(stats.peak_mean[i])} {qtxt}")
-    comments.extend(peak_bits)
-    _write_csv(out, header, rows, comments=comments)
-    print(f"wrote {out} ({stats.paths} paths)")
-    for line in peak_bits:
+        columns += [stats.mean[:, i], stats.variance[:, i]]
+        for q, name in levels:
+            header.append(f"{name}({node})")
+            columns.append(stats.quantiles[q][:, i])
+        qtxt = " ".join(f"{name}={_fmt(stats.peak_quantiles[q][i])}" for q, name in levels)
+        peaks.append(f"peak({node}): mean={_fmt(stats.peak_mean[i])} {qtxt}")
+    run = (f"seed={stats.seed} paths={stats.paths} dt={_fmt(setting['dt'])} "
+           f"window=[{_fmt(stats.window[0])},{_fmt(stats.window[1])}]")
+    _write(paths, header, columns, [run] + peaks)
+    print(f"wrote {paths[0]} ({stats.paths} paths)")
+    for line in peaks:
         print(line)
-    if caught:
-        report.exit_code = EXIT_WARN
-    return report
+    return RunReport(exit_code=EXIT_WARN if caught else EXIT_OK)
 
 
 @functools.cache
@@ -305,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--window", nargs=2, type=_value_flag,
                       metavar=("T_A", "T_B"))
     p_st.add_argument("--out")
-    p_st.set_defaults(func=cmd_stoch)
+    p_st.set_defaults(func=cmd_stoch, plot=False)
     return ap
 
 

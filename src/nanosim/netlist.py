@@ -81,7 +81,8 @@ class NetlistError(Exception):
 
 def parse_value(text: str, line_number: Optional[int] = None,
                 line_text: Optional[str] = None) -> float:
-    """Parse a number with an optional engineering suffix.
+    """Parse a number with an optional engineering suffix; one beyond the
+    float range is an error.
 
     >>> parse_value('1k')
     1000.0
@@ -91,16 +92,19 @@ def parse_value(text: str, line_number: Optional[int] = None,
     s = text.strip().lower()
     if not s:
         raise NetlistError("empty value", line_number, line_text)
-    if _NUMBER_RE.match(s):
-        return float(s)
-    for suffix in ("meg",) + tuple(k for k in SUFFIX_EXPONENTS if k != "meg"):
-        if s.endswith(suffix):
-            number = _NUMBER_RE.match(s[: -len(suffix)])
+    if not _NUMBER_RE.match(s):
+        for suffix in ("meg",) + tuple(k for k in SUFFIX_EXPONENTS if k != "meg"):
+            number = _NUMBER_RE.match(s[: -len(suffix)]) if s.endswith(suffix) else None
             if number:
                 # one literal, so the value rounds once
                 exponent = int((number.group(2) or "e0")[1:]) + SUFFIX_EXPONENTS[suffix]
-                return float(f"{s[:number.end(1)]}e{exponent}")
-    raise NetlistError(f"cannot parse value '{text}'", line_number, line_text)
+                s = f"{s[:number.end(1)]}e{exponent}"
+                break
+        else:
+            raise NetlistError(f"cannot parse value '{text}'", line_number, line_text)
+    if math.isinf(float(s)):
+        raise NetlistError(f"value '{text}' is out of range", line_number, line_text)
+    return float(s)
 
 
 def parse_count(text: str, what: str, line_number: Optional[int] = None,

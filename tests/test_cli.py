@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestDc:
         slopes = np.diff(i) / np.diff(data[:, 0])
         assert np.allclose(slopes, slopes[0], rtol=1e-9)
 
+    def test_unsettled_points_warning(self, tmp_path, capsys, monkeypatch):
+        # a settle budget too small for one point: the sweep is still
+        # written, one warning line names how many points failed
+        monkeypatch.setattr("nanosim.swec._SETTLE_ITERS", 12)
+        out = tmp_path / "sweep.csv"
+        code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "20",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "warning: 1 sweep points failed to settle\n"
+        assert _csv_rows(str(out))[1].shape[0] == 20
+
     def test_plot_script(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["dc", deck_path("nanowire_divider.ckt"), "--points", "8",
@@ -249,6 +261,26 @@ class TestTran:
         assert code == 3
         assert os.path.exists(out)     # results are still written
 
+    def test_engine_hmin_acceptance(self, tmp_path, capsys, monkeypatch):
+        # a minimum step too coarse for the switching edges: the engine
+        # accepts those steps, warns once and still writes the waveform
+        monkeypatch.setattr("nanosim.swec._H_MIN", 1e-9)
+        out = tmp_path / "coarse.csv"
+        code = main(["tran", deck_path("fet_rtd_inverter.ckt"), "--out", str(out)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"warning: [1-9]\d* steps hit h_min with the local "
+                            r"error budget still exceeded", line)
+        assert out.exists()
+
+    def test_step_budget_exceeded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("nanosim.swec._MAX_STEPS", 20)
+        out = tmp_path / "budget.csv"
+        code = main(["tran", deck_path("fet_rtd_inverter.ckt"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: step budget exceeded (20)\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["tran", "rc_lowpass.ckt", "--tstop", "abc"],
@@ -259,8 +291,11 @@ class TestTran:
     ["stoch", "ou_step.ckt", "--window", "1u", "abc"],
     ["tran", "rc_lowpass.ckt", "--tstop", "-1"],
     ["tran", "rc_lowpass.ckt", "--resample", "0"],
+    ["tran", "rc_lowpass.ckt", "--tstop", "1e999"],
+    ["dc", "rtd_divider.ckt", "--to", "1e999"],
+    ["stoch", "ou_step.ckt", "--dt", "1e306k"],
 ], ids=["tstop", "eps", "from", "to", "dt", "window", "tstop-negative",
-        "resample-zero"])
+        "resample-zero", "tstop-overflow", "to-overflow", "dt-overflow"])
 def test_bad_value_is_one_line_input_error(argv, tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = main([argv[0], deck_path(argv[1])] + argv[2:] + ["--out", str(out)])
@@ -292,6 +327,98 @@ class TestPlot:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tran", "rc_lowpass.ckt"],
+    ["dc", "nanowire_divider.ckt", "--points", "4"],
+    ["dc", "nanowire_divider.ckt", "--points", "4", "--plot"],
+    ["stoch", "ou_step.ckt", "--paths", "8"],
+], ids=["tran", "dc", "dc-plot", "stoch"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "directory"])
+def test_unwritable_output_is_one_line_input_error(argv, missing, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "o.csv" if missing else tmp_path
+    code = main([argv[0], deck_path(argv[1])] + argv[2:] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_unwritable_script_is_named(tmp_path, capsys):
+    (tmp_path / "o.gp").mkdir()
+    code = main(["tran", deck_path("rc_lowpass.ckt"), "--out", str(tmp_path / "o.csv"),
+                 "--plot"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {tmp_path / 'o.gp'}: ")
+    assert err.count("\n") == 1
+
+
+_SOURCE = "V1 1 0 DC 1\nR1 1 0 1k\n"
+_RTD = ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172 "
+_NW = ".model W NW (g0=1e-5 vstep=0.1 nsteps=4 smooth=0.01)"
+_BAD_DECKS = {
+    "source-few-tokens": ("V1 1 0\nR1 1 0 1k\n", 1,
+                          "source card requires: V<name> n+ n- DC <v> | PWL(...) | PULSE(...)"),
+    "pwl-odd": ("V1 1 0 PWL(0 0 1n)\nR1 1 0 1k\n", 1,
+                "PWL requires an even number of values (t v pairs)"),
+    "pwl-unordered": ("V1 1 0 PWL(0 0 2n 1 1n 0)\nR1 1 0 1k\n", 1,
+                      "PWL breakpoint times must be strictly increasing"),
+    "pwl-no-parens": ("V1 1 0 PWL 0 0 1n 1\nR1 1 0 1k\n", 1,
+                      "expected parenthesized value list"),
+    "pulse-3-values": ("V1 1 0 PULSE(0 1 2n)\nR1 1 0 1k\n", 1,
+                       "PULSE requires exactly 7 values (v1 v2 td tr tf pw per)"),
+    "pulse-rise-0": ("V1 1 0 PULSE(0 1 0 0 1n 5n 20n)\nR1 1 0 1k\n", 1,
+                     "PULSE rise and fall must be positive"),
+    "sin": ("V1 1 0 SIN(0 1 1meg)\nR1 1 0 1k\n", 1,
+            "source must specify DC, PWL(...) or PULSE(...)"),
+    "value-overflow": ("V1 1 0 DC 1e999\nR1 1 0 1k\n", 1,
+                       "value '1e999' is out of range"),
+    "model-bare": (_SOURCE + ".model M1\n", 3,
+                   ".model requires: .model <name> RTD|NMOS|NW (<key>=<val> ...)"),
+    "model-duplicate": (_SOURCE + _NW + "\n.model w NMOS (k=1 W=1 L=1 Vth=1)\n", 4,
+                        "duplicate model name 'w'"),
+    "model-type": (_SOURCE + ".model M1 FOO (k=1)\n", 3,
+                   "unknown model type 'FOO' (want RTD, NMOS or NW)"),
+    "model-key": (_SOURCE + ".model M1 NMOS (k=1 W=1 L=1 Vth=1 zz=2)\n", 3,
+                  "unknown model key 'zz'"),
+    "model-key-overflow": (_SOURCE + ".model M1 NMOS (k=1e999 W=1 L=1 Vth=1)\n", 3,
+                           "value '1e999' is out of range"),
+    "rtd-T-0": (_SOURCE + _RTD + "T=0)\n", 3,
+                "invalid model parameters: RTD temperature and area must be positive"),
+    "rtd-area-0": (_SOURCE + _RTD + "area=0)\n", 3,
+                   "invalid model parameters: RTD temperature and area must be positive"),
+    **{f"nanowire-{key}-0": (_SOURCE + re.sub(f"{key}=[^ )]+", f"{key}=0", _NW) + "\n", 3,
+                             "invalid model parameters: nanowire g0, vstep, smooth "
+                             "must be positive")
+       for key in ("g0", "vstep", "smooth")},
+    "directive-unknown": (_SOURCE + ".foo\n", 3, "unknown directive '.foo'"),
+    "dc-short": (_SOURCE + ".dc V1 0 1\n", 3,
+                 ".dc requires: .dc <source> <start> <stop> <points>"),
+    "continuation-first": ("+ V1 1 0 DC 1\nR1 1 0 1k\n", 1,
+                           "continuation line with nothing to continue"),
+    "card-after-end": (_SOURCE + ".end\nR2 1 0 1k\n", 4, "card after .end"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", list(_BAD_DECKS.values()), ids=list(_BAD_DECKS))
+def test_bad_deck_is_one_line_input_error(text, line, message, tmp_path, capsys):
+    deck = tmp_path / "bad.ckt"
+    deck.write_text(text + ".end\n")
+    assert main(["op", str(deck)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: {message}\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("dc", "dc sweep needs --source/--from/--to/--points or a .dc card in the deck"),
+    ("tran", "transient needs --tstop or a .tran card in the deck"),
+    ("stoch", "stochastic run needs --tstop/--dt/--paths or a .stoch card in the deck"),
+])
+def test_analysis_without_card_or_flags(command, message, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main([command, deck_path("divider.ckt"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -44,6 +44,16 @@ class TestParseValue:
             with pytest.raises(NetlistError):
                 parse_value(bad)
 
+    @pytest.mark.parametrize("text", ["1e999", "-1e999", "1e306k", "2e303meg"])
+    def test_overflow_rejected(self, text):
+        # a value beyond the float range would reach the engines as +-inf
+        with pytest.raises(NetlistError, match=f"value '{text}' is out of range"):
+            parse_value(text)
+
+    def test_underflow_rounds_to_zero(self):
+        assert parse_value("1e-999") == 0.0
+        assert parse_value("1e-320f") == 0.0
+
 
 class TestCards:
     def test_single_resistor(self):

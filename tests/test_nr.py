@@ -87,6 +87,24 @@ class TestNrDc:
                                         want.oscillation_detected, want.flops,
                                         repr(want.residual))
 
+    @pytest.mark.parametrize("vin", ["0", "1.5", "2", "3", "5"])
+    def test_inverter_agrees_with_engine(self, vin):
+        # the inverter at DC: an RTD with neither terminal on ground, a
+        # capacitor the Newton baseline leaves open, and at vin = 5 V the
+        # MOSFET in triode
+        text = deck_text("fet_rtd_inverter.ckt")
+        for card_, dc in (("V1 vdd 0 PWL(0 0 5n 5)", "V1 vdd 0 DC 5"),
+                          ("V2 in 0 PULSE(0 5 30n 2n 2n 32n 80n)", f"V2 in 0 DC {vin}")):
+            assert card_ in text
+            text = text.replace(card_, dc)
+        net = parse_netlist(text)
+        rep = nr_dc(net)
+        assert rep.converged and not rep.oscillation_detected
+        op = operating_point(net)
+        assert op.settled
+        for node in op.nodes:
+            assert abs(rep.x[rep.nodes.index(node)] - op.v(node)) <= 1e-6
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
     def test_largest_term_is_numpys(self, values):
