@@ -104,7 +104,7 @@ def _write(paths: Tuple[str, Optional[str]], header: Sequence[str],
             fh.writelines(f"# {c}\r\n" for c in comments)
             fh.write(",".join(header) + "\r\n")
             for row in np.column_stack(columns):
-                fh.write(",".join(_fmt(v) for v in row) + "\r\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
         if gp:
             path = gp
             plots = ", ".join(f"'{out}' using 1:{i} with lines"

@@ -62,6 +62,8 @@ _FD_STEP = 1e-6
 # Exponent clamp for the valley-current exponential; keeps exp() finite for
 # absurd voltages without disturbing any realistic operating range.
 _EXP_CLAMP = 700.0
+# Most nanowire steps: an array kernel holds nsteps doubles per voltage.
+MAX_NANOWIRE_STEPS = 1000
 
 
 class DeviceError(ValueError):
@@ -154,8 +156,8 @@ class NanowireModel:
     def __post_init__(self):
         if not (self.g0 > 0 and self.vstep > 0 and self.smooth > 0):
             raise DeviceError("nanowire g0, vstep, smooth must be positive")
-        if self.nsteps < 1:
-            raise DeviceError("nanowire nsteps must be >= 1")
+        if not 1 <= self.nsteps <= MAX_NANOWIRE_STEPS:
+            raise DeviceError(f"nanowire nsteps must be in 1..{MAX_NANOWIRE_STEPS}")
 
     @functools.cached_property
     def step_voltages(self) -> list:
@@ -231,17 +233,14 @@ def _clamped(f, x):
 def _log1pexp(x: np.ndarray) -> np.ndarray:
     """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x.
     :func:`_log1pexp_sigmoid` is its float twin. An array on one side of
-    the split is evaluated whole, which gives the same elements."""
+    the split is evaluated whole, a mixed one on each side's clamped values."""
     big = x > 30.0
     if not big.any():
         return np.log1p(np.exp(x))
     if big.all():
         return x + np.log1p(np.exp(-x))
-    out = np.empty_like(x)
-    out[big] = x[big] + np.log1p(np.exp(-x[big]))
-    small = ~big
-    out[small] = np.log1p(np.exp(x[small]))
-    return out
+    y = np.maximum(x, 30.0)
+    return np.where(big, y + np.log1p(np.exp(-y)), np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
 def _log1pexp_sigmoid(x: float, sigmoid: bool):
@@ -309,7 +308,8 @@ def _rtd_resonance(m: RtdModel, v, sigmoids: bool):
         l2, s2 = _log1pexp_sigmoid(x2, sigmoids)
         return l1 - l2, w, _HALF_PI + float(atan), s1 + s2
     s = _sigmoid(x1) + _sigmoid(x2) if sigmoids else 0.0
-    return _log1pexp(x1) - _log1pexp(x2), w, _HALF_PI + atan, s
+    l1, l2 = _log1pexp(np.array((x1, x2)))
+    return l1 - l2, w, _HALF_PI + atan, s
 
 
 def _rtd_current(m: RtdModel, v):

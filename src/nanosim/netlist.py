@@ -46,7 +46,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, NoReturn, Optional, Tuple, Union
 
 from .devices import DeviceError, DeviceModel, MosModel, NanowireModel, RtdModel
 
@@ -191,15 +191,15 @@ def eval_waveform(w: Waveform, t: float) -> float:
     raise TypeError(f"not a waveform: {w!r}")
 
 
-def waveform_breakpoints(w: Waveform, t_stop: float) -> List[float]:
-    """Times in (0, t_stop) where the waveform has a slope discontinuity.
+def waveform_breakpoints(w: Waveform, t_stop: float) -> Iterator[float]:
+    """Times in (0, t_stop) where the waveform has a slope discontinuity,
+    generated in increasing order, so a caller may stop early.
 
     Transient stepping lands on these exactly so that edges are never
     straddled by a large step.
     """
-    out: List[float] = []
     if isinstance(w, Pwl):
-        out = [t for t, _ in w.points if 0.0 < t < t_stop]
+        yield from (t for t, _ in w.points if 0.0 < t < t_stop)
     elif isinstance(w, Pulse):
         k = 0
         while True:
@@ -209,9 +209,8 @@ def waveform_breakpoints(w: Waveform, t_stop: float) -> List[float]:
             for off in (0.0, w.rise, w.rise + w.width, w.rise + w.width + w.fall):
                 t = base + off
                 if 0.0 < t < t_stop:
-                    out.append(t)
+                    yield t
             k += 1
-    return out
 
 
 # --- circuit data model -------------------------------------------------------

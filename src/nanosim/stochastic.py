@@ -25,9 +25,11 @@ must be positive definite, and no capacitor or noise source may touch a
 pinned node. All paths advance in lockstep, a block of steps at a time:
 one work array holds every path's state and is advanced in place, each
 step's state is copied into a buffer of state rows, and the source
-levels, the same on every path, go into a row array of their own. Device
-terminals on a pinned node read that scalar level. A block is reduced or
-copied out before the next one overwrites it.
+levels, the same on every path, go into a row array of their own. The
+devices of one kind and model are evaluated in one kernel call per step
+(terminals on a pinned node read its level), and their currents summed
+into the drift in circuit order. A block is reduced (its quantiles read
+from one sorted copy) or copied out before the next one overwrites it.
 
 A run with seed s draws its increments from one stream, keyed (s, 0), step
 by step, each step's paths in order and each path's noise sources in card
@@ -140,9 +142,10 @@ class _StateSystem:
     # g_static and the nonzero (conductance, source index) terms of g_drive
     static_terms: List[List[Tuple[float, int]]]
     drive_terms: List[List[Tuple[float, int]]]
-    # nonlinear element kind, its model, and its a, b and gate terminals as
-    # drift terminals (see _terminal); only devices with a state row
-    devices: List[Tuple[ElementKind, DeviceModel, int, int, int]]
+    # devices with a state row by kind and model: members' a, b, gate terminals
+    groups: List[Tuple[ElementKind, DeviceModel, List[int], List[int], List[int]]]
+    # per such device in circuit order: group, member row, a and b terminals
+    scatter: List[Tuple[int, int, int, int]]
 
 
 def _build_state_system(net: Netlist) -> _StateSystem:
@@ -198,9 +201,16 @@ def _build_state_system(net: Netlist) -> _StateSystem:
 
     # a device whose current reaches no state row (both branch terminals
     # pinned or ground) changes no drift, so it is not evaluated at all
-    devices = [(br.el.kind, m, terminal(br.a), terminal(br.b), terminal(br.gate))
-               for br, m in zip(circuit.devices, circuit.models)
-               if br.a in row or br.b in row]
+    groups, scatter, index = [], [], {}    # index: (kind, id(model)) -> group
+    for br, m in zip(circuit.devices, circuit.models):
+        if br.a in row or br.b in row:
+            g = index.setdefault((br.el.kind, id(m)), len(groups))
+            if g == len(groups):
+                groups.append((br.el.kind, m, [], [], []))
+            terms = terminal(br.a), terminal(br.b), terminal(br.gate)
+            for member, t in zip(groups[g][2:], terms):
+                member.append(t)
+            scatter.append((g, len(groups[g][2]) - 1) + terms[:2])
     g_static = circuit.G[np.ix_(state, state)]
     g_drive = -circuit.G[np.ix_(state, pinned)]
     return _StateSystem(circuit=circuit, state=np.array(state),
@@ -209,7 +219,8 @@ def _build_state_system(net: Netlist) -> _StateSystem:
                         cap_inv=None if diagonal else np.linalg.inv(cap),
                         g_static=g_static, g_drive=g_drive, noise_cols=noise_cols,
                         static_terms=_nonzero_terms(g_static),
-                        drive_terms=_nonzero_terms(g_drive), devices=devices)
+                        drive_terms=_nonzero_terms(g_drive), groups=groups,
+                        scatter=scatter)
 
 
 def _nonzero_terms(g: np.ndarray) -> List[List[Tuple[float, int]]]:
@@ -252,12 +263,16 @@ def _explicit_drift(ss: _StateSystem, dt: float):
                               f"for the explicit drift ({limit})") from None
 
 
-def _terminal(x: np.ndarray, levels: Sequence[float], t: int):
-    """Voltage of drift terminal ``t``: a state column of ``x``, a source
-    level, or ground."""
-    if t >= 0:
-        return x[:, t]
-    return levels[-2 - t] if t < -1 else 0.0
+def _terminals(x: np.ndarray, levels: Sequence[float], ts: Sequence[int]):
+    """Voltages of drift terminals ``ts`` (members x paths): a state column
+    of ``x``, a source level or ground; a lone level stays a float."""
+    if len(ts) == 1:
+        t = ts[0]
+        return x[None, :, t] if t >= 0 else levels[-2 - t] if t < -1 else 0.0
+    v = np.empty((len(ts), x.shape[0]))
+    for r, t in enumerate(ts):
+        v[r] = x[:, t] if t >= 0 else levels[-2 - t] if t < -1 else 0.0
+    return v
 
 
 def _drift(ss: _StateSystem, x: np.ndarray, levels: Sequence[float],
@@ -280,21 +295,25 @@ def _drift(ss: _StateSystem, x: np.ndarray, levels: Sequence[float],
         np.negative(acc, out=acc)
         for g, k in drive:
             acc += g * levels[k]
-    for kind, m, ta, tb, tg in ss.devices:
-        va = _terminal(x, levels, ta)
-        vb = _terminal(x, levels, tb)
+    currents = []
+    for kind, m, ta, tb, tg in ss.groups:
+        va = _terminals(x, levels, ta)
+        vb = _terminals(x, levels, tb)
+        v = va - vb
         if kind is ElementKind.MOSFET:
-            vgs, vds, _ = mos_bias(va, _terminal(x, levels, tg), vb)
+            vgs, vds, _ = mos_bias(va, _terminals(x, levels, tg), vb)
             geq = mos_geq(m, vgs, vds, fc)
         elif kind is ElementKind.RTD:
-            geq = rtd_geq(m, va - vb, fc)
+            geq = rtd_geq(m, v, fc)
         else:
-            geq = nanowire_geq(m, va - vb, fc)
-        i_dev = np.maximum(geq, G_FLOOR) * (va - vb)
+            geq = nanowire_geq(m, v, fc)
+        currents.append(np.maximum(geq, G_FLOOR) * v)
+    # each column sums its device currents in circuit order
+    for g, r, ta, tb in ss.scatter:
         if ta >= 0:
-            drift[:, ta] -= i_dev
+            drift[:, ta] -= currents[g][r]
         if tb >= 0:
-            drift[:, tb] += i_dev
+            drift[:, tb] += currents[g][r]
     return drift
 
 
@@ -303,6 +322,15 @@ def _apply_cinv(ss: _StateSystem, rhs: np.ndarray,
     if ss.cap_diag is not None:
         return np.divide(rhs, ss.cap_diag, out=out)
     return np.matmul(rhs, ss.cap_inv.T, out=out)
+
+
+def _noise_image(dws: np.ndarray, cinv_b: np.ndarray, out: np.ndarray) -> None:
+    """C^-1 B dW of a block's increments (steps x paths x sources) into
+    ``out``; a lone source's products differ from a matmul's at most in a zero's sign."""
+    if cinv_b.shape[0] == 1:
+        np.multiply(dws, cinv_b[0], out=out)
+    else:
+        np.matmul(dws, cinv_b, out=out)
 
 
 def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
@@ -333,9 +361,7 @@ def _lockstep(ss: _StateSystem, dt: float, steps: int, seed: int, paths: int,
         b = min(block, steps - j0)
         draw(out=dws[:b])
         dws[:b] *= sqrt_dt
-        # one matmul per step of the block, each on that step's paths x noise
-        # slice, as a step-by-step product takes it
-        np.matmul(dws[:b], cinv_b, out=noise[:b])
+        _noise_image(dws[:b], cinv_b, noise[:b])
         for k in range(1, b + 1):
             # X_k = (X_{k-1} + dt C^-1 drift) + C^-1 B dW_k, in place
             _drift(ss, x, level, fc, out=drift)
@@ -394,14 +420,23 @@ def _initial_state(ss: _StateSystem, x0: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _path_quantiles(rows: np.ndarray) -> np.ndarray:
-    """``np.quantile(rows, _QUANTILES, axis=0)``, taken from a paths-last
-    copy sorted in place. Order statistics do not depend on the order of
-    their input, so the values are the same; the copy stands in for the one
-    ``np.quantile`` would make, and numpy's sort on contiguous rows is
-    faster than its partition along the strided path axis."""
+    """``np.quantile(rows, _QUANTILES, axis=0)`` from a paths-last copy sorted
+    in place, with numpy's "linear" index (n - 1) q (< n - 1) and lerp."""
     ordered = rows.transpose(1, 2, 0).copy()
     ordered.sort(axis=-1)
-    return np.quantile(ordered, _QUANTILES, axis=-1, overwrite_input=True)
+    n = ordered.shape[-1]
+    out = np.empty((len(_QUANTILES),) + ordered.shape[:-1])
+    for level, q in zip(out, _QUANTILES):
+        at = (n - 1) * q
+        lo = math.floor(at)
+        g = at - lo
+        a, b = ordered[..., lo], ordered[..., lo + 1]
+        diff = b - a
+        if g >= 0.5:
+            np.subtract(b, diff * (1.0 - g), out=level)
+        else:
+            np.add(a, diff * g, out=level)
+    return out
 
 
 def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
@@ -425,8 +460,9 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
     if not (0.0 <= t_a < t_b <= t_stop * (1 + 1e-12)):
         raise ValueError("window must satisfy 0 <= t_a < t_b <= t_stop")
     times = np.arange(steps + 1) * dt
-    in_win = (times >= t_a) & (times <= t_b)
-    if not in_win.any():
+    # the grid points in the window, one contiguous run lo..hi-1
+    lo, hi = np.searchsorted(times, t_a), np.searchsorted(times, t_b, side="right")
+    if lo >= hi:
         raise ValueError("window holds no time step")
     x_init = _initial_state(ss, x0)
 
@@ -448,8 +484,8 @@ def ensemble(net: Netlist, dt: float, t_stop: float, paths: int, seed: int = 0,
             quantiles[:, at, state] = _path_quantiles(rows)
             mean[at, pinned] = levels
             quantiles[:, at, pinned] = levels
-            win = in_win[at]
-            if win.any():
+            win = slice(max(lo - j0, 0), min(hi - j0, rows.shape[1]))
+            if win.start < win.stop:
                 np.maximum(peaks, rows[:, win].max(axis=1), out=peaks)
                 np.maximum(pin_peaks, levels[win].max(axis=0), out=pin_peaks)
     # the path mean over every node column, as a paths x nodes array reduces it

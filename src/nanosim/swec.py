@@ -80,7 +80,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,6 +184,18 @@ def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
 # --- engine internals ---------------------------------------------------------
 
 _MOSFET, _RTD = ElementKind.MOSFET, ElementKind.RTD
+
+
+def _budgeted(times: Iterable[float]) -> Iterator[float]:
+    """The increasing breakpoints ``times``, refusing the run once more lie
+    1e-12 (relative) apart than it has steps: one must end at or below each."""
+    apart, last = 0, -math.inf
+    for t in times:
+        if t * (1.0 - 1e-12) > last:
+            apart, last = apart + 1, t
+            if apart > _MAX_STEPS:
+                raise SimulationError(f"step budget exceeded ({_MAX_STEPS})")
+        yield t
 
 
 class _Engine:
@@ -314,8 +326,8 @@ class _Engine:
         # the starting point is committed with no step behind it (h_prev 0)
         self.commit_states(*self.evaluate(x))
         waveforms = self.circuit.waveforms
-        breakpoints = sorted({bp for w in waveforms
-                              for bp in waveform_breakpoints(w, t_stop)})
+        breakpoints = list(_budgeted(sorted({bp for w in waveforms for bp in
+                                             _budgeted(waveform_breakpoints(w, t_stop))})))
         # the sources are piecewise linear: they peak at an end or a breakpoint
         peak = max((abs(eval_waveform(w, t)) for w in waveforms
                     for t in (0.0, t_stop, *breakpoints)), default=0.0)

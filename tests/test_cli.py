@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,18 @@ class TestTran:
         assert capsys.readouterr().err == "numerical failure: step budget exceeded (20)\n"
         assert not out.exists()
 
+    def test_breakpoints_beyond_the_step_budget_refused_at_once(self, tmp_path, capsys):
+        # the 80 ns PULSE has about 5e7 edges before 1 s; listing them all
+        # would take minutes and gigabytes before the step budget failed
+        out = tmp_path / "long.csv"
+        t0 = time.perf_counter()
+        code = main(["tran", deck_path("fet_rtd_inverter.ckt"), "--tstop", "1",
+                     "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: step budget exceeded (200000)\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["tran", "rc_lowpass.ckt", "--tstop", "abc"],
@@ -392,6 +405,8 @@ _BAD_DECKS = {
                              "invalid model parameters: nanowire g0, vstep, smooth "
                              "must be positive")
        for key in ("g0", "vstep", "smooth")},
+    "nanowire-nsteps-1e9": (_SOURCE + _NW.replace("nsteps=4", "nsteps=1e9") + "\n", 3,
+                            "invalid model parameters: nanowire nsteps must be in 1..1000"),
     "directive-unknown": (_SOURCE + ".foo\n", 3, "unknown directive '.foo'"),
     "dc-short": (_SOURCE + ".dc V1 0 1\n", 3,
                  ".dc requires: .dc <source> <start> <stop> <points>"),

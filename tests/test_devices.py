@@ -252,6 +252,34 @@ class TestArrayFastPaths:
         assert got.tobytes() == want.tobytes()
 
 
+def _log1pexp_masked(x: np.ndarray) -> np.ndarray:
+    """ln(1 + e^x) by boolean index: each side of x > 30 in its own form."""
+    out = np.empty_like(x)
+    big = x > 30.0
+    out[big] = x[big] + np.log1p(np.exp(-x[big]))
+    out[~big] = np.log1p(np.exp(x[~big]))
+    return out
+
+
+_LOG1PEXP_X = (st.floats(-1e6, 1e6) | st.floats(20.0, 40.0)
+               | st.sampled_from([30.0, math.nextafter(30.0, 31.0), math.nextafter(30.0, 29.0),
+                                  0.0, -0.0, -745.2, 709.8]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LOG1PEXP_X, min_size=2, max_size=64).filter(lambda v: min(v) <= 30.0 < max(v)),
+       st.booleans())
+def test_mixed_log1pexp_equals_masked(xs, rows):
+    # an array straddling 30 takes the mask-free mixed path: each form sees
+    # only arguments clamped to its own side, so nothing overflows under the
+    # ensemble's error state, and picks the same elements
+    x = np.array(xs)
+    if rows:
+        x = np.stack((x, x[::-1]))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert devices._log1pexp(x).tobytes() == _log1pexp_masked(x).tobytes()
+
+
 def _same_outcome(got, arr):
     """A scalar-path result matches the one-element array path: the same
     error text, or a Python float with the same bits."""
@@ -523,3 +551,12 @@ class TestModelValidation:
     def test_nanowire_invariants(self):
         with pytest.raises(DeviceError):
             NanowireModel(g0=1e-5, vstep=0.5, nsteps=0, smooth=0.02)
+
+    def test_nanowire_step_bound(self):
+        # an array kernel holds nsteps doubles per voltage: a billion-step
+        # staircase is refused before any step table is built
+        m = NanowireModel(g0=1e-5, vstep=0.5, nsteps=1000, smooth=0.02)
+        assert len(m.step_voltages) == 1000
+        for nsteps in (1001, 10**9):
+            with pytest.raises(DeviceError, match=r"nsteps must be in 1\.\.1000"):
+                NanowireModel(g0=1e-5, vstep=0.5, nsteps=nsteps, smooth=0.02)

@@ -185,7 +185,7 @@ class TestWaveforms:
 
     def test_breakpoints(self):
         w = Pulse(0.0, 5.0, 2e-9, 1e-9, 1e-9, 10e-9, 30e-9)
-        bps = waveform_breakpoints(w, 40e-9)
+        bps = list(waveform_breakpoints(w, 40e-9))
 
         def has(t):
             return any(abs(b - t) < 1e-18 for b in bps)

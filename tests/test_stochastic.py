@@ -16,8 +16,8 @@ from nanosim.devices import G_FLOOR, mos_bias, mos_geq, nanowire_geq, rtd_geq
 from nanosim.mna import FlopCounter
 from nanosim.netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist,
                              eval_waveform, parse_netlist)
-from nanosim.stochastic import (StochasticError, _build_state_system, _drift,
-                                em_transient, ensemble, ito_sum,
+from nanosim.stochastic import (_QUANTILES, StochasticError, _build_state_system, _drift,
+                                _path_quantiles, em_transient, ensemble, ito_sum,
                                 wiener_increments)
 from nanosim.swec import SimulationError
 
@@ -705,3 +705,86 @@ class TestStateSystemMatchesReference:
                      + np.abs(levels) @ np.abs(ss.g_drive).T)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
         assert fc == fc_ref
+
+
+# two RTDs, two MOSFETs on one model and a nanowire, interleaved in card
+# order, with terminals on state nodes, source-pinned nodes and ground
+_INTERLEAVED = ("V1 vdd 0 DC 3\nV2 in 0 PWL(0 0 1n 2)\nXRTD1 vdd a M1\nM1 a in b 0 MFET\n"
+                "XNW1 a b NWM\nXRTD2 b 0 M1\nM2 b a 0 0 MFET\nC1 a 0 1p\nC2 b 0 2p\n"
+                "N1 a 0 1e-8" + _STOCH_MODELS)
+
+
+class TestGroupedDrift:
+    def test_one_group_per_kind_and_model(self):
+        ss = _build_state_system(parse_netlist(_INTERLEAVED))
+        assert [(kind, len(ta)) for kind, _, ta, _, _ in ss.groups] == [
+            (ElementKind.RTD, 2), (ElementKind.MOSFET, 2), (ElementKind.NANOWIRE, 1)]
+        # the currents are scattered in card order
+        assert [g for g, *_ in ss.scatter] == [0, 1, 2, 0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 2e-9))
+    def test_interleaved_groups_match_reference(self, paths, seed, t):
+        net = parse_netlist(_INTERLEAVED)
+        ss, ref = _build_state_system(net), _state_ref(net)
+        x = np.random.default_rng(seed).uniform(-1.0, 4.0, (paths, len(ss.state)))
+        fc, fc_ref = FlopCounter(), FlopCounter()
+        got = _drift(ss, x, ss.circuit.source_levels(t), fc)
+        assert got.tobytes() == _drift_ref(ref, x, t, fc_ref).tobytes()
+        assert fc == fc_ref
+
+    def test_origin_slope_billed_once_per_group(self):
+        # at t = 0 both RTDs of the noisy inverter sit at 0 V: their one
+        # grouped rtd_geq call bills the slope at the origin (50 flops) once,
+        # where a call per device billed it twice (60108 flops)
+        net = parse_netlist(_noisy_inverter())
+        assert em_transient(net, 1e-10, 110e-9, seed=0).flops.total() == 60058
+
+
+def _quantile_rows(kind: str, shape: Tuple[int, ...], seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 3)
+    pool = {"ties": rng.standard_normal(4), "zeros": [0.0, 1e-300, -1.5],
+            "negative zeros": [-0.0, 1e-300, -1.5],
+            "signed zeros": [0.0, -0.0, 1e-300, -1.5]}[kind]
+    return rng.choice(pool, shape)
+
+
+class TestBlockReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 300), st.integers(2, 40), st.integers(1, 3),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from(["continuous", "ties", "zeros", "negative zeros", "signed zeros"]))
+    def test_path_quantiles_match_numpy(self, paths, rows, nodes, seed, kind):
+        block = _quantile_rows(kind, (paths, rows, nodes), seed)
+        got = _path_quantiles(block)
+        want = np.quantile(block, _QUANTILES, axis=0)
+        if kind == "signed zeros":
+            # a sort and a partition may leave tied 0.0 and -0.0 in either
+            # order, and the sign of an interpolated zero follows that order
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("deck", [
+        deck_text("ou_step.ckt"), deck_text("ou_free.ckt"),
+        # a ladder with one noise source: C^-1 B has zero entries, and a
+        # floating capacitor makes C non-diagonal
+        "V1 in 0 DC 1\nR1 in a 1k\nC1 a 0 1n\nR2 a b 2k\nC2 b 0 1n\nR3 b c 1k\n"
+        "C3 c 0 2n\nN1 b 0 1e-7\n.end\n",
+        "V1 in 0 DC 1\nR1 in a 1k\nC1 a 0 1n\nR2 a b 2k\nC2 b 0 1n\nC3 a b 0.5n\n"
+        "N1 b 0 1e-7\n.end\n"], ids=["ou_step", "ou_free", "ladder", "coupled"])
+    def test_lone_source_image_is_the_matmul(self, monkeypatch, deck):
+        net = parse_netlist(deck)
+
+        def run():
+            stats = ensemble(net, 1e-8, 300e-8, paths=64, seed=3, window=(1e-7, 2e-6))
+            path = em_transient(net, 1e-8, 300e-8, seed=3)
+            return [stats.mean, stats.variance, stats.peak_mean, path.voltages,
+                    *stats.quantiles.values(), *stats.peak_quantiles.values()]
+
+        want = run()
+        monkeypatch.setattr(stochastic, "_noise_image",
+                            lambda dws, cinv_b, out: np.matmul(dws, cinv_b, out=out))
+        assert [a.tobytes() for a in run()] == [a.tobytes() for a in want]

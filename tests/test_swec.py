@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanosim import swec
 from nanosim.devices import G_FLOOR, rtd_current
+from nanosim.mna import solve
 from nanosim.netlist import ElementKind, TranAnalysis, parse_netlist
 from nanosim.nr import brute_force_dc
-from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, _Engine,
+from nanosim.swec import (_H_MIN, _LIMITERS, _LTE_VOLTS, SimulationError, _Engine,
                           dc_sweep, next_step_size, operating_point, pin_source,
                           transient)
 
@@ -269,6 +271,40 @@ class TestLinearTransient:
         net = parse_netlist(deck_text("ou_step.ckt"))
         with pytest.raises(ValueError):
             transient(net, 1e-6)
+
+
+def _pulses(*delays):
+    """An RC node driven through 1k from one 10 ns PULSE per delay: 40
+    edges each before 100 ns."""
+    lines = [f"V{k} s{k} 0 PULSE(0 1 {d!r} 1n 1n 3n 10n)\nR{k} s{k} a 1k"
+             for k, d in enumerate(delays)]
+    return parse_netlist("\n".join(lines) + "\nC1 a 0 1p\n.end\n")
+
+
+class TestBreakpointBudget:
+    """A step ends at or just below every breakpoint, so breakpoints that
+    far apart beyond the step budget refuse the run before its first
+    solve; those that coincide, or nearly do, count once."""
+
+    def _solves_before_failing(self, monkeypatch, net, budget):
+        solves = []
+
+        def counted(sys_, fc):
+            solves.append(1)
+            return solve(sys_, fc)
+        monkeypatch.setattr(swec, "_MAX_STEPS", budget)
+        monkeypatch.setattr(swec, "solve", counted)
+        with pytest.raises(SimulationError, match=f"step budget exceeded \\({budget}\\)"):
+            transient(net, 100e-9)
+        return len(solves)
+
+    def test_refused_before_the_first_solve(self, monkeypatch):
+        assert self._solves_before_failing(monkeypatch, _pulses(1e-9), 39) == 0
+
+    def test_shared_and_nearly_coincident_edges_count_once(self, monkeypatch):
+        # 80 distinct breakpoints, pairwise within 1e-13 (relative): 40 steps apart
+        net = _pulses(1e-9, 1e-9, 1e-9 + 1e-22)
+        assert self._solves_before_failing(monkeypatch, net, 40) > 0
 
 
 class TestOperatingPoint:
