@@ -12,17 +12,18 @@ argument and an optional flop counter used by the performance comparisons.
 Each kernel has one body for floats and arrays. Its entry step,
 :func:`_voltage`, checks the voltage finite and picks the path from the
 argument type alone. The per-step engines evaluate one bias point at a
-time, so a Python float (``np.float64`` included; in ``mos_geq`` and
-``mos_current`` both voltages must be floats) takes a scalar path: the
-arithmetic stays on Python floats and a float comes back, with no array,
-mask or ``np.where``. Anything else, such as the ensemble drift or the
-swept currents, takes the array path. Each kernel states its per-element
-flop tally once and bills it for the elements it evaluated, one for a
-float. The terms the RTD kernels share come from one
-:func:`_rtd_resonance` for either path. Where the control flow really
+time, so a Python float (``np.float64`` included; a MOSFET kernel needs
+both voltages floats) takes a scalar path: the arithmetic stays on Python
+floats and a float comes back, with no array, mask or ``np.where``.
+Anything else, such as the ensemble drift or the swept currents, takes the
+array path. Each kernel states its per-element flop tally once and bills
+it for the elements it evaluated, one for a float. The terms the RTD
+kernels share come from one :func:`_rtd_resonance` for either path, and
+the four MOSFET kernels, which take floats or arrays of both voltages,
+share one region rule, :func:`_mos_region`. Where the control flow really
 differs (the MOSFET regions, the nanowire step sums, ``_log1pexp``'s
 masks against the one exponential of :func:`_log1pexp_sigmoid`) both
-branches stay inside the one helper or kernel.
+branches stay inside the one helper.
 
 Both paths give the same bits and bill the same flops. That is why the
 scalar path still calls the numpy ufuncs (``np.exp``, ``np.arctan``, ...)
@@ -136,7 +137,7 @@ class MosModel:
         if not (self.k > 0 and self.w > 0 and self.l > 0):
             raise DeviceError("MOS parameters k, W, L must be positive")
 
-    @property
+    @functools.cached_property
     def beta(self) -> float:
         return self.k * self.w / self.l
 
@@ -417,74 +418,6 @@ def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
     return G_FLOOR if g < G_FLOOR else g
 
 
-# The MOSFET kernels keep a float and an array branch (an array mixes
-# regions); both bill one add (vgs - vth) per cut-off element and the region
-# tally per conducting one.
-
-def mos_current(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
-    """Square-law NMOS drain current; requires vds >= 0 (callers normalize)."""
-    scalar, vda, n = _voltage(vds, isinstance(vgs, float))
-    if vda < 0.0 if scalar is None else (vda < 0.0).any():
-        raise DeviceError("mos_current requires vds >= 0")
-    vov = (float(vgs) if scalar is None else vgs) - m.vth
-    n_cut = n if vov <= 0.0 else 0
-    if n_cut:
-        out = 0.0 if scalar is None else np.zeros_like(vda)
-    elif scalar is None:
-        beta = m.beta
-        out = beta * (vov * vda - 0.5 * vda * vda) if vda < vov else 0.5 * beta * vov * vov
-    else:
-        beta = m.beta
-        out = np.where(vda < vov, beta * (vov * vda - 0.5 * vda * vda), 0.5 * beta * vov * vov)
-    if fc is not None:
-        on = n - n_cut
-        fc.count(n_cut + 2 * on, 4 * on, on)
-    return _restore(scalar, out)
-
-
-def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
-    """Equivalent drain-source conductance I_DS/V_DS; zero in cutoff.
-
-    As vds -> 0 the ratio tends to the finite triode limit beta*(vgs - vth),
-    which is returned below V_EPS. ``vgs`` and ``vds`` are each a scalar or
-    an array of one common shape.
-    """
-    scalar, vda, n = _voltage(vds, isinstance(vgs, float))
-    if vda < 0.0 if scalar is None else (vda < 0.0).any():
-        raise DeviceError("mos_geq requires vds >= 0")
-    if scalar is None:
-        vov = float(vgs) - m.vth
-        n_cut = 1 if vov <= 0.0 else 0
-        if n_cut:
-            out = 0.0
-        elif vda < V_EPS:
-            out = m.beta * vov
-        elif vda < vov:
-            out = m.beta * (vov - 0.5 * vda)
-        else:
-            out = 0.5 * m.beta * vov * vov / vda
-    else:
-        vov = np.subtract(vgs, m.vth)
-        scalar = scalar and vov.ndim == 0
-        if vov.size != n:
-            vov, vda = np.broadcast_arrays(vov, vda)
-            n = vda.size
-        cut = vov <= 0.0
-        n_cut = int(np.count_nonzero(cut))
-        if n_cut == n:
-            out = np.zeros_like(vda)
-        else:
-            beta = m.beta
-            out = np.where(vda < V_EPS, beta * vov,
-                           np.where(vda < vov, beta * (vov - 0.5 * vda),
-                                    0.5 * beta * vov * vov / np.maximum(vda, V_EPS)))
-            out[cut] = 0.0
-    if fc is not None:
-        on = n - n_cut
-        fc.count(n_cut + 2 * on, 3 * on, on)
-    return _restore(scalar, out)
-
-
 def mos_bias(vd, vg, vs):
     """Normalised MOSFET bias ``(vgs, vds, reversed)`` from terminal voltages.
 
@@ -499,28 +432,78 @@ def mos_bias(vd, vg, vs):
     return vg - np.minimum(vd, vs), abs(vd - vs), vd < vs
 
 
-def mos_didv(m: MosModel, vgs: float, vds: float) -> float:
-    """Branch derivative dI_D/dV_DS at fixed vgs (triode slope, 0 in saturation)."""
-    if vds < 0.0:
-        raise DeviceError("mos_didv requires vds >= 0")
-    vov = vgs - m.vth
-    if vov <= 0.0:
-        return 0.0
-    if vds < vov:
-        return m.beta * (vov - vds)
-    return 0.0
+def _mos_region(kernel: str, m: MosModel, vgs, vds, fc, tally, triode, saturation,
+                v_eps: float = 0.0):
+    """The square-law regions that every MOSFET kernel shares. With
+    vov = vgs - vth an element is cut off (0.0) where vov <= 0; otherwise
+    the kernel's ``triode`` formula of ``(beta, vov, vds)`` gives it where
+    vds < vov and its ``saturation`` formula elsewhere, and a vds below
+    ``v_eps`` is a triode point at vds = 0.0. Two floats give a float;
+    otherwise ``vgs`` and ``vds`` broadcast and both formulas run on every
+    element, the saturation one on vds raised to at least ``v_eps``. The
+    bill is one add per cut-off element and ``tally`` (adds, muls, divs)
+    per conducting one."""
+    scalar, x, n = _voltage(vds, isinstance(vgs, float))
+    if x < 0.0 if scalar is None else (x < 0.0).any():
+        raise DeviceError(f"{kernel} requires vds >= 0")
+    if scalar is None:
+        vov = float(vgs) - m.vth
+        n_cut = 1 if vov <= 0.0 else 0
+        x = 0.0 if x < v_eps else x
+        # a vds below v_eps is a triode point, even where vov is NaN
+        triodic = x < vov or x < v_eps
+        out = 0.0 if n_cut else (triode if triodic else saturation)(m.beta, vov, x)
+    else:
+        vov = np.subtract(vgs, m.vth)
+        scalar = scalar and vov.ndim == 0
+        if vov.shape != x.shape:
+            vov, x = np.broadcast_arrays(vov, x)
+            n = x.size
+        cut = vov <= 0.0
+        n_cut = int(np.count_nonzero(cut))
+        if n_cut == n:
+            out = np.zeros_like(x)
+        else:
+            xs = np.maximum(x, v_eps)
+            x = np.where(x < v_eps, 0.0, x)
+            out = np.where(x < vov, triode(m.beta, vov, x), saturation(m.beta, vov, xs))
+            out[cut] = 0.0
+    if fc is not None:
+        on = n - n_cut
+        fc.count(n_cut + tally[0] * on, tally[1] * on, tally[2] * on)
+    return _restore(scalar, out)
 
 
-def mos_gm(m: MosModel, vgs: float, vds: float) -> float:
-    """Transconductance dI_D/dV_GS at fixed vds."""
-    if vds < 0.0:
-        raise DeviceError("mos_gm requires vds >= 0")
-    vov = vgs - m.vth
-    if vov <= 0.0:
-        return 0.0
-    if vds < vov:
-        return m.beta * vds
-    return m.beta * vov
+def mos_current(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
+    """Square-law NMOS drain current; requires vds >= 0 (callers normalize)."""
+    return _mos_region("mos_current", m, vgs, vds, fc, (2, 4, 1),
+                       lambda b, vov, v: b * (vov * v - 0.5 * v * v),
+                       lambda b, vov, v: 0.5 * b * vov * vov)
+
+
+def mos_geq(m: MosModel, vgs, vds, fc: "FlopCounter | None" = None):
+    """Equivalent drain-source conductance I_DS/V_DS; zero in cutoff.
+
+    As vds -> 0 the ratio tends to the finite triode limit beta*(vgs - vth),
+    which is returned below V_EPS: the triode formula at vds = 0.
+    """
+    return _mos_region("mos_geq", m, vgs, vds, fc, (2, 3, 1),
+                       lambda b, vov, v: b * (vov - 0.5 * v),
+                       lambda b, vov, v: 0.5 * b * vov * vov / v, V_EPS)
+
+
+def mos_didv(m: MosModel, vgs, vds):
+    """Branch derivative dI_D/dV_DS at fixed vgs (triode slope, 0 in
+    saturation); unbilled, as the Newton stamp bills it."""
+    return _mos_region("mos_didv", m, vgs, vds, None, None,
+                       lambda b, vov, v: b * (vov - v), lambda b, vov, v: 0.0)
+
+
+def mos_gm(m: MosModel, vgs, vds):
+    """Transconductance dI_D/dV_GS at fixed vds; unbilled, as the Newton
+    stamp bills it."""
+    return _mos_region("mos_gm", m, vgs, vds, None, None,
+                       lambda b, vov, v: b * v, lambda b, vov, v: b * vov)
 
 
 def _nanowire_steps(m: NanowireModel, v):

@@ -13,7 +13,7 @@ from nanosim import devices
 from nanosim.devices import (DeviceError, DeviceState, G_FLOOR, MosModel,
                              NanowireModel, RtdModel, V_EPS, device_step_bound,
                              geq_predict, mos_bias, mos_current, mos_didv,
-                             mos_geq, nanowire_current, nanowire_dgeq_dv,
+                             mos_geq, mos_gm, nanowire_current, nanowire_dgeq_dv,
                              nanowire_didv, nanowire_geq, rtd_current, rtd_didv, rtd_dgeq_dv,
                              rtd_geq)
 from nanosim.mna import FlopCounter
@@ -329,21 +329,30 @@ class TestNanowireFloatPath:
         assert fc_arr == fc_loop
 
 
+_MOS_KERNELS = [mos_current, mos_geq, mos_didv, mos_gm]
+
+
+def _mos_call(f, m, vgs, vds, fc):
+    """One MOSFET kernel call; ``mos_didv`` and ``mos_gm`` are unbilled."""
+    return f(m, vgs, vds, fc) if f in (mos_current, mos_geq) else f(m, vgs, vds)
+
+
 class TestMosFloatPath:
     m = MosModel(k=1e-4, w=2e-6, l=1e-6, vth=1.0)
     vgs = [-1.0, 0.0, 0.999, 1.0, 1.0 + 1e-12, 1.5, 3.0, 5.0, math.nan]
     vds = [0.0, -0.0, 1e-12, V_EPS, 0.3, 0.5, 0.5 + 1e-15, 2.0, 4.0, 1e3, -1e-9,
            math.inf, math.nan]
 
-    def test_current_matches_one_element_array(self):
+    @pytest.mark.parametrize("f", _MOS_KERNELS, ids=lambda f: f.__name__)
+    def test_float_matches_one_element_array(self, f):
         for vgs in self.vgs + [1.7, 2.3, 3.9]:
             # vds == vgs - vth sits on the triode/saturation boundary
             for vds in self.vds + [vgs - self.m.vth]:
-                arr, fc_arr = _outcome(functools.partial(mos_current, self.m, vgs),
+                arr, fc_arr = _outcome(functools.partial(_mos_call, f, self.m, vgs),
                                        None, np.array([vds]))
                 for args in ((vgs, vds), (np.float64(vgs), np.float64(vds))):
                     with _no_array_path():
-                        got, fc = _outcome(functools.partial(mos_current, self.m, args[0]),
+                        got, fc = _outcome(functools.partial(_mos_call, f, self.m, args[0]),
                                            None, args[1])
                     _same_outcome(got, arr)
                     assert fc == fc_arr
@@ -417,8 +426,14 @@ class TestMos:
         assert mos_didv(self.m, 3.0, 1.0) == pytest.approx(2e-4)
 
     def test_negative_vds_rejected(self):
-        with pytest.raises(DeviceError):
-            mos_current(self.m, 3.0, -0.1)
+        # the vds >= 0 contract of every MOSFET kernel, on floats and arrays
+        for f in _MOS_KERNELS:
+            for vds in (-0.1, -1e-300, np.array([0.5, -1e-9]),
+                        np.array([[1.0, 2.0], [-2.0, 0.0]])):
+                with pytest.raises(DeviceError, match=f"{f.__name__} requires vds >= 0"):
+                    f(self.m, 3.0, vds)
+                with pytest.raises(DeviceError, match=f"{f.__name__} requires vds >= 0"):
+                    f(self.m, np.full(np.shape(vds), 3.0), vds)
 
 
 # Bias points over every MOS region for vth = 1: cutoff (vgs <= 1), triode,
@@ -444,29 +459,57 @@ def _mos_geq_ref(m, vgs, vds, fc):
     return 0.5 * m.beta * vov * vov / max(vds, V_EPS)
 
 
+@st.composite
+def _mos_arrays(draw, *voltages):
+    """One array per strategy in ``voltages``, all of one shape: a row of
+    bias points or a members x paths grid of them."""
+    points = draw(st.lists(st.tuples(*voltages), min_size=1, max_size=40))
+    rows = draw(st.sampled_from([1, 2, 3]))
+    shape = (len(points),) if rows > len(points) else (rows, len(points) // rows)
+    points = points[:math.prod(shape)]
+    return tuple(np.array(col).reshape(shape) for col in zip(*points))
+
+
+# the ensemble's error state: the array path evaluates both region formulas
+# on every element, so mos_geq's saturation division must stay guarded at vds = 0
+_RAISE = dict(over="raise", invalid="raise", divide="raise")
+
+
 class TestMosArrays:
     m = MosModel(k=1e-4, w=2e-6, l=1e-6, vth=1.0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(_VGS, _VDS), min_size=1, max_size=40))
-    def test_array_geq_matches_scalar_loop(self, bias):
-        fc_arr, fc_loop, fc_ref = FlopCounter(), FlopCounter(), FlopCounter()
-        arr = mos_geq(self.m, np.array([g for g, _ in bias]),
-                      np.array([d for _, d in bias]), fc_arr)
+    def _float_loop(self, f, vgs, vds, fc):
         with _no_array_path():
-            scalars = [mos_geq(self.m, g, d, fc_loop) for g, d in bias]
+            scalars = [_mos_call(f, self.m, g, d, fc) for g, d in zip(vgs, vds)]
         assert all(type(g) is float for g in scalars)
-        loop = np.array(scalars)
-        ref = np.array([_mos_geq_ref(self.m, g, d, fc_ref) for g, d in bias])
-        assert arr.tobytes() == loop.tobytes() == ref.tobytes()
-        assert fc_arr == fc_loop == fc_ref
+        return np.array(scalars)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_MOS_KERNELS), _mos_arrays(_VGS, _VDS))
+    def test_array_matches_float_loop(self, f, arrays):
+        vgs, vds = arrays
+        fc_arr, fc_loop, fc_ref = FlopCounter(), FlopCounter(), FlopCounter()
+        with np.errstate(**_RAISE):
+            arr = _mos_call(f, self.m, vgs, vds, fc_arr)
+        loop = self._float_loop(f, vgs.ravel().tolist(), vds.ravel().tolist(), fc_loop)
+        assert arr.shape == vgs.shape
+        assert arr.tobytes() == loop.tobytes()
+        assert fc_arr == fc_loop
+        if f is mos_geq:
+            ref = np.array([_mos_geq_ref(self.m, g, d, fc_ref)
+                            for g, d in zip(vgs.ravel().tolist(), vds.ravel().tolist())])
+            assert arr.tobytes() == ref.tobytes()
+            assert fc_arr == fc_ref
 
     @settings(max_examples=100, deadline=None)
-    @given(_VGS, st.lists(_VDS, min_size=1, max_size=20))
-    def test_scalar_vgs_broadcasts(self, vgs, vds):
+    @given(st.sampled_from(_MOS_KERNELS), _VGS, _mos_arrays(_VDS))
+    def test_scalar_vgs_broadcasts(self, f, vgs, arrays):
+        vds, = arrays
         fc_arr, fc_loop = FlopCounter(), FlopCounter()
-        arr = mos_geq(self.m, vgs, np.array(vds), fc_arr)
-        loop = np.array([mos_geq(self.m, vgs, d, fc_loop) for d in vds])
+        with np.errstate(**_RAISE):
+            arr = _mos_call(f, self.m, vgs, vds, fc_arr)
+        loop = self._float_loop(f, [vgs] * vds.size, vds.ravel().tolist(), fc_loop)
+        assert arr.shape == vds.shape
         assert arr.tobytes() == loop.tobytes()
         assert fc_arr == fc_loop
 

@@ -221,6 +221,15 @@ class TestRoundTrip:
         again = parse_netlist(pretty_print(net))
         assert again == net
 
+    def test_blank_lines_ignored(self):
+        # blank and whitespace-only lines anywhere after the title, one
+        # between a card and its continuation
+        text = deck_text("fet_rtd_inverter.ckt")
+        lines = text.replace("area=2)", "\n+ area=2)").splitlines()
+        spaced = "\n".join(lines[:1] + ["", " \t"] + [ln + "\n  \n" for ln in lines[1:]])
+        assert spaced.count("\n") > 2 * len(lines)
+        assert parse_netlist(spaced) == parse_netlist(text)
+
 
 class TestModelBody:
     def model(self, body: str, mtype: str = "RTD"):

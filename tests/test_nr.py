@@ -87,6 +87,20 @@ class TestNrDc:
                                         want.oscillation_detected, want.flops,
                                         repr(want.residual))
 
+    def test_singular_jacobian_stops_unconverged(self):
+        # a cut-off drain whose capacitor Newton leaves open empties the out
+        # row of the Jacobian: Newton stops at its first solve and reports
+        # no convergence, while the engine's floored chord stamp settles out
+        # at 0 V
+        net = parse_netlist("* cut-off drain\nV1 in 0 DC 1\nR1 in 0 1k\n"
+                            "M1 out 0 0 0 MF\nC1 out 0 1p\n"
+                            ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        rep = nr_dc(net)
+        assert (rep.converged, rep.iterations, rep.oscillation_detected) == (False, 1, False)
+        op = operating_point(net)
+        assert op.settled
+        assert (op.v("in"), op.v("out")) == (1.0, 0.0)
+
     @pytest.mark.parametrize("vin", ["0", "1.5", "2", "3", "5"])
     def test_inverter_agrees_with_engine(self, vin):
         # the inverter at DC: an RTD with neither terminal on ground, a
