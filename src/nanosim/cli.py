@@ -5,8 +5,9 @@ or an output file that cannot be written once the analysis has run), 2
 numerical failure (settle failure, singular system, a device driven to a
 non-finite voltage, a stochastic state that diverged, a run that does not
 fit in memory), 3 success with warnings (e.g. the transient hit its minimum
-step with the error budget still exceeded, or a stochastic dt is not small
-against the fastest RC time constant), each warning printed as one
+step with the error budget still exceeded, a stochastic dt is not small
+against the fastest RC time constant, or the Newton baseline of
+--compare-nr did not converge at some point), each warning printed as one
 "warning: ..." line on stderr.
 Waveforms go to CSV with full round-trip precision; --plot writes a
 gnuplot script alongside the data; tran --stats adds one stderr line of work
@@ -117,9 +118,16 @@ def _write(paths: Tuple[str, Optional[str]], header: Sequence[str],
         raise NetlistError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _compare_nr(net: Netlist, result) -> None:
+def _compare_nr(net: Netlist, result, points: int) -> int:
+    """Prints the flop comparison; EXIT_WARN, with a warning, where the
+    Newton baseline did not converge at some of its ``points`` solves."""
     cmp_ = flop_compare(net, result)
     print(f"flops: swec={cmp_.swec_flops} nr={cmp_.nr_flops} speedup={cmp_.speedup:.2f}")
+    if not cmp_.unconverged:
+        return EXIT_OK
+    print(f"warning: Newton baseline did not converge at {cmp_.unconverged} of {points} "
+          "points", file=sys.stderr)
+    return EXIT_WARN
 
 
 def cmd_op(args: argparse.Namespace) -> RunReport:
@@ -127,12 +135,12 @@ def cmd_op(args: argparse.Namespace) -> RunReport:
     op = operating_point(net)
     for node in op.nodes:
         print(f"v({node}) = {op.v(node):.6g}")
+    code = EXIT_OK if op.settled else EXIT_NUMERIC
     if not op.settled:
         print("warning: operating point failed to settle", file=sys.stderr)
     elif args.compare_nr:
-        _compare_nr(net, op)
-    return RunReport(steps=op.n_solves, flops=op.flops.total(),
-                     exit_code=EXIT_OK if op.settled else EXIT_NUMERIC)
+        code = _compare_nr(net, op, 1)
+    return RunReport(steps=op.n_solves, flops=op.flops.total(), exit_code=code)
 
 
 def cmd_dc(args: argparse.Namespace) -> RunReport:
@@ -148,12 +156,11 @@ def cmd_dc(args: argparse.Namespace) -> RunReport:
            [sweep.biases, *sweep.currents.values(), sweep.voltages],
            title="DC sweep", ylabel="current / voltage")
     print(f"wrote {paths[0]} ({len(sweep.biases)} points)")
-    if args.compare_nr:
-        _compare_nr(net, sweep)
+    code = _compare_nr(net, sweep, len(sweep.biases)) if args.compare_nr else EXIT_OK
     bad = int(np.count_nonzero(~sweep.settled))
     if bad:
         print(f"warning: {bad} sweep points failed to settle", file=sys.stderr)
-    return RunReport(flops=sweep.flops.total(), exit_code=EXIT_NUMERIC if bad else EXIT_OK)
+    return RunReport(flops=sweep.flops.total(), exit_code=EXIT_NUMERIC if bad else code)
 
 
 def cmd_tran(args: argparse.Namespace) -> RunReport:

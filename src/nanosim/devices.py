@@ -16,11 +16,13 @@ time, so a Python float (``np.float64`` included; a MOSFET kernel needs
 both voltages floats) takes a scalar path: the arithmetic stays on Python
 floats and a float comes back, with no array, mask or ``np.where``.
 Anything else, such as the ensemble drift or the swept currents, takes the
-array path. Each kernel states its per-element flop tally once and bills
-it for the elements it evaluated, one for a float. The terms the RTD
-kernels share come from one :func:`_rtd_resonance` for either path, and
-the four MOSFET kernels, which take floats or arrays of both voltages,
-share one region rule, :func:`_mos_region`. Where the control flow really
+array path. Each RTD and nanowire kernel is its formula under one entry,
+:func:`_kernel`, which checks the voltage, bills the kernel's flop tally
+per element and returns the argument's form; composites call a kernel's
+unbilled ``.body``. ``rtd_geq`` keeps its own entry (it bills the origin
+slope once per call), as do the MOSFET kernels, :func:`_mos_region` (two
+voltages, billed by region). The terms the RTD kernels share come from one
+:func:`_rtd_resonance` for either path. Where the control flow really
 differs (the MOSFET regions, the nanowire step sums, ``_log1pexp``'s
 masks against the one exponential of :func:`_log1pexp_sigmoid`) both
 branches stay inside the one helper.
@@ -218,6 +220,27 @@ def _restore(scalar, out):
     return float(out[0]) if scalar else out
 
 
+def _kernel(tally):
+    """The entry of a kernel whose formula is ``body(m, v)`` at a finite
+    float or array (module docstring). ``tally`` is (adds, muls, divs,
+    transcendentals) per element, or a function of ``m.nsteps`` giving it."""
+    fixed = isinstance(tally, tuple)
+
+    def entry(body):
+        def kernel(m, v, fc: "FlopCounter | None" = None):
+            scalar, va, n = _voltage(v)
+            out = body(m, va)
+            if fc is not None:
+                adds, muls, divs, trans = tally if fixed else tally(m.nsteps)
+                fc.count(adds * n, muls * n, divs * n, trans * n)
+            return _restore(scalar, out)
+        kernel.__name__ = kernel.__qualname__ = body.__name__
+        kernel.__doc__ = body.__doc__
+        kernel.body = body
+        return kernel
+    return entry
+
+
 def _clamped(f, x):
     """``f`` (``np.exp`` or ``np.expm1``) of ``x`` clamped to +-_EXP_CLAMP."""
     if isinstance(x, float):
@@ -313,44 +336,35 @@ def _rtd_resonance(m: RtdModel, v, sigmoids: bool):
     return l1 - l2, w, _HALF_PI + atan, s
 
 
-def _rtd_current(m: RtdModel, v):
-    """:func:`rtd_current` at a finite float or array, unbilled."""
-    log_ratio, _, window, _ = _rtd_resonance(m, v, False)
-    return m.area * (m.a * log_ratio * window
-                     + m.h * _clamped(np.expm1, m.consts.n2u * v))
-
-
-def rtd_current(m: RtdModel, v, fc: "FlopCounter | None" = None):
+@_kernel((8, 9, 2, 6))
+def rtd_current(m: RtdModel, v):
     """Terminal current of the RTD at voltage ``v`` (amps).
 
     Sum of the resonance term (log-ratio times the atan window) and the
     exponential valley term, scaled by ``area``. Exactly zero at v = 0.
     """
-    scalar, va, n = _voltage(v)
-    j = _rtd_current(m, va)
-    if fc is not None:
-        fc.count(8 * n, 9 * n, 2 * n, 6 * n)
-    return _restore(scalar, j)
+    log_ratio, _, window, _ = _rtd_resonance(m, v, False)
+    return m.area * (m.a * log_ratio * window
+                     + m.h * _clamped(np.expm1, m.consts.n2u * v))
 
 
-def rtd_didv(m: RtdModel, v, fc: "FlopCounter | None" = None):
+@_kernel((10, 16, 4, 8))
+def rtd_didv(m: RtdModel, v):
     """Differential conductance dJ/dV (the slope a Newton solver stamps)."""
-    scalar, va, n = _voltage(v)
     u = m.consts.u
-    log_ratio, w, window, sig = _rtd_resonance(m, va, True)
+    log_ratio, w, window, sig = _rtd_resonance(m, v, True)
     d_log = m.n1 * u * sig
     d_window = -m.n1 * m.d / (m.d * m.d + w * w)
     dj1 = m.a * (d_log * window + log_ratio * d_window)
-    dj2 = m.h * m.n2 * u * _clamped(np.exp, m.n2 * u * va)
-    if fc is not None:
-        fc.count(10 * n, 16 * n, 4 * n, 8 * n)
-    return _restore(scalar, m.area * (dj1 + dj2))
+    dj2 = m.h * m.n2 * u * _clamped(np.exp, m.n2 * u * v)
+    return m.area * (dj1 + dj2)
 
 
 def _rtd_slope_at_origin(m: RtdModel, fc: "FlopCounter | None") -> float:
     return (rtd_current(m, _FD_STEP, fc) - rtd_current(m, -_FD_STEP, fc)) / (2.0 * _FD_STEP)
 
 
+# own entry: it bills elements off the origin, plus the origin slope once per call
 def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
     """Chord (equivalent) conductance J(V)/V, finite and positive everywhere.
 
@@ -363,40 +377,37 @@ def rtd_geq(m: RtdModel, v, fc: "FlopCounter | None" = None):
         return _rtd_slope_at_origin(m, fc)
     if scalar is None or not tiny.any():
         # no voltage near the origin: the whole argument, same elements as masked
-        out = _rtd_current(m, va) / va
+        out = rtd_current.body(m, va) / va
     else:
         out = np.empty_like(va)
         out[tiny] = _rtd_slope_at_origin(m, fc)
         big = ~tiny
         n = int(np.count_nonzero(big))
-        out[big] = _rtd_current(m, va[big]) / va[big]
+        out[big] = rtd_current.body(m, va[big]) / va[big]
     if fc is not None:
         fc.count(8 * n, 9 * n, 3 * n, 6 * n)
     return _restore(scalar, out)
 
 
-def rtd_dgeq_dv(m: RtdModel, v, fc: "FlopCounter | None" = None):
+@_kernel((12, 18, 6, 8))
+def rtd_dgeq_dv(m: RtdModel, v):
     """Closed-form derivative of the chord conductance with respect to V.
 
     Only defined away from the origin; callers must fall back to direct
     conductance evaluation when |v| < V_EPS.
     """
-    scalar, va, n = _voltage(v)
-    near_origin = abs(va) < V_EPS
-    if near_origin if scalar is None else near_origin.any():
+    near_origin = abs(v) < V_EPS
+    if near_origin if isinstance(v, float) else near_origin.any():
         raise DeviceError("rtd_dgeq_dv undefined for |v| < V_EPS; evaluate directly")
     c = m.consts
-    log_ratio, w, window, sig = _rtd_resonance(m, va, True)
-    ey = _clamped(np.exp, c.n2u * va)
+    log_ratio, w, window, sig = _rtd_resonance(m, v, True)
+    ey = _clamped(np.exp, c.n2u * v)
     a_log = m.a * log_ratio
     term1 = c.n1ua * sig * window
     term2 = a_log * c.neg_dn1 / (c.dd + w * w)
     term3 = c.uhn2 * ey
     j = a_log * window + m.h * (ey - 1.0)
-    out = m.area * ((term1 + term2 + term3) / va - j / (va * va))
-    if fc is not None:
-        fc.count(12 * n, 18 * n, 6 * n, 8 * n)
-    return _restore(scalar, out)
+    return m.area * ((term1 + term2 + term3) / v - j / (v * v))
 
 
 def geq_predict(state: DeviceState, dgeq_dv: float, h: float,
@@ -432,6 +443,7 @@ def mos_bias(vd, vg, vs):
     return vg - np.minimum(vd, vs), abs(vd - vs), vd < vs
 
 
+# the MOSFET entry, apart from _kernel's: it takes two voltages and bills by region
 def _mos_region(kernel: str, m: MosModel, vgs, vds, fc, tally, triode, saturation,
                 v_eps: float = 0.0):
     """The square-law regions that every MOSFET kernel shares. With
@@ -516,13 +528,21 @@ def _nanowire_steps(m: NanowireModel, v):
     return _sigmoid((np.abs(v)[..., None] - m.step_voltages) / m.smooth)
 
 
-def _nanowire_geq(m: NanowireModel, v):
-    """:func:`nanowire_geq` at a finite float or array, unbilled."""
+@_kernel(lambda k: (2 * k, k + 1, k, k))
+def nanowire_geq(m: NanowireModel, v):
+    """Staircase conductance: monotone nondecreasing in |v|, symmetric in sign."""
     return m.g0 * _np_sum(_nanowire_steps(m, v))
 
 
-def _nanowire_dgeq_dv(m: NanowireModel, v):
-    """:func:`nanowire_dgeq_dv` at a finite float or array, unbilled."""
+@_kernel(lambda k: (2 * k, k + 2, k, k))   # nanowire_geq's tally and one multiply
+def nanowire_current(m: NanowireModel, v):
+    """Terminal current G(v) * v of the staircase nanowire."""
+    return nanowire_geq.body(m, v) * v
+
+
+@_kernel(lambda k: (2 * k, 2 * k + 2, 1, k))
+def nanowire_dgeq_dv(m: NanowireModel, v):
+    """dG/dV of the staircase conductance (odd in v)."""
     s = _nanowire_steps(m, v)
     if isinstance(v, float):
         terms = [x * (1.0 - x) for x in s]
@@ -532,44 +552,11 @@ def _nanowire_dgeq_dv(m: NanowireModel, v):
     return (m.g0 / m.smooth) * _np_sum(terms) * sign
 
 
-def nanowire_geq(m: NanowireModel, v, fc: "FlopCounter | None" = None):
-    """Staircase conductance: monotone nondecreasing in |v|, symmetric in sign."""
-    scalar, va, n = _voltage(v)
-    g = _nanowire_geq(m, va)
-    if fc is not None:
-        kn = m.nsteps * n
-        fc.count(2 * kn, kn + n, kn, kn)
-    return _restore(scalar, g)
-
-
-def nanowire_current(m: NanowireModel, v, fc: "FlopCounter | None" = None):
-    """Terminal current G(v) * v of the staircase nanowire."""
-    scalar, va, n = _voltage(v)
-    i = _nanowire_geq(m, va) * va
-    if fc is not None:   # nanowire_geq's tally and one multiply
-        kn = m.nsteps * n
-        fc.count(2 * kn, kn + 2 * n, kn, kn)
-    return _restore(scalar, i)
-
-
-def nanowire_dgeq_dv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
-    """dG/dV of the staircase conductance (odd in v)."""
-    scalar, va, n = _voltage(v)
-    dg = _nanowire_dgeq_dv(m, va)
-    if fc is not None:
-        kn = m.nsteps * n
-        fc.count(2 * kn, 2 * kn + 2 * n, n, kn)
-    return _restore(scalar, dg)
-
-
-def nanowire_didv(m: NanowireModel, v, fc: "FlopCounter | None" = None):
+# nanowire_geq's and nanowire_dgeq_dv's tallies, one add, one multiply
+@_kernel(lambda k: (4 * k + 1, 3 * k + 4, k + 1, 2 * k))
+def nanowire_didv(m: NanowireModel, v):
     """Differential conductance d(G(v)*v)/dv for the Newton baseline."""
-    scalar, va, n = _voltage(v)
-    g = _nanowire_geq(m, va) + va * _nanowire_dgeq_dv(m, va)
-    if fc is not None:   # nanowire_geq's and nanowire_dgeq_dv's tallies, one add, one multiply
-        kn = m.nsteps * n
-        fc.count(4 * kn + n, 3 * kn + 4 * n, kn + n, 2 * kn)
-    return _restore(scalar, g)
+    return nanowire_geq.body(m, v) + v * nanowire_dgeq_dv.body(m, v)
 
 
 def device_step_bound(state: DeviceState, mosfet: bool) -> float:

@@ -48,7 +48,8 @@ class NrReport:
     iterations: int
     oscillation_detected: bool
     flops: FlopCounter
-    residual: float
+    residual: float         # the largest nodal KCL imbalance (A)
+    source_error: float     # the largest source-equation error (V)
     x: np.ndarray
     nodes: List[str]
 
@@ -58,6 +59,7 @@ class FlopCompare:
     swec_flops: int
     nr_flops: int
     speedup: float
+    unconverged: int        # Newton solves that ended unconverged
 
 
 def _max_abs(values) -> float:
@@ -80,10 +82,11 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     circuit's static G and source values and stamps every device's
     linearized form (module docstring) on top, at the biases and currents
     that the residual walk recorded at the iterate. Converged means the
-    largest nodal KCL residual is at most ``_KCL_ATOL`` amps. A detected
-    2-cycle sets ``oscillation_detected`` (iteration continues to
-    ``max_iter`` so failed runs carry their full cost). The iterates are
-    Python lists; the report's ``x`` is an array.
+    largest nodal KCL residual (``residual``) is at most ``_KCL_ATOL`` amps
+    and the largest source-equation error (``source_error``) at most
+    ``_SRC_VTOL`` volts. A detected 2-cycle sets ``oscillation_detected``
+    (iteration continues to ``max_iter`` so failed runs carry their full
+    cost). The iterates are Python lists; the report's ``x`` is an array.
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
@@ -122,11 +125,11 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                 if kind is ElementKind.MOSFET:
                     vgs, v, rev = mos_bias(xv[a], xv[br.gate], xv[b])
                     a, b = (b, a) if rev else (a, b)
-                    i = float(mos_current(mdl, vgs, v, fc))
+                    i = mos_current(mdl, vgs, v, fc)
                 else:
                     v, vgs = xv[a] - xv[b], 0.0
                     kernel = rtd_current if kind is ElementKind.RTD else nanowire_current
-                    i = float(kernel(mdl, v, fc))
+                    i = kernel(mdl, v, fc)
                 devs.append((kind, mdl, a, b, br.gate, v, vgs, i))
             else:
                 continue
@@ -155,7 +158,7 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
                 fc.count(adds=4, muls=4)
             else:
                 didv = rtd_didv if kind is ElementKind.RTD else nanowire_didv
-                gds, gm = float(didv(mdl, v, fc)), 0.0
+                gds, gm = didv(mdl, v, fc), 0.0
                 fc.count(adds=1, muls=1)
             # linearized branch current: i0 + gds*dv + gm*dvgs
             ieq = i0 - gds * v - gm * vgs
@@ -185,7 +188,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
             oscillation = oscillation or osc_run >= _OSC_RUNS
     return NrReport(converged=converged, iterations=iters,
                     oscillation_detected=oscillation and not converged, flops=fc,
-                    residual=residual, x=np.array(x), nodes=list(circuit.nodes))
+                    residual=residual, source_error=src, x=np.array(x),
+                    nodes=list(circuit.nodes))
 
 
 def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
@@ -237,20 +241,22 @@ def flop_compare(net: Netlist, result: Union[OperatingPoint, DcSweep]) -> FlopCo
     of ``net`` and is billed as run. The NR side solves the same problem:
     an operating point from zero, or a sweep of ``result.source`` over
     ``result.biases`` by the classic continuation strategy (each point
-    starts from the previous point's final iterate); non-converged points
-    run to ``nr_dc``'s iteration limit and are billed at that full cost.
+    starts from the previous point's final iterate). Each Newton solve is
+    billed as it ran; ``unconverged`` counts those that stopped without
+    converging, at the iteration limit or on a singular Jacobian.
     """
     if isinstance(result, DcSweep):
         circuit = Circuit(net)
-        nr_total = 0
+        reports = []
         guess = None
         for bias in result.biases:
             circuit.set_source(result.source, Dc(bias))
-            rep = nr_dc(circuit, initial_guess=guess)
-            nr_total += rep.flops.total()
-            guess = rep.x
+            reports.append(nr_dc(circuit, initial_guess=guess))
+            guess = reports[-1].x
     else:
-        nr_total = nr_dc(net).flops.total()
+        reports = [nr_dc(net)]
+    nr_total = sum(rep.flops.total() for rep in reports)
     swec_total = result.flops.total()
     speedup = nr_total / swec_total if swec_total else math.inf
-    return FlopCompare(swec_flops=swec_total, nr_flops=nr_total, speedup=speedup)
+    return FlopCompare(swec_flops=swec_total, nr_flops=nr_total, speedup=speedup,
+                       unconverged=sum(not rep.converged for rep in reports))

@@ -90,8 +90,7 @@ from .devices import (G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, assemble, solve
-from .netlist import (Dc, ElementKind, Netlist, Pwl, eval_waveform,
-                      waveform_breakpoints)
+from .netlist import Dc, ElementKind, Netlist, eval_waveform, waveform_breakpoints
 
 
 class SimulationError(RuntimeError):
@@ -424,21 +423,19 @@ class _Engine:
 
     def settle(self, tol: float, x: Optional[List[float]] = None
                ) -> Tuple[List[float], bool, int]:
-        """(solution, settled, solves) of the module docstring's iteration.
-        Without ``x`` it starts from zero and ramps the sources; devices
-        start from their conductance at the starting point. It stops once
-        every node's move times 1 + kappa (the undamped move) is below
-        ``tol`` * h, h = ``_OP_RAMP`` / 10."""
+        """(solution, settled, solves) of the module docstring's iteration
+        with the sources at their t = 0 levels. Without ``x`` it starts from
+        zero and ramps the sources from 0 over pseudo-time ``_OP_RAMP``;
+        devices start from their conductance at the starting point. It
+        stops once every node's move times 1 + kappa (the undamped move) is
+        below ``tol`` * h, h = ``_OP_RAMP`` / 10."""
         circuit, n, fc = self.circuit, self.n, self.fc
         if not self.devices:
             return solve(assemble(circuit, [], t=0.0), fc), True, 1
         h = _OP_RAMP / 10.0
-        held = circuit.waveforms
         t_on = 0.0
         if x is None:
             x = [0.0] * circuit.size
-            circuit.waveforms = [Pwl(((0.0, 0.0), (_OP_RAMP, v)))
-                                 for v in circuit.source_levels(0.0)]
             t_on = _OP_RAMP
         g = self.evaluate(x)[1]
         kappa = kappa_prev = 0.0
@@ -447,47 +444,47 @@ class _Engine:
         settled = False
         solves = 0
         t = 0.0
-        try:
-            while solves < _SETTLE_ITERS:
-                t += h
-                sys = assemble(circuit, g, t=t)
-                if kappa > 0.0:
-                    rows, b = sys.rows, sys.b
-                    for j in range(n):
-                        c = kappa * rows[j][j]
-                        rows[j][j] += c
-                        b[j] += c * x[j]
-                x_new = solve(sys, fc)
-                solves += 1
-                u = [(a - b) * (1.0 + kappa) for a, b in zip(x_new[:n], x)]
-                x = x_new
-                if t >= t_on:
-                    # compared as numpy's max would: a NaN move never settles
-                    if all(abs(uj) / h < tol for uj in u):
-                        settled = True
-                        break
-                    if u_prev is not None:
-                        uu = sum(b * b for b in u_prev)
-                        if jumped:
-                            # a jump that did not shrink the move ends jumping
-                            aitken = aitken and sum(a * a for a in u) < uu
-                            jumped = False
-                        else:
-                            # the damped factor of the step between the moves
-                            r = sum(a * b for a, b in zip(u, u_prev)) / uu
-                            if kappa > 0.0 or r < _DAMP_BELOW:
-                                r0 = r * (1.0 + kappa_prev) - kappa_prev
-                                kappa_prev, kappa = kappa, max(0.0, -r0, kappa * abs(r))
-                            elif aitken and r < _AITKEN_BELOW:
-                                # undamped moves shrinking by r: jump to
-                                # their limit (Aitken)
-                                f = r / (1.0 - r)
-                                x[:n] = [a + f * b for a, b in zip(x[:n], u)]
-                                jumped = True
-                    u_prev = u
-                g = self.evaluate(x)[1]
-        finally:
-            circuit.waveforms = held
+        while solves < _SETTLE_ITERS:
+            t += h
+            sys = assemble(circuit, g, t=0.0)
+            if t < t_on:
+                # the ramp from 0 to each level, as a PWL evaluates it
+                sys.b[n:] = [0.0 + v * t / _OP_RAMP for v in sys.b[n:]]
+            if kappa > 0.0:
+                rows, b = sys.rows, sys.b
+                for j in range(n):
+                    c = kappa * rows[j][j]
+                    rows[j][j] += c
+                    b[j] += c * x[j]
+            x_new = solve(sys, fc)
+            solves += 1
+            u = [(a - b) * (1.0 + kappa) for a, b in zip(x_new[:n], x)]
+            x = x_new
+            if t >= t_on:
+                # compared as numpy's max would: a NaN move never settles
+                if all(abs(uj) / h < tol for uj in u):
+                    settled = True
+                    break
+                if u_prev is not None:
+                    uu = sum(b * b for b in u_prev)
+                    if jumped:
+                        # a jump that did not shrink the move ends jumping
+                        aitken = aitken and sum(a * a for a in u) < uu
+                        jumped = False
+                    else:
+                        # the damped factor of the step between the moves
+                        r = sum(a * b for a, b in zip(u, u_prev)) / uu
+                        if kappa > 0.0 or r < _DAMP_BELOW:
+                            r0 = r * (1.0 + kappa_prev) - kappa_prev
+                            kappa_prev, kappa = kappa, max(0.0, -r0, kappa * abs(r))
+                        elif aitken and r < _AITKEN_BELOW:
+                            # undamped moves shrinking by r: jump to
+                            # their limit (Aitken)
+                            f = r / (1.0 - r)
+                            x[:n] = [a + f * b for a, b in zip(x[:n], u)]
+                            jumped = True
+                u_prev = u
+            g = self.evaluate(x)[1]
         return x, settled, solves
 
 
@@ -548,9 +545,7 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
     biases = np.linspace(start, stop, points)
     eng = _Engine(net)
     circuit, n = eng.circuit, eng.n
-    levels = circuit.source_levels(0.0)
-    circuit.waveforms = [Dc(v) for v in levels]
-    tol = _settle_tol(levels)
+    tol = _settle_tol(circuit.source_levels(0.0))
     volts = np.zeros((points, n))
     settled = np.zeros(points, dtype=bool)
     point_solves = np.zeros(points, dtype=np.int64)
@@ -581,9 +576,9 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
         va, vb = (volts[:, i] if i >= 0 else np.zeros(points) for i in (br.a, br.b))
         vbr = va - vb
         if br.el.kind is ElementKind.RTD:
-            currents[br.el.name] = np.asarray(rtd_current(m, vbr))
+            currents[br.el.name] = rtd_current(m, vbr)
         else:
-            currents[br.el.name] = np.asarray(nanowire_current(m, vbr))
+            currents[br.el.name] = nanowire_current(m, vbr)
     return DcSweep(source=src.name, biases=biases, voltages=volts,
                    currents=currents, settled=settled, nodes=eng.nodes,
                    flops=eng.fc, point_solves=point_solves)

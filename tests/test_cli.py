@@ -145,6 +145,23 @@ class TestDc:
         assert code == 0
         assert "speedup=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, failed", [
+        (["op"], "1 of 1"),
+        (["dc", "--source", "V1", "--from", "0", "--to", "1", "--points", "3"], "2 of 3"),
+    ])
+    def test_compare_nr_reports_newton_failures(self, args, failed, tmp_path, capsys):
+        # Newton stops on a singular Jacobian wherever V1 is nonzero: the
+        # comparison is still printed, then one warning, and the exit is 3
+        deck = tmp_path / "cut.ckt"
+        deck.write_text("V1 in 0 DC 1\nR1 in 0 1k\nM1 out 0 0 0 MF\nC1 out 0 1p\n"
+                        ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        out = ["--out", str(tmp_path / "s.csv")] if args[0] == "dc" else []
+        code = main([args[0], str(deck)] + args[1:] + out + ["--compare-nr"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.splitlines()[-1].startswith("flops: swec=")
+        assert captured.err == f"warning: Newton baseline did not converge at {failed} points\n"
+
     def test_points_validation(self, capsys):
         code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "1"])
         assert code == 1
@@ -462,6 +479,18 @@ class TestStoch:
         header, data = _csv_rows(str(out))
         var_cols = [i for i, h in enumerate(header) if h.startswith("var(")]
         assert np.all(data[:, var_cols] == 0.0)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "0"], "dt and t_stop must be positive"),
+        (["--tstop", "0"], "dt and t_stop must be positive"),
+        (["--tstop", "1e-12"], "t_stop shorter than one step"),
+    ])
+    def test_step_input_errors(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = main(["stoch", deck_path("ou_free.ckt"), "--out", str(out)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_seed_reproducibility(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

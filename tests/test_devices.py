@@ -329,6 +329,31 @@ class TestNanowireFloatPath:
         assert fc_arr == fc_loop
 
 
+def _tally_cases():
+    """Each billed two-terminal kernel with a model and its (adds, muls,
+    divs, transcendentals) per element away from the origin."""
+    rtd = {rtd_current: (8, 9, 2, 6), rtd_geq: (8, 9, 3, 6), rtd_didv: (10, 16, 4, 8),
+           rtd_dgeq_dv: (12, 18, 6, 8)}
+    cases = [pytest.param(f, _RTD_MODELS[0], t, id=f.__name__) for f, t in rtd.items()]
+    for m in _NANOWIRE_MODELS:
+        k = m.nsteps
+        nanowire = {nanowire_geq: (2 * k, k + 1, k, k), nanowire_current: (2 * k, k + 2, k, k),
+                    nanowire_dgeq_dv: (2 * k, 2 * k + 2, 1, k),
+                    nanowire_didv: (4 * k + 1, 3 * k + 4, k + 1, 2 * k)}
+        cases += [pytest.param(f, m, t, id=f"{f.__name__}-nsteps{k}")
+                  for f, t in nanowire.items()]
+    return cases
+
+
+@pytest.mark.parametrize("f, m, tally", _tally_cases())
+def test_kernel_bills_its_tally_per_element(f, m, tally):
+    # the float-vs-array tests compare the two paths with each other only
+    for v, n in ((0.7, 1), (np.array([0.7, -1.3, 2.5]), 3)):
+        fc = FlopCounter()
+        f(m, v, fc)
+        assert fc == FlopCounter(*(n * t for t in tally))
+
+
 _MOS_KERNELS = [mos_current, mos_geq, mos_didv, mos_gm]
 
 

@@ -14,6 +14,11 @@ from nanosim.swec import dc_sweep, operating_point, pin_source
 
 from conftest import card, deck_text
 
+# a cut-off drain whose capacitor Newton leaves open empties the out row of
+# the Jacobian
+_CUT_OFF_DRAIN = ("* cut-off drain\nV1 in 0 DC 1\nR1 in 0 1k\nM1 out 0 0 0 MF\nC1 out 0 1p\n"
+                  ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+
 
 class TestNrDc:
     def test_linear_divider_one_iteration(self):
@@ -88,15 +93,13 @@ class TestNrDc:
                                         repr(want.residual))
 
     def test_singular_jacobian_stops_unconverged(self):
-        # a cut-off drain whose capacitor Newton leaves open empties the out
-        # row of the Jacobian: Newton stops at its first solve and reports
-        # no convergence, while the engine's floored chord stamp settles out
-        # at 0 V
-        net = parse_netlist("* cut-off drain\nV1 in 0 DC 1\nR1 in 0 1k\n"
-                            "M1 out 0 0 0 MF\nC1 out 0 1p\n"
-                            ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        # Newton stops at its first solve and reports no convergence, while
+        # the engine's floored chord stamp settles out at 0 V
+        net = parse_netlist(_CUT_OFF_DRAIN)
         rep = nr_dc(net)
         assert (rep.converged, rep.iterations, rep.oscillation_detected) == (False, 1, False)
+        # KCL holds at the zero start; the source equation misses by the 1 V
+        assert (rep.residual, rep.source_error) == (0.0, 1.0)
         op = operating_point(net)
         assert op.settled
         assert (op.v("in"), op.v("out")) == (1.0, 0.0)
@@ -206,7 +209,14 @@ class TestFlopCompare:
         net = parse_netlist(deck_text(deck))
         dc = card(net, DcAnalysis)
         cmp_ = flop_compare(net, dc_sweep(net, dc.source, dc.start, dc.stop, dc.points))
-        assert (cmp_.swec_flops, cmp_.nr_flops) == (swec, newton)
+        assert (cmp_.swec_flops, cmp_.nr_flops, cmp_.unconverged) == (swec, newton, 0)
+
+    def test_unconverged_newton_solves_are_counted(self):
+        # Newton stops unconverged on a singular Jacobian, short of its
+        # iteration limit, wherever V1 is nonzero
+        net = parse_netlist(_CUT_OFF_DRAIN)
+        assert flop_compare(net, operating_point(net)).unconverged == 1
+        assert flop_compare(net, dc_sweep(net, "V1", 0.0, 1.0, 3)).unconverged == 2
 
     @pytest.mark.parametrize("source, start, stop", [
         ("V1", 16.0, 0.0),          # descending

@@ -413,6 +413,11 @@ class TestEnsemble:
             ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(2e-6, 1e-6))
         with pytest.raises(ValueError, match="window holds no time step"):
             ensemble(_ou_free(), 1e-8, 1e-6, paths=10, window=(1.5e-8, 1.7e-8))
+        for run in (lambda x0: ensemble(_ou_free(), 1e-8, 1e-6, paths=4, x0=x0),
+                    lambda x0: em_transient(_ou_free(), 1e-8, 1e-6, x0=x0)):
+            for x0 in (np.zeros(2), np.zeros((1, 1))):
+                with pytest.raises(ValueError, match=r"shape \(1,\) over state nodes \['1'\]"):
+                    run(x0)
 
 
 class TestPathStreams:

@@ -1,0 +1,92 @@
+"""Fingerprint what every nanosim command of a checkout prints and writes.
+
+    python tools/same_outputs.py [TREE]
+
+TREE is a checkout of this repository; it defaults to the one that holds
+this script. In one fresh temporary directory, and in-process through that
+tree's ``nanosim.cli.main``, the script runs
+
+* ``op --compare-nr``, ``dc --compare-nr --plot``, ``tran --stats --plot``
+  and ``stoch`` on every shipped deck, each from a directory of its own;
+* every operation of ``perfbench/workloads.build(W, seed)`` for the three
+  benchmark workloads at seeds 0 and 1.
+
+For each command it prints one line: the argv (shipped decks relative to
+TREE, written files relative to the temporary directory), the exit code,
+and the sha256 of stdout, of stderr and of each file the command wrote. A
+refactor that must not change behaviour keeps every line:
+
+    python tools/same_outputs.py /path/to/parent > before.txt
+    python tools/same_outputs.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ANALYSES = (["op", "--compare-nr"], ["dc", "--compare-nr", "--plot"],
+            ["tran", "--stats", "--plot"], ["stoch"])
+SEEDS = (0, 1)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(root: Path) -> set:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+def run(cli, argv, tree: Path, root: Path) -> str:
+    """One command's line: argv, exit code and the digests of its streams
+    and of the files under ``root`` that it created."""
+    before = _files(root)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    shown = [os.path.relpath(a, tree) if a.startswith(f"{tree}{os.sep}") else a
+             for a in argv]
+    written = sorted(_files(root) - before)
+    files = " ".join(f"{p.relative_to(root)}={_digest(p.read_bytes())}" for p in written)
+    return (f"{' '.join(shown)} | exit {code} | stdout={_digest(out.getvalue().encode())} "
+            f"stderr={_digest(err.getvalue().encode())} | {files}")
+
+
+def main() -> int:
+    tree = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+    sys.path.insert(0, str(tree / "perfbench"))
+    import harness  # noqa: I001  (pins threads before numpy loads)
+    cli = harness.import_cli()
+    import workloads
+
+    decks = sorted(p.stem for p in harness.DECKS.glob("*.ckt"))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        try:
+            for deck in decks:
+                for analysis in ANALYSES:
+                    cwd = root / f"{deck}-{analysis[0]}"
+                    cwd.mkdir()
+                    os.chdir(cwd)
+                    print(run(cli, [analysis[0], harness.deck(deck), *analysis[1:]],
+                              tree, root), flush=True)
+            os.chdir(root)
+            for name in workloads.WORKLOADS:
+                for seed in SEEDS:
+                    for op in workloads.build(name, seed, Path(f"{name}-seed{seed}")):
+                        print(run(cli, op.argv, tree, root), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
