@@ -28,15 +28,17 @@ units rather than being converted to some flop equivalent.
 
 :func:`solve` condenses out the nodes that grounded sources fix (last
 paragraph) and runs a dense LU with partial pivoting on the rest. An assembled
-:class:`MnaSystem` holds G as Python row lists and the right-hand side as a
-list, and the elimination and both substitutions run on them, because on
-the small systems the engines solve once per step the per-call cost of
-numpy slicing outweighs the arithmetic. Measured per solve of a dense
-system against the same LU on numpy rows (2-core VM, Python 3.11, numpy
-2.4.6): 3 unknowns 19 vs 50 us, 5 unknowns 40 vs 85 us, 10 unknowns 114 vs
-195 us, 20 unknowns 457 vs 542 us, 30 unknowns 1230 vs 545 us. The
-crossover is about 20 unknowns; every shipped deck has at most 5, and 1
-after the condensation. There is one code path for all sizes.
+:class:`MnaSystem` holds only what :func:`solve` reads: G as Python row
+lists, the right-hand side as a list and the partition (last paragraph);
+the maps from node and source names to unknowns stay on the circuit. The
+elimination and both substitutions run on the lists, because on the small
+systems the engines solve once per step the per-call cost of numpy slicing
+outweighs the arithmetic. Measured per solve of a dense system against the
+same LU on numpy rows (2-core VM, Python 3.11, numpy 2.4.6): 3 unknowns 19
+vs 50 us, 5 unknowns 40 vs 85 us, 10 unknowns 114 vs 195 us, 20 unknowns
+457 vs 542 us, 30 unknowns 1230 vs 545 us. The crossover is about 20
+unknowns; every shipped deck has at most 5, and 1 after the condensation.
+There is one code path for all sizes.
 
 Each substitution row subtracts a dot product, and its rounding is kept
 bit for bit equal to numpy's ``A[k, :k] @ x[:k]``. A Python sum does not
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,24 +135,18 @@ class Partition(NamedTuple):
 
 @dataclass
 class MnaSystem:
-    """Assembled dense system G x = rhs with its node/source index maps.
+    """Assembled dense system G x = rhs as :func:`solve` reads it: G as
+    Python row lists (``rows``), the right-hand side as a list (``b``) and
+    the ``partition`` to condense (None: the full LU). ``G`` and ``rhs``
+    give numpy copies; the index maps stay on the :class:`Circuit`."""
 
-    G is held as Python row lists (``rows``) and the right-hand side as a
-    list (``b``), which :func:`solve` eliminates on; ``G`` and ``rhs`` give
-    numpy copies for reading. A system built by a :class:`Circuit` with a
-    grounded source carries its ``partition``."""
-
-    n: int
-    m: int
     rows: List[List[float]]
     b: List[float]
-    node_index: Dict[str, int]
-    source_index: Dict[str, int]
     partition: Optional[Partition] = None
 
     @property
     def size(self) -> int:
-        return self.n + self.m
+        return len(self.b)
 
     @property
     def G(self) -> np.ndarray:
@@ -248,9 +244,19 @@ class Circuit:
     def system(self, t: float) -> MnaSystem:
         """A fresh system: a copy of the static G, the source values at
         time ``t`` on the right-hand side."""
-        return MnaSystem(self.n, self.m, [row.copy() for row in self.G_rows],
-                         [0.0] * self.n + self.source_levels(t),
-                         self.node_index, self.source_index, self.partition)
+        return MnaSystem([row.copy() for row in self.G_rows],
+                         [0.0] * self.n + self.source_levels(t), self.partition)
+
+
+def _max_abs(values) -> float:
+    """The largest |v|, NaN if any v is NaN (as ``np.max(np.abs(v))``), 0
+    for no values."""
+    worst = 0.0
+    for v in values:
+        v = abs(v)
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 def assemble(circuit: Circuit, geq: Sequence[float],
@@ -261,9 +267,10 @@ def assemble(circuit: Circuit, geq: Sequence[float],
     On a copy of the static G this stamps the floored conductances ``geq``
     (one per nonlinear element, in ``circuit.devices`` order) in element
     order, then the capacitor companions of the step ``h`` from the history
-    node voltages ``vstate`` (none when ``h`` is +inf, the DC assembly); the
-    right-hand side carries the companion currents and the source values at
-    ``t``. Noise sources stamp nothing here.
+    node voltages ``vstate``, which a finite ``h`` requires (``h`` = +inf is
+    the DC assembly, with no companions); the right-hand side carries the
+    companion currents and the source values at ``t``. Noise sources stamp
+    nothing here.
     """
     if len(geq) != len(circuit.devices):
         names = ", ".join(f"'{br.el.name}'" for br in circuit.devices)
@@ -274,8 +281,6 @@ def assemble(circuit: Circuit, geq: Sequence[float],
     for br, g in zip(circuit.devices, geq):
         stamp_conductance(G, br.a, br.b, G_FLOOR if g < G_FLOOR else g)
     if math.isfinite(h):
-        if vstate is None:
-            vstate = [0.0] * circuit.n
         for br in circuit.capacitors:
             a, b = br.a, br.b
             va = vstate[a] if a >= 0 else 0.0

@@ -152,6 +152,8 @@ class Pulse:
     def __post_init__(self):
         if self.rise <= 0 or self.fall <= 0:
             raise NetlistError("PULSE rise and fall must be positive")
+        if self.width < 0:
+            raise NetlistError("PULSE width must not be negative")
         if self.period <= self.rise + self.width + self.fall:
             raise NetlistError("PULSE period must exceed rise + width + fall")
 
@@ -580,11 +582,9 @@ class _Parser:
     # -- post-parse validation --
 
     def validate(self):
-        by_line = {el.name.lower(): self._names_ci[el.name.lower()]
-                   for el in self.elements}
         touches_ground = False
         for el in self.elements:
-            lineno = by_line[el.name.lower()]
+            lineno = self._names_ci[el.name.lower()]
             if "0" in el.nodes:
                 touches_ground = True
             if el.model is not None:
@@ -598,9 +598,9 @@ class _Parser:
         if self.elements and not touches_ground:
             raise NetlistError("no element connects to ground node '0'",
                                len(self.lines), self.lines[-1] if self.lines else "")
-        self._check_connectivity(by_line)
+        self._check_connectivity()
 
-    def _check_connectivity(self, by_line: Dict[str, int]):
+    def _check_connectivity(self):
         """Every node must reach ground through element connectivity."""
         reach = {"0"}
         frontier = True
@@ -615,7 +615,7 @@ class _Parser:
             for nd in el.nodes:
                 if nd not in reach:
                     self.fail(f"node '{nd}' has no path to ground (dangling)",
-                              by_line[el.name.lower()])
+                              self._names_ci[el.name.lower()])
 
 
 def parse_netlist(source: str) -> Netlist:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
                       nanowire_current, nanowire_didv, rtd_current, rtd_didv)
-from .mna import Circuit, FlopCounter, SingularSystemError, solve
+from .mna import Circuit, FlopCounter, SingularSystemError, _max_abs, solve
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
 # the benchmark tracer patches dc_sweep, operating_point and pin_source here
 from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
@@ -60,17 +60,6 @@ class FlopCompare:
     nr_flops: int
     speedup: float
     unconverged: int        # Newton solves that ended unconverged
-
-
-def _max_abs(values) -> float:
-    """The largest |v|, NaN if any v is NaN (as ``np.max(np.abs(v))``), 0
-    for no values."""
-    worst = 0.0
-    for v in values:
-        v = abs(v)
-        if v > worst or v != v:
-            worst = v
-    return worst
 
 
 def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = None,

@@ -62,9 +62,12 @@ form of Anderson acceleration; Walker & Ni, SIAM J. Numer. Anal. 49(4),
 2011), and the devices are re-evaluated there. The next ratio comes from
 two fresh moves, a jump whose next move is no shorter than the move it
 extrapolated ends jumping for that settle, and only solved moves are
-tested for the stop. DC sweeps chain points by continuation (hysteresis is
-expected, not hidden): each point from the third on starts from the secant
-prediction through the previous two. The 500-point ``rtd_divider`` sweep
+tested for the stop: every node's undamped move below 1e-10 V times the
+larger of 1 and the largest |source level| the settle ramps to from zero.
+DC sweeps chain points by continuation (hysteresis is expected, not
+hidden): each point from the third on starts from the secant prediction
+through the previous two, and every point keeps the first point's stop
+scale. The 500-point ``rtd_divider`` sweep
 takes 1697 solves, 3.4 per point (5279 with previous-point starts and no
 jumps).
 
@@ -80,7 +83,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,7 +92,7 @@ import numpy as np
 from .devices import (G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
                       mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
-from .mna import Circuit, FlopCounter, assemble, solve
+from .mna import Circuit, FlopCounter, _max_abs, assemble, solve
 from .netlist import Dc, ElementKind, Netlist, eval_waveform, waveform_breakpoints
 
 
@@ -224,6 +227,8 @@ class _Engine:
         self.terminals = [(br.a, br.b, br.gate) for br in self.devices]
         self.history = [[(0.0, 0.0)] * len(self.devices)] * 3
         self.geq = [G_FLOOR] * len(self.devices)
+        # the settle's stop scale, set by each settle from zero
+        self.tol = 1.0
         # the nodes grounded sources pin (the unknowns solve condenses out)
         # cannot respond to a conductance change or carry a truncation
         # error: both error tests skip them
@@ -334,7 +339,7 @@ class _Engine:
         # accepted times and node voltages, packed as doubles
         times = array("d", [0.0])
         trace = array("d", x[:n])
-        steps = rejected = warnings = solves = 0
+        steps = rejected = warnings = 0
         limited_by = dict.fromkeys(_LIMITERS, 0)
         t = 0.0
         h_next, why = eps * h_max, "first"
@@ -368,7 +373,6 @@ class _Engine:
                 g_pred = self.step_geq(h, h_prev, h_prev2)
                 sys = assemble(self.circuit, g_pred, vstate=hist, h=h_eff, t=t + h)
                 x_new = solve(sys, self.fc)
-                solves += 1
                 biases, g_act = self.evaluate(x_new)
                 err = self.local_error(g_pred, g_act, hist, x_new, h_eff, lte_tol)
                 # the truncation error from the divided differences of the
@@ -382,12 +386,7 @@ class _Engine:
                     span = h + h_prev + h_prev2
                     dd = [(a - b) / span for a, b in zip(dd2, dd2_prev)]
                     c = h_eff * h * (h + h_prev)
-                lte = 0.0
-                for d in dd:
-                    d = abs(d)
-                    if d > lte or d != d:       # a NaN sticks
-                        lte = d
-                lte *= c
+                lte = _max_abs(dd) * c
                 # also the retry step of a rejected attempt: it shrinks
                 h_next, why_next = next_step_size(h, lte, lte_tol, err, eps,
                                                   _H_MIN, h_max, order)
@@ -417,18 +416,19 @@ class _Engine:
         return WaveformSeries(times=np.array(times),
                               voltages=np.array(trace).reshape(len(times), n),
                               nodes=self.nodes, steps_taken=steps,
-                              steps_rejected=rejected, n_solves=solves,
+                              steps_rejected=rejected, n_solves=steps + rejected,
                               hmin_warnings=warnings, flops=self.fc,
                               limited_by=limited_by)
 
-    def settle(self, tol: float, x: Optional[List[float]] = None
-               ) -> Tuple[List[float], bool, int]:
+    def settle(self, x: Optional[List[float]] = None) -> Tuple[List[float], bool, int]:
         """(solution, settled, solves) of the module docstring's iteration
         with the sources at their t = 0 levels. Without ``x`` it starts from
-        zero and ramps the sources from 0 over pseudo-time ``_OP_RAMP``;
-        devices start from their conductance at the starting point. It
-        stops once every node's move times 1 + kappa (the undamped move) is
-        below ``tol`` * h, h = ``_OP_RAMP`` / 10."""
+        zero, ramps the sources from 0 over pseudo-time ``_OP_RAMP`` and
+        sets the stop scale ``tol`` to the larger of 1 and the largest
+        |source level|; a continuation from ``x`` keeps the ``tol`` of the
+        settle it continues. Devices start from their conductance at the
+        starting point. It stops once every node's move times 1 + kappa
+        (the undamped move) is below ``tol`` * h, h = ``_OP_RAMP`` / 10."""
         circuit, n, fc = self.circuit, self.n, self.fc
         if not self.devices:
             return solve(assemble(circuit, [], t=0.0), fc), True, 1
@@ -437,6 +437,7 @@ class _Engine:
         if x is None:
             x = [0.0] * circuit.size
             t_on = _OP_RAMP
+            self.tol = max(1.0, _max_abs(circuit.source_levels(0.0)))
         g = self.evaluate(x)[1]
         kappa = kappa_prev = 0.0
         u_prev = None
@@ -461,8 +462,8 @@ class _Engine:
             u = [(a - b) * (1.0 + kappa) for a, b in zip(x_new[:n], x)]
             x = x_new
             if t >= t_on:
-                # compared as numpy's max would: a NaN move never settles
-                if all(abs(uj) / h < tol for uj in u):
+                # a NaN move never settles
+                if _max_abs(u) / h < self.tol:
                     settled = True
                     break
                 if u_prev is not None:
@@ -509,14 +510,10 @@ def pin_source(net: Netlist, source: str, level: float) -> Netlist:
     return replace(net, elements=tuple(elements))
 
 
-def _settle_tol(levels: Sequence[float]) -> float:
-    return max([1.0] + [abs(v) for v in levels])
-
-
 def operating_point(net: Netlist) -> OperatingPoint:
     """DC solution from zero (see :meth:`_Engine.settle`)."""
     eng = _Engine(net)
-    x, settled, solves = eng.settle(_settle_tol(eng.circuit.source_levels(0.0)))
+    x, settled, solves = eng.settle()
     return OperatingPoint(voltages=np.array(x[:eng.n]), nodes=eng.nodes,
                           settled=settled, n_solves=solves, flops=eng.fc)
 
@@ -525,14 +522,14 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
              points: int) -> DcSweep:
     """Swept operating points with secant continuation.
 
-    The first bias is solved like :func:`operating_point`. The second
-    starts from the first solution, and each later bias from the secant
-    prediction through the previous two (a deck without nonlinear devices
-    takes one resistive solve per bias); a repeated bias repeats the
-    previous point without a solve. One compiled
-    circuit serves every point: only the swept source's level changes, and
-    every other source holds its t = 0 level. RTD and nanowire terminal
-    currents are recorded per point.
+    The first bias is solved like :func:`operating_point`, and its stop
+    scale serves every point. The second starts from the first solution,
+    and each later bias from the secant prediction through the previous
+    two (a deck without nonlinear devices takes one resistive solve per
+    bias); a repeated bias repeats the previous point without a solve. One
+    compiled circuit serves every point: only the swept source's level
+    changes, and every other source holds its t = 0 level. RTD and
+    nanowire terminal currents are recorded per point.
     """
     if points < 2:
         raise ValueError("dc_sweep requires at least 2 points")
@@ -545,7 +542,6 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
     biases = np.linspace(start, stop, points)
     eng = _Engine(net)
     circuit, n = eng.circuit, eng.n
-    tol = _settle_tol(circuit.source_levels(0.0))
     volts = np.zeros((points, n))
     settled = np.zeros(points, dtype=bool)
     point_solves = np.zeros(points, dtype=np.int64)
@@ -557,7 +553,7 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
             continue
         circuit.set_source(src.name, Dc(bias))
         if x is None:
-            x, ok, solves = eng.settle(_settle_tol(circuit.source_levels(0.0)))
+            x, ok, solves = eng.settle()
         else:
             guess = x
             step = biases[k - 1] - biases[k - 2] if k > 1 else 0.0
@@ -566,7 +562,7 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
                 f = (bias - biases[k - 1]) / step
                 guess = [a + f * (a - b) for a, b in zip(x, x_prev)]
             x_prev = x
-            x, ok, solves = eng.settle(tol, guess)
+            x, ok, solves = eng.settle(guess)
         volts[k], settled[k], point_solves[k] = x[:n], ok, solves
 
     currents: Dict[str, np.ndarray] = {}

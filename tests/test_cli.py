@@ -116,6 +116,22 @@ class TestDc:
         assert "i(XRTD1)" in header
         assert data.shape[0] == 12
 
+    def test_sweep_ignores_the_swept_sources_deck_level(self, tmp_path, capsys):
+        # the sweep sets V1 at every point, so its deck level (0 V shipped)
+        # must not reach the answer: every point keeps the first point's
+        # stop scale
+        moved = tmp_path / "rtd_divider_16.ckt"
+        moved.write_text(_read(deck_path("rtd_divider.ckt")).replace(
+            "V1 1 0 DC 0\n", "V1 1 0 DC 16\n"))
+        runs = []
+        for deck in (deck_path("rtd_divider.ckt"), str(moved)):
+            out = tmp_path / f"{len(runs)}.csv"
+            assert main(["dc", deck, "--out", str(out), "--compare-nr"]) == 0
+            flops = [l for l in capsys.readouterr().out.splitlines()
+                     if l.startswith("flops:")]
+            runs.append((out.read_bytes(), flops))
+        assert runs[0] == runs[1]
+
     def test_linear_noise_deck_exit_code(self, tmp_path, capsys):
         # the deterministic engine refuses noise sources in a sweep as in op
         deck = tmp_path / "noisy.ckt"
@@ -400,6 +416,11 @@ _BAD_DECKS = {
                        "PULSE requires exactly 7 values (v1 v2 td tr tf pw per)"),
     "pulse-rise-0": ("V1 1 0 PULSE(0 1 0 0 1n 5n 20n)\nR1 1 0 1k\n", 1,
                      "PULSE rise and fall must be positive"),
+    "pulse-width-negative": ("V1 1 0 PULSE(0 5 0 1n 1n -0.5n 10n)\nR1 1 0 1k\n", 1,
+                             "PULSE width must not be negative"),
+    # a negative period as well: transient breakpoints never reached t_stop
+    "pulse-period-negative": ("V1 1 0 PULSE(0 5 0 1n 1n -5n -2n)\nR1 1 2 1k\nC1 2 0 1p\n"
+                              ".tran 10n\n", 1, "PULSE width must not be negative"),
     "sin": ("V1 1 0 SIN(0 1 1meg)\nR1 1 0 1k\n", 1,
             "source must specify DC, PWL(...) or PULSE(...)"),
     "value-overflow": ("V1 1 0 DC 1e999\nR1 1 0 1k\n", 1,

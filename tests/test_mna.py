@@ -15,11 +15,11 @@ from nanosim.mna import (_PIVOT_RTOL, Circuit, FlopCounter, MnaError, MnaSystem,
 from nanosim.netlist import ElementKind, eval_waveform, parse_netlist
 
 
-def _solve_net(deck, vstate=None, h=math.inf, t=0.0):
-    net = parse_netlist(deck)
-    sys = assemble(Circuit(net), [], vstate=vstate, h=h, t=t)
+def _solve_net(deck):
+    circuit = Circuit(parse_netlist(deck))
+    sys = assemble(circuit, [])
     fc = FlopCounter()
-    return sys, solve(sys, fc), fc
+    return circuit, sys, solve(sys, fc), fc
 
 
 def _full_lu(sys):
@@ -41,9 +41,9 @@ class TestAssemble:
             ("Rg1 1 0 100\nRg2 2 0 100\nRg3 3 0 100\nR0 1 2 100\n"
              "V0 3 2 DC 2.2250738585e-313\nV1 1 0 DC 0\n", "1", 0.0),
         ]:
-            sys, x, _ = _solve_net(deck + ".op\n.end\n")
+            circuit, sys, x, _ = _solve_net(deck + ".op\n.end\n")
             assert sys.partition is not None
-            assert x[sys.node_index[node]] == level
+            assert x[circuit.node_index[node]] == level
             # the source currents, read back from KCL, agree with the full LU
             np.testing.assert_allclose(x, _full_lu(sys), rtol=1e-12, atol=0.0)
 
@@ -54,9 +54,9 @@ class TestAssemble:
             ("V1 1 0 DC 5\nR1 1 2 1k\nVm 2 3 DC 0\nR2 3 0 1k\n",
              FlopCounter(14, 14, 6)),
         ]:
-            sys, x, fc = _solve_net(deck + ".op\n.end\n")
-            assert x[sys.node_index["1"]] == pytest.approx(5.0)
-            assert x[sys.node_index["2"]] == pytest.approx(2.5)
+            circuit, sys, x, fc = _solve_net(deck + ".op\n.end\n")
+            assert x[circuit.node_index["1"]] == pytest.approx(5.0)
+            assert x[circuit.node_index["2"]] == pytest.approx(2.5)
             np.testing.assert_allclose(x, _full_lu(sys), rtol=1e-12, atol=0.0)
             # one add and one multiply per coefficient moved to the right-hand
             # side or summed in the KCL read-back, plus the reduced LU's bill
@@ -78,16 +78,18 @@ class TestAssemble:
 
     def test_capacitor_companion_stamp(self):
         net = parse_netlist("V1 1 0 DC 1\nC1 2 0 1p\nR1 1 2 1k\n.end\n")
-        sys = assemble(Circuit(net), [], vstate=np.array([0.0, 1.0]), h=1e-12, t=0.0)
-        i2 = sys.node_index["2"]
+        circuit = Circuit(net)
+        sys = assemble(circuit, [], vstate=np.array([0.0, 1.0]), h=1e-12, t=0.0)
+        i2 = circuit.node_index["2"]
         # g = C/h = 1.0 S plus the 1 mS resistor; companion current 1.0 A
         assert sys.G[i2, i2] == pytest.approx(1.0 + 1e-3)
         assert sys.rhs[i2] == pytest.approx(1.0)
 
     def test_dc_assembly_ignores_capacitors(self):
         net = parse_netlist("V1 1 0 DC 1\nC1 2 0 1p\nR1 1 2 1k\n.end\n")
-        sys = assemble(Circuit(net), [], vstate=np.array([0.0, 1.0]), h=math.inf)
-        i2 = sys.node_index["2"]
+        circuit = Circuit(net)
+        sys = assemble(circuit, [], vstate=np.array([0.0, 1.0]), h=math.inf)
+        i2 = circuit.node_index["2"]
         assert sys.G[i2, i2] == pytest.approx(1e-3)
         assert sys.rhs[i2] == 0.0
 
@@ -95,9 +97,9 @@ class TestAssemble:
         deck = ("V1 1 0 DC 1\nR1 1 2 1k\nXRTD1 2 0 M1\n"
                 ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
                 ".end\n")
-        net = parse_netlist(deck)
-        sys = assemble(Circuit(net), [0.0])
-        i2 = sys.node_index["2"]
+        circuit = Circuit(parse_netlist(deck))
+        sys = assemble(circuit, [0.0])
+        i2 = circuit.node_index["2"]
         assert sys.G[i2, i2] >= 1e-3 + G_FLOOR
 
     def test_missing_geq(self):
@@ -125,18 +127,21 @@ def _in_device_order(circuit, geq):
     return [geq[br.el.name] for br in circuit.devices]
 
 
-def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
-    """Reference assembly: the per-call stamping in element order, with the
-    index maps rebuilt on every call, that the compiled ``Circuit`` replaced."""
+def _index_ref(net):
+    """Reference index maps: node names, then source names, to unknowns."""
     node_index = {name: i for i, name in enumerate(net.nodes)}
     n = len(node_index)
     sources = [el for el in net.elements if el.kind is ElementKind.VSOURCE]
-    source_index = {el.name: n + i for i, el in enumerate(sources)}
-    size = n + len(sources)
+    return node_index, {el.name: n + i for i, el in enumerate(sources)}
+
+
+def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
+    """Reference assembly: the per-call stamping in element order, with the
+    index maps rebuilt on every call, that the compiled ``Circuit`` replaced."""
+    node_index, source_index = _index_ref(net)
+    size = len(node_index) + len(source_index)
     G = np.zeros((size, size))
     rhs = np.zeros(size)
-    if vstate is None:
-        vstate = np.zeros(n)
 
     def vprev(i):
         return 0.0 if i < 0 else float(vstate[i])
@@ -170,8 +175,7 @@ def _assemble_ref(net, geq, vstate=None, h=math.inf, t=0.0):
             except KeyError:
                 raise MnaError(f"no equivalent conductance supplied for '{el.name}'")
             stamp_conductance(G, a, b, max(g, G_FLOOR))
-    return MnaSystem(n=n, m=len(sources), rows=G.tolist(), b=rhs.tolist(),
-                     node_index=node_index, source_index=source_index)
+    return MnaSystem(G.tolist(), rhs.tolist())
 
 
 def _cap_matrix_ref(net):
@@ -253,7 +257,7 @@ class TestAssembleMatchesReference:
         ref = _assemble_ref(net, geq, vstate=vstate, h=h, t=t)
         assert got.G.tobytes() == ref.G.tobytes()
         assert got.rhs.tobytes() == ref.rhs.tobytes()
-        assert (got.node_index, got.source_index) == (ref.node_index, ref.source_index)
+        assert (circuit.node_index, circuit.source_index) == _index_ref(net)
         assert circuit.C.tobytes() == _cap_matrix_ref(net).tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -286,8 +290,7 @@ class TestSolve:
         for k in range(size):
             rhs = np.zeros(size)
             rhs[k] = 1.0
-            sys = MnaSystem(n=size, m=0, rows=np.eye(size).tolist(), b=rhs.tolist(),
-                            node_index={}, source_index={})
+            sys = MnaSystem(np.eye(size).tolist(), rhs.tolist())
             x = solve(sys, FlopCounter())
             assert np.allclose(x, rhs)
 
@@ -297,15 +300,21 @@ class TestSolve:
         A = rng.uniform(-1, 1, (n, n))
         A = A @ A.T + n * np.eye(n)
         rhs = rng.uniform(-1, 1, n)
-        sys = MnaSystem(n=n, m=0, rows=A.tolist(), b=rhs.tolist(), node_index={},
-                        source_index={})
+        sys = MnaSystem(A.tolist(), rhs.tolist())
         x = solve(sys, FlopCounter())
         assert np.max(np.abs(A @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
+    def test_negative_zero_survives_substitution(self):
+        # every product in x[1]'s forward-substitution row is an exact zero,
+        # so the sign of its -0.0 is the sign numpy's dot gives it
+        sys = MnaSystem(np.eye(2).tolist(), [1.0, -0.0])
+        x = solve(sys, FlopCounter())
+        assert math.copysign(1.0, x[1]) == -1.0
+        assert np.asarray(x).tobytes() == _solve_ref(sys, FlopCounter()).tobytes()
+
     def test_singular_detected(self):
         G = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        sys = MnaSystem(n=2, m=0, rows=G.tolist(), b=[1.0, 0.0],
-                        node_index={}, source_index={})
+        sys = MnaSystem(G.tolist(), [1.0, 0.0])
         with pytest.raises(SingularSystemError):
             solve(sys, FlopCounter())
 
@@ -315,8 +324,7 @@ class TestSolve:
         totals = []
         for n in sizes:
             A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
-            sys = MnaSystem(n=n, m=0, rows=A.tolist(), b=rng.uniform(-1, 1, n).tolist(),
-                            node_index={}, source_index={})
+            sys = MnaSystem(A.tolist(), rng.uniform(-1, 1, n).tolist())
             fc = FlopCounter()
             solve(sys, fc)
             totals.append(fc.total())
@@ -364,8 +372,7 @@ def _solve_ref(sys, fc):
 
 def _outcome(solver, G, rhs):
     fc = FlopCounter()
-    sys = MnaSystem(n=len(rhs), m=0, rows=G.tolist(), b=rhs.tolist(), node_index={},
-                    source_index={})
+    sys = MnaSystem(G.tolist(), rhs.tolist())
     try:
         return np.asarray(solver(sys, fc)).tobytes(), fc
     except SingularSystemError as exc:
@@ -472,13 +479,14 @@ class TestKcl:
             for i in rng.choice(n, size=2, replace=False):
                 lines.append(f"Rg{i} n{i} 0 {rng.uniform(1000, 100_000):.3f}")
             net = parse_netlist("\n".join(lines) + "\n.end\n")
-            sys = assemble(Circuit(net), [])
+            circuit = Circuit(net)
+            sys = assemble(circuit, [])
             assert sys.partition is not None
             # condensed (V1 pins n0) and over every unknown
             for x in (solve(sys, FlopCounter()), _full_lu(sys)):
 
                 def v(node):
-                    return 0.0 if node == "0" else x[sys.node_index[node]]
+                    return 0.0 if node == "0" else x[circuit.node_index[node]]
 
                 resid = {nd: 0.0 for nd in net.nodes}
                 for el in net.elements:
@@ -489,7 +497,7 @@ class TestKcl:
                         if el.nodes[1] != "0":
                             resid[el.nodes[1]] += i_r
                     elif el.kind.value == "vsource":
-                        cur = x[sys.source_index[el.name]]
+                        cur = x[circuit.source_index[el.name]]
                         if el.nodes[0] != "0":
                             resid[el.nodes[0]] -= cur
                         if el.nodes[1] != "0":

@@ -164,6 +164,10 @@ class TestWaveforms:
             Pulse(0.0, 5.0, 0.0, 0.0, 1e-9, 10e-9, 30e-9)
         with pytest.raises(NetlistError):
             Pulse(0.0, 5.0, 0.0, 1e-9, 1e-9, 30e-9, 30e-9)
+        # a negative width would let the period go negative, and the
+        # breakpoint walk would never reach t_stop
+        with pytest.raises(NetlistError, match="width must not be negative"):
+            Pulse(0.0, 5.0, 0.0, 1e-9, 1e-9, -5e-9, -2e-9)
 
     def test_pwl_strictly_increasing(self):
         with pytest.raises(NetlistError):

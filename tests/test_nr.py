@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nanosim import nr
 from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
-from nanosim.mna import Circuit, FlopCounter
+from nanosim.mna import Circuit, FlopCounter, _max_abs
 from nanosim.netlist import Dc, DcAnalysis, ElementKind, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
 from nanosim.swec import dc_sweep, operating_point, pin_source
@@ -125,9 +125,10 @@ class TestNrDc:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
     def test_largest_term_is_numpys(self, values):
-        # the KCL residual and the 2-cycle tests take the largest |v| of a
-        # list; a NaN must stick, as under np.max
-        got, want = nr._max_abs(values), float(np.max(np.abs(values)))
+        # Newton's residual and 2-cycle tests, the transient's truncation
+        # error and the settle's stop test take the largest |v| of a list;
+        # a NaN must stick, as under np.max
+        got, want = _max_abs(values), float(np.max(np.abs(values)))
         assert got == want or (got != got and want != want)
 
     def test_noise_rejected(self):

@@ -8,6 +8,9 @@ tree's ``nanosim.cli.main``, the script runs
 
 * ``op --compare-nr``, ``dc --compare-nr --plot``, ``tran --stats --plot``
   and ``stoch`` on every shipped deck, each from a directory of its own;
+* on every shipped deck without a ``.dc`` card, ``dc --compare-nr`` of
+  each voltage source in 5 points from its t = 0 level to 1 V above it,
+  with every other source at its t = 0 level;
 * every operation of ``perfbench/workloads.build(W, seed)`` for the three
   benchmark workloads at seeds 0 and 1.
 
@@ -66,18 +69,30 @@ def main() -> int:
     cli = harness.import_cli()
     import workloads
 
+    from nanosim.netlist import DcAnalysis, ElementKind, eval_waveform, parse_netlist
+
     decks = sorted(p.stem for p in harness.DECKS.glob("*.ckt"))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         try:
             for deck in decks:
-                for analysis in ANALYSES:
-                    cwd = root / f"{deck}-{analysis[0]}"
+                path = harness.deck(deck)
+                argvs = {analysis[0]: [analysis[0], path, *analysis[1:]]
+                         for analysis in ANALYSES}
+                net = parse_netlist(Path(path).read_text(encoding="utf-8"))
+                if not any(isinstance(a, DcAnalysis) for a in net.analyses):
+                    # from the t = 0 level, so the first point settles as `op` does
+                    for el in net.elements_of(ElementKind.VSOURCE):
+                        level = eval_waveform(el.waveform, 0.0)
+                        argvs[f"dc-{el.name}"] = [
+                            "dc", path, "--compare-nr", "--source", el.name,
+                            f"--from={level!r}", f"--to={level + 1.0!r}", "--points", "5"]
+                for label, argv in argvs.items():
+                    cwd = root / f"{deck}-{label}"
                     cwd.mkdir()
                     os.chdir(cwd)
-                    print(run(cli, [analysis[0], harness.deck(deck), *analysis[1:]],
-                              tree, root), flush=True)
+                    print(run(cli, argv, tree, root), flush=True)
             os.chdir(root)
             for name in workloads.WORKLOADS:
                 for seed in SEEDS:
