@@ -24,7 +24,7 @@ slope once per call), as do the MOSFET kernels, :func:`_mos_region` (two
 voltages, billed by region). The terms the RTD kernels share come from one
 :func:`_rtd_resonance` for either path. Where the control flow really
 differs (the MOSFET regions, the nanowire step sums, ``_log1pexp``'s
-masks against the one exponential of :func:`_log1pexp_sigmoid`) both
+``np.where`` against :func:`_log1pexp_sigmoid`'s one exponential) both
 branches stay inside the one helper.
 
 Both paths give the same bits and bill the same flops. That is why the
@@ -256,15 +256,10 @@ def _clamped(f, x):
 
 def _log1pexp(x: np.ndarray) -> np.ndarray:
     """Overflow-safe ln(1 + e^x): evaluated as x + ln(1 + e^-x) for large x.
-    :func:`_log1pexp_sigmoid` is its float twin. An array on one side of
-    the split is evaluated whole, a mixed one on each side's clamped values."""
-    big = x > 30.0
-    if not big.any():
-        return np.log1p(np.exp(x))
-    if big.all():
-        return x + np.log1p(np.exp(-x))
+    :func:`_log1pexp_sigmoid` is its float twin. Each side is evaluated on
+    values clamped to it, with no one-sided shortcut: most arrays straddle 30."""
     y = np.maximum(x, 30.0)
-    return np.where(big, y + np.log1p(np.exp(-y)), np.log1p(np.exp(np.minimum(x, 30.0))))
+    return np.where(x > 30.0, y + np.log1p(np.exp(-y)), np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
 def _log1pexp_sigmoid(x: float, sigmoid: bool):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -164,8 +165,8 @@ Waveform = Union[Dc, Pwl, Pulse]
 def eval_waveform(w: Waveform, t: float) -> float:
     """Deterministic source value at time ``t`` (seconds).
 
-    PWL interpolates linearly and clamps outside its breakpoints; PULSE is
-    periodic after its delay.
+    PWL interpolates linearly on the segment found by bisection and clamps
+    outside its breakpoints; PULSE is periodic after a delay of any sign.
     """
     if isinstance(w, Dc):
         return w.level
@@ -173,12 +174,11 @@ def eval_waveform(w: Waveform, t: float) -> float:
         pts = w.points
         if t <= pts[0][0]:
             return pts[0][1]
-        if t >= pts[-1][0]:
+        if not t < pts[-1][0]:      # NaN too
             return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        j = bisect_left(pts, (t,), 1, len(pts) - 1)   # (t,) sorts before (t, v)
+        (t0, v0), (t1, v1) = pts[j - 1], pts[j]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
     if isinstance(w, Pulse):
         if t < w.delay:
             return w.v1
@@ -198,20 +198,17 @@ def waveform_breakpoints(w: Waveform, t_stop: float) -> Iterator[float]:
     generated in increasing order, so a caller may stop early.
 
     Transient stepping lands on these exactly so that edges are never
-    straddled by a large step.
+    straddled by a large step. A PULSE is walked from its delay, or from the
+    delay's phase ``-fmod(-delay, period)`` if a whole period ends by t = 0.
     """
     if isinstance(w, Pwl):
         yield from (t for t, _ in w.points if 0.0 < t < t_stop)
     elif isinstance(w, Pulse):
+        start = w.delay if w.delay > -w.period else -math.fmod(-w.delay, w.period)
+        offsets = (0.0, w.rise, w.rise + w.width, w.rise + w.width + w.fall)
         k = 0
-        while True:
-            base = w.delay + k * w.period
-            if base >= t_stop:
-                break
-            for off in (0.0, w.rise, w.rise + w.width, w.rise + w.width + w.fall):
-                t = base + off
-                if 0.0 < t < t_stop:
-                    yield t
+        while (base := start + k * w.period) < t_stop:
+            yield from (t for t in (base + off for off in offsets) if 0.0 < t < t_stop)
             k += 1
 
 

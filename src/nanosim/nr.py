@@ -75,7 +75,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
     and the largest source-equation error (``source_error``) at most
     ``_SRC_VTOL`` volts. A detected 2-cycle sets ``oscillation_detected``
     (iteration continues to ``max_iter`` so failed runs carry their full
-    cost). The iterates are Python lists; the report's ``x`` is an array.
+    cost). A singular Jacobian, or an iterate or guess that is not finite,
+    stops the run at the last finite iterate (residuals NaN if none).
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
@@ -127,10 +128,11 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
         r.pop()
         return _max_abs(r), src, devs
 
-    older = prev = None         # the two iterates before x (2-cycle test)
+    older, prev = None, x       # the two iterates before the next x (2-cycle test)
     oscillation = converged = False
     osc_run = iters = 0
-    while True:
+    residual = src = math.nan   # until a finite iterate is walked
+    while math.isfinite(_max_abs(x)):
         residual, src, devs = walk(x)
         if residual <= _KCL_ATOL and src <= _SRC_VTOL:
             converged = True
@@ -175,6 +177,8 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
             moved = _max_abs([a - b for a, b in zip(x, prev)])
             osc_run = osc_run + 1 if two_cycle <= _OSC_ATOL and moved > _OSC_VTOL else 0
             oscillation = oscillation or osc_run >= _OSC_RUNS
+    else:                       # x is not finite: report the last one walked
+        x = prev
     return NrReport(converged=converged, iterations=iters,
                     oscillation_detected=oscillation and not converged, flops=fc,
                     residual=residual, source_error=src, x=np.array(x),

@@ -497,6 +497,8 @@ def transient(net: Netlist, t_stop: float, eps: float = 0.01) -> WaveformSeries:
         raise ValueError("eps must lie in (0, 1)")
     if not t_stop > 0.0:
         raise ValueError("t_stop must be positive")
+    if eps * (t_stop / 50.0) == 0.0:
+        raise ValueError("the first step, eps * t_stop/50, underflows to 0")
     return _Engine(net).run(t_stop, eps)
 
 

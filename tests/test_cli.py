@@ -178,6 +178,18 @@ class TestDc:
         assert captured.out.splitlines()[-1].startswith("flops: swec=")
         assert captured.err == f"warning: Newton baseline did not converge at {failed} points\n"
 
+    def test_newton_beyond_the_float_range_is_unconverged(self, tmp_path, capsys):
+        # the gate at 1e200 V drives the Newton iterate out of the float
+        # range: the baseline stops unconverged instead of failing the run
+        deck = tmp_path / "huge.ckt"
+        deck.write_text("V1 1 0 DC 1e200\nR1 1 2 1k\nM1 2 1 0 0 MF\n"
+                        ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        code = main(["op", str(deck), "--compare-nr"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.splitlines()[-1].startswith("flops: swec=")
+        assert captured.err == "warning: Newton baseline did not converge at 1 of 1 points\n"
+
     def test_points_validation(self, capsys):
         code = main(["dc", deck_path("rtd_divider.ckt"), "--points", "1"])
         assert code == 1
@@ -315,6 +327,35 @@ class TestTran:
         assert capsys.readouterr().err == "numerical failure: step budget exceeded (20)\n"
         assert not out.exists()
 
+    def test_subnormal_first_step_runs_to_the_step_budget(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # eps * t_stop/50 = 1e-310 s is tiny but not 0: the run starts
+        monkeypatch.setattr("nanosim.swec._MAX_STEPS", 50)
+        out = tmp_path / "tiny.csv"
+        code = main(["tran", deck_path("rc_lowpass.ckt"), "--eps", "1e-300",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: step budget exceeded (50)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pulse, code", [
+        ("PULSE(0 5 -1 1n 1n 1n 10n)", 0),
+        ("PULSE(0 5 -1e20 1n 1n 1n 10n)", 0),
+        ("PULSE(0 5 -1e300 1e-302 1e-302 0 1e-300)", 2),
+    ], ids=["delay-1s", "delay-1e20s", "period-1e-300s"])
+    def test_negative_delay_returns_at_once(self, pulse, code, tmp_path, capsys):
+        # the breakpoint walk starts in the period in progress at t = 0,
+        # however many periods the delay lies before it
+        deck = tmp_path / "neg.ckt"
+        deck.write_text(f"V1 1 0 {pulse}\nR1 1 2 1k\nC1 2 0 1p\n.tran 10n\n.end\n")
+        t0 = time.perf_counter()
+        got = main(["tran", str(deck), "--out", str(tmp_path / "neg.csv")])
+        assert time.perf_counter() - t0 < 10.0
+        err = capsys.readouterr().err
+        assert got == code
+        assert err == ("" if code == 0 else
+                       "numerical failure: step budget exceeded (200000)\n")
+
     def test_breakpoints_beyond_the_step_budget_refused_at_once(self, tmp_path, capsys):
         # the 80 ns PULSE has about 5e7 edges before 1 s; listing them all
         # would take minutes and gigabytes before the step budget failed
@@ -340,8 +381,12 @@ class TestTran:
     ["tran", "rc_lowpass.ckt", "--tstop", "1e999"],
     ["dc", "rtd_divider.ckt", "--to", "1e999"],
     ["stoch", "ou_step.ckt", "--dt", "1e306k"],
+    # a first step eps * t_stop/50 that rounds to 0 s
+    ["tran", "rc_lowpass.ckt", "--tstop", "1e-320"],
+    ["tran", "rc_lowpass.ckt", "--eps", "1e-320"],
 ], ids=["tstop", "eps", "from", "to", "dt", "window", "tstop-negative",
-        "resample-zero", "tstop-overflow", "to-overflow", "dt-overflow"])
+        "resample-zero", "tstop-overflow", "to-overflow", "dt-overflow",
+        "first-step-underflow-tstop", "first-step-underflow-eps"])
 def test_bad_value_is_one_line_input_error(argv, tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = main([argv[0], deck_path(argv[1])] + argv[2:] + ["--out", str(out)])

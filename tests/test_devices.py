@@ -267,12 +267,12 @@ _LOG1PEXP_X = (st.floats(-1e6, 1e6) | st.floats(20.0, 40.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LOG1PEXP_X, min_size=2, max_size=64).filter(lambda v: min(v) <= 30.0 < max(v)),
-       st.booleans())
+@given(st.lists(_LOG1PEXP_X, min_size=1, max_size=64), st.booleans())
 def test_mixed_log1pexp_equals_masked(xs, rows):
-    # an array straddling 30 takes the mask-free mixed path: each form sees
-    # only arguments clamped to its own side, so nothing overflows under the
-    # ensemble's error state, and picks the same elements
+    # every array, straddling 30 or on one side of it, takes the one
+    # mask-free path: each form sees only arguments clamped to its own side,
+    # so nothing overflows under the ensemble's error state, and picks the
+    # same elements
     x = np.array(xs)
     if rows:
         x = np.stack((x, x[::-1]))

@@ -2,12 +2,13 @@
 
 import dataclasses
 import glob
+import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nanosim import netlist
@@ -196,6 +197,70 @@ class TestWaveforms:
 
         assert has(2e-9) and has(3e-9) and has(13e-9) and has(14e-9) and has(32e-9)
         assert all(0.0 < b < 40e-9 for b in bps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True),
+           st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12))
+    def test_pwl_bisection_equals_linear_scan(self, times, values):
+        w = Pwl(tuple(zip(sorted(times), values)))
+        knots = [t for t, _ in w.points]
+        probes = [0.0, -0.0, knots[0] - 1.0, knots[-1] + 1.0,
+                  *(math.nextafter(t, d) for t in knots for d in (-math.inf, math.inf)),
+                  *knots, *((a + b) / 2 for a, b in zip(knots, knots[1:]))]
+        got = [eval_waveform(w, t) for t in probes]
+        assert np.array(got).tobytes() == np.array([_pwl_scan(w, t) for t in probes]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, 1e-8), st.floats(1e-12, 1e-8), st.floats(0.0, 1e-8),
+           st.floats(1.0, 4.0, exclude_min=True), st.floats(-1.0, 10.0, exclude_min=True),
+           st.floats(0.0, 30.0, exclude_min=True))
+    def test_pulse_walk_equals_walk_from_the_delay(self, rise, fall, width, spread,
+                                                   delay, stop):
+        # a delay above -period starts the walk at the delay itself, as a
+        # walk over every period from k = 0 does, in delay and stop periods
+        period = (rise + width + fall) * spread
+        assume(period > rise + width + fall)
+        w = Pulse(0.0, 5.0, delay * period, rise, fall, width, period)
+        t_stop = stop * period
+        got, want = waveform_breakpoints(w, t_stop), _pulse_walk_from_k0(w, t_stop)
+        assert np.array(list(got)).tobytes() == np.array(list(want)).tobytes()
+
+    @pytest.mark.parametrize("delay", [-1.0, -1e20, -25e-9, -1e-9])
+    def test_pulse_walk_starts_in_the_period_at_zero(self, delay):
+        # the walk visits no period that ended before t = 0, so a negative
+        # delay of any size lists the same 4 edges per 10 ns period
+        w = Pulse(0.0, 5.0, delay, 1e-9, 1e-9, 1e-9, 10e-9)
+        bps = list(waveform_breakpoints(w, 100e-9))
+        assert all(0.0 < a < b < 100e-9 for a, b in zip(bps, bps[1:]))
+        assert 39 <= len(bps) <= 41
+
+
+def _pwl_scan(w, t):
+    """A PWL's value by the first segment t0 <= t <= t1 of a linear scan,
+    after clamping outside the breakpoints."""
+    pts = w.points
+    if t <= pts[0][0]:
+        return pts[0][1]
+    if t >= pts[-1][0]:
+        return pts[-1][1]
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t0 <= t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return pts[-1][1]
+
+
+def _pulse_walk_from_k0(w, t_stop):
+    """A PULSE's breakpoints by walking every period from k = 0."""
+    k = 0
+    while True:
+        base = w.delay + k * w.period
+        if base >= t_stop:
+            break
+        for off in (0.0, w.rise, w.rise + w.width, w.rise + w.width + w.fall):
+            t = base + off
+            if 0.0 < t < t_stop:
+                yield t
+        k += 1
 
 
 class TestAnalyses:

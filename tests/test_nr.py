@@ -1,5 +1,7 @@
 """Newton baseline and brute-force oracle tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,21 @@ class TestNrDc:
         op = operating_point(net)
         assert op.settled
         assert (op.v("in"), op.v("out")) == (1.0, 0.0)
+
+    def test_iterate_beyond_the_float_range_stops_unconverged(self):
+        # a 1e200 V gate overflows the drain current, the next iterate is
+        # not finite, and Newton stops at the last finite one
+        net = parse_netlist("V1 1 0 DC 1e200\nR1 1 2 1k\nM1 2 1 0 0 MF\n"
+                            ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+        rep = nr_dc(net)
+        assert not rep.converged and rep.iterations >= 1
+        assert np.isfinite(rep.x).all() and math.isinf(rep.residual)
+        # a guess that is not finite is never walked
+        for bad in (math.inf, math.nan):
+            rep = nr_dc(net, initial_guess=np.array([bad, 0.0]))
+            assert (rep.converged, rep.iterations) == (False, 0)
+            assert math.isnan(rep.residual) and math.isnan(rep.source_error)
+        assert flop_compare(net, operating_point(net)).unconverged == 1
 
     @pytest.mark.parametrize("vin", ["0", "1.5", "2", "3", "5"])
     def test_inverter_agrees_with_engine(self, vin):

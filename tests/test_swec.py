@@ -272,6 +272,13 @@ class TestLinearTransient:
         with pytest.raises(ValueError):
             transient(net, 1e-6)
 
+    def test_first_step_underflow_rejected(self):
+        # eps * t_stop/50 rounds to 0 s, which assembly would divide by
+        net = parse_netlist(deck_text("rc_lowpass.ckt"))
+        for t_stop, eps in ((1e-320, 0.01), (5e-9, 1e-320)):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                transient(net, t_stop, eps)
+
 
 def _pulses(*delays):
     """An RC node driven through 1k from one 10 ns PULSE per delay: 40

@@ -11,6 +11,8 @@ tree's ``nanosim.cli.main``, the script runs
 * on every shipped deck without a ``.dc`` card, ``dc --compare-nr`` of
   each voltage source in 5 points from its t = 0 level to 1 V above it,
   with every other source at its t = 0 level;
+* ``tran --stats --plot`` on a generated deck whose source is a PWL of
+  2000 breakpoints (:func:`pwl_deck`);
 * every operation of ``perfbench/workloads.build(W, seed)`` for the three
   benchmark workloads at seeds 0 and 1.
 
@@ -45,6 +47,14 @@ def _digest(data: bytes) -> str:
 
 def _files(root: Path) -> set:
     return {p for p in root.rglob("*") if p.is_file()}
+
+
+def pwl_deck(knots: int = 2000) -> str:
+    """An RC low-pass driven by a PWL of ``knots`` breakpoints 1 ns apart,
+    at levels that cycle through 0 to 4 V in 0.5 V steps."""
+    pairs = " ".join(f"{k}n {k * 7 % 9 * 0.5!r}" for k in range(knots))
+    return (f"* {knots}-knot PWL\nV1 in 0 PWL({pairs})\nR1 in out 1k\nC1 out 0 1n\n"
+            f".tran {knots}n\n.end\n")
 
 
 def run(cli, argv, tree: Path, root: Path) -> str:
@@ -94,6 +104,8 @@ def main() -> int:
                     os.chdir(cwd)
                     print(run(cli, argv, tree, root), flush=True)
             os.chdir(root)
+            Path("pwl2000.ckt").write_text(pwl_deck(), encoding="utf-8")
+            print(run(cli, ["tran", "pwl2000.ckt", "--stats", "--plot"], tree, root), flush=True)
             for name in workloads.WORKLOADS:
                 for seed in SEEDS:
                     for op in workloads.build(name, seed, Path(f"{name}-seed{seed}")):
