@@ -78,13 +78,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .devices import G_FLOOR
+from .devices import G_FLOOR, mos_bias
 from .netlist import (NONLINEAR_KINDS, Element, ElementKind, Netlist, Waveform,
                       eval_waveform)
 
 _PIVOT_RTOL = 1e-14
 # the smallest normal double: below it a value loses significant bits
 _NORMAL_MIN = float(np.finfo(float).tiny)
+_MOSFET = ElementKind.MOSFET
 
 
 class MnaError(RuntimeError):
@@ -240,6 +241,21 @@ class Circuit:
 
     def source_levels(self, t: float) -> List[float]:
         return [eval_waveform(w, t) for w in self.waveforms]
+
+    def biases(self, x) -> List[tuple]:
+        """Each device's (branch, controlling, reversed) bias at node voltages ``x``,
+        a list of floats or an array of one row per node (ground reads zeros):
+        ``mos_bias``'s (vds, vgs, reversed) for a MOSFET, else (v, v, False)."""
+        zero = 0.0 if isinstance(x, list) else np.zeros(x.shape[1:])
+        out = []
+        for el, a, b, gate in self.devices:
+            va, vb = x[a] if a >= 0 else zero, x[b] if b >= 0 else zero
+            if el.kind is _MOSFET:
+                vgs, v, rev = mos_bias(va, x[gate] if gate >= 0 else zero, vb)
+                out.append((v, vgs, rev))
+            else:
+                out.append((va - vb, va - vb, False))
+        return out
 
     def system(self, t: float) -> MnaSystem:
         """A fresh system: a copy of the static G, the source values at

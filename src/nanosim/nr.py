@@ -11,8 +11,10 @@ validate the conductance-stepping engine and to compare operation counts.
 Every device has one linearized form, SPICE's MOSFET companion (Nagel,
 UCB ERL-M520, 1975): a branch current i from a node ``d`` to a node ``s``
 with slope gds against v = v_d - v_s and gm against the gate bias vgs. A
-MOSFET's ``s`` is its lower terminal, as :func:`~nanosim.devices.mos_bias`
-picks it; an RTD or nanowire is the case with no gate and gm = 0.
+MOSFET's ``s`` is its lower terminal, as the one bias rule,
+:meth:`~nanosim.mna.Circuit.biases`, picks it; an RTD or nanowire is the
+case with no gate and gm = 0. :func:`linearize` records these terms at an
+iterate, and :func:`jacobian` stamps them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .devices import (RtdModel, mos_bias, mos_current, mos_didv, mos_gm,
-                      nanowire_current, nanowire_didv, rtd_current, rtd_didv)
-from .mna import Circuit, FlopCounter, SingularSystemError, _max_abs, solve
+from .devices import (RtdModel, mos_current, mos_didv, mos_gm, nanowire_current,
+                      nanowire_didv, rtd_current, rtd_didv)
+from .mna import Circuit, FlopCounter, MnaSystem, SingularSystemError, _max_abs, solve
 from .netlist import NONLINEAR_KINDS, Dc, ElementKind, Netlist
 # the benchmark tracer patches dc_sweep, operating_point and pin_source here
 from .swec import DcSweep, OperatingPoint, dc_sweep, operating_point, pin_source  # noqa: F401
@@ -62,111 +64,118 @@ class FlopCompare:
     unconverged: int        # Newton solves that ended unconverged
 
 
+def linearize(circuit: Circuit, x: List[float], levels: List[float],
+              fc: FlopCounter) -> Tuple[List[float], float, list]:
+    """At ``x`` (node voltages, then source currents), with the sources at
+    ``levels``: every node's KCL residual (the true current into it), the
+    largest source-equation error, and one record per device for
+    :func:`jacobian`: (kind, model, d, s, gate, v, vgs, current)."""
+    n = circuit.n
+    xv = x + [0.0]              # node -1, ground, reads 0 V
+    r = [0.0] * (n + 1)         # and takes any current
+    src = 0.0
+    devs = []
+    devices = zip(circuit.models, circuit.biases(x))
+    for br in circuit.branches:
+        el, a, b = br.el, br.a, br.b
+        kind = el.kind
+        if kind is ElementKind.RESISTOR:
+            i = (xv[a] - xv[b]) / el.value
+            fc.count(adds=1, divs=1)
+        elif kind is ElementKind.VSOURCE:
+            k = circuit.source_index[el.name]
+            i = xv[k]
+            src = max(src, abs(xv[a] - xv[b] - levels[k - n]))
+        elif kind in NONLINEAR_KINDS:
+            mdl, (v, vgs, rev) = next(devices)
+            a, b = (b, a) if rev else (a, b)
+            if kind is ElementKind.MOSFET:
+                i = mos_current(mdl, vgs, v, fc)
+            else:
+                kernel = rtd_current if kind is ElementKind.RTD else nanowire_current
+                i = kernel(mdl, v, fc)
+            devs.append((kind, mdl, a, b, br.gate, v, vgs, i))
+        else:
+            continue
+        r[a] -= i
+        r[b] += i
+    r.pop()
+    return r, src, devs
+
+
+def jacobian(circuit: Circuit, devs: list, fc: FlopCounter) -> MnaSystem:
+    """The Newton system at the iterate where :func:`linearize` recorded
+    ``devs``: every device's linearized form stamped on the static G and the
+    t = 0 source values, capacitors open; its node rows are -d(residual)/dx."""
+    sys = circuit.system(0.0)
+    G, rhs = sys.rows, sys.b
+    for kind, mdl, d, s, g, v, vgs, i0 in devs:
+        if kind is ElementKind.MOSFET:
+            gds, gm = mos_didv(mdl, vgs, v), mos_gm(mdl, vgs, v)
+            fc.count(adds=4, muls=4)
+        else:
+            didv = rtd_didv if kind is ElementKind.RTD else nanowire_didv
+            gds, gm = didv(mdl, v, fc), 0.0
+            fc.count(adds=1, muls=1)
+        # linearized branch current: i0 + gds*dv + gm*dvgs
+        ieq = i0 - gds * v - gm * vgs
+        if d >= 0:
+            G[d][d] += gds
+            if s >= 0:
+                G[d][s] -= gds + gm
+            if g >= 0:
+                G[d][g] += gm
+            rhs[d] -= ieq
+        if s >= 0:
+            G[s][s] += gds + gm
+            if d >= 0:
+                G[s][d] -= gds
+            if g >= 0:
+                G[s][g] -= gm
+            rhs[s] += ieq
+    return sys
+
+
 def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = None,
           max_iter: int = 100) -> NrReport:
     """Plain Newton-Raphson DC solve on the nonlinear nodal equations.
 
     ``net`` may be a compiled :class:`Circuit`. Capacitors are open
-    circuits; noise sources are rejected. Each iteration starts from the
-    circuit's static G and source values and stamps every device's
-    linearized form (module docstring) on top, at the biases and currents
-    that the residual walk recorded at the iterate. Converged means the
-    largest nodal KCL residual (``residual``) is at most ``_KCL_ATOL`` amps
-    and the largest source-equation error (``source_error``) at most
-    ``_SRC_VTOL`` volts. A detected 2-cycle sets ``oscillation_detected``
-    (iteration continues to ``max_iter`` so failed runs carry their full
-    cost). A singular Jacobian, or an iterate or guess that is not finite,
-    stops the run at the last finite iterate (residuals NaN if none).
+    circuits; noise sources are rejected. Each iteration walks the iterate
+    with :func:`linearize` and, unless it stops there, solves the system
+    :func:`jacobian` stamps from the walk's records (no slope is billed at
+    the last iterate). Converged means the largest nodal KCL residual
+    (``residual``) is at most ``_KCL_ATOL`` amps and the largest
+    source-equation error (``source_error``) at most ``_SRC_VTOL`` volts.
+    A detected 2-cycle sets ``oscillation_detected`` (iteration continues
+    to ``max_iter`` so failed runs carry their full cost). A singular
+    Jacobian, or an iterate or guess that is not finite, stops the run at
+    the last finite iterate (residuals NaN if none).
     """
     circuit = net if isinstance(net, Circuit) else Circuit(net)
     if any(br.el.kind is ElementKind.NOISE for br in circuit.branches):
         raise ValueError("nr_dc does not handle noise sources")
-    n = circuit.n
-    fc = FlopCounter()
+    fc, levels = FlopCounter(), circuit.source_levels(0.0)
 
     x = np.zeros(circuit.size)
     if initial_guess is not None:
         x[:len(initial_guess)] = initial_guess
     x = x.tolist()
 
-    levels = circuit.source_levels(0.0)
-
-    def walk(xv: List[float]) -> Tuple[float, float, list]:
-        """At ``xv``: the largest nodal KCL imbalance with true device
-        currents, the largest source-equation error, and one record per
-        device in ``circuit.devices`` order (kind, model, d, s, gate, v,
-        vgs, current)."""
-        xv = xv + [0.0]         # node -1, ground, reads 0 V
-        r = [0.0] * (n + 1)     # and takes any current
-        src = 0.0
-        devs = []
-        for br in circuit.branches:
-            el, a, b = br.el, br.a, br.b
-            kind = el.kind
-            if kind is ElementKind.RESISTOR:
-                i = (xv[a] - xv[b]) / el.value
-                fc.count(adds=1, divs=1)
-            elif kind is ElementKind.VSOURCE:
-                k = circuit.source_index[el.name]
-                i = xv[k]
-                src = max(src, abs(xv[a] - xv[b] - levels[k - n]))
-            elif kind in NONLINEAR_KINDS:
-                mdl = circuit.models[len(devs)]
-                if kind is ElementKind.MOSFET:
-                    vgs, v, rev = mos_bias(xv[a], xv[br.gate], xv[b])
-                    a, b = (b, a) if rev else (a, b)
-                    i = mos_current(mdl, vgs, v, fc)
-                else:
-                    v, vgs = xv[a] - xv[b], 0.0
-                    kernel = rtd_current if kind is ElementKind.RTD else nanowire_current
-                    i = kernel(mdl, v, fc)
-                devs.append((kind, mdl, a, b, br.gate, v, vgs, i))
-            else:
-                continue
-            r[a] -= i
-            r[b] += i
-        r.pop()
-        return _max_abs(r), src, devs
-
     older, prev = None, x       # the two iterates before the next x (2-cycle test)
     oscillation = converged = False
     osc_run = iters = 0
     residual = src = math.nan   # until a finite iterate is walked
     while math.isfinite(_max_abs(x)):
-        residual, src, devs = walk(x)
+        r, src, devs = linearize(circuit, x, levels, fc)
+        residual = _max_abs(r)
         if residual <= _KCL_ATOL and src <= _SRC_VTOL:
             converged = True
             break
         if iters >= max_iter:
             break
         iters += 1
-        sys = circuit.system(0.0)
-        G, rhs = sys.rows, sys.b
-        for kind, mdl, d, s, g, v, vgs, i0 in devs:
-            if kind is ElementKind.MOSFET:
-                gds = mos_didv(mdl, vgs, v)
-                gm = mos_gm(mdl, vgs, v)
-                fc.count(adds=4, muls=4)
-            else:
-                didv = rtd_didv if kind is ElementKind.RTD else nanowire_didv
-                gds, gm = didv(mdl, v, fc), 0.0
-                fc.count(adds=1, muls=1)
-            # linearized branch current: i0 + gds*dv + gm*dvgs
-            ieq = i0 - gds * v - gm * vgs
-            if d >= 0:
-                G[d][d] += gds
-                if s >= 0:
-                    G[d][s] -= gds + gm
-                if g >= 0:
-                    G[d][g] += gm
-                rhs[d] -= ieq
-            if s >= 0:
-                G[s][s] += gds + gm
-                if d >= 0:
-                    G[s][d] -= gds
-                if g >= 0:
-                    G[s][g] -= gm
-                rhs[s] += ieq
+        sys = jacobian(circuit, devs, fc)
         older, prev = prev, x
         try:
             x = solve(sys, fc)

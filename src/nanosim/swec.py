@@ -90,7 +90,7 @@ import numpy as np
 # device_step_bound, geq_predict, rtd_dgeq_dv and nanowire_dgeq_dv are not
 # called; the benchmark tracer patches them here
 from .devices import (G_FLOOR, device_step_bound, geq_predict,  # noqa: F401
-                      mos_bias, mos_geq, nanowire_current, nanowire_dgeq_dv,
+                      mos_geq, nanowire_current, nanowire_dgeq_dv,
                       nanowire_geq, rtd_current, rtd_dgeq_dv, rtd_geq)
 from .mna import Circuit, FlopCounter, _max_abs, assemble, solve
 from .netlist import Dc, ElementKind, Netlist, eval_waveform, waveform_breakpoints
@@ -188,12 +188,13 @@ def next_step_size(h: float, lte: float, lte_tol: float, err: float, eps: float,
 _MOSFET, _RTD = ElementKind.MOSFET, ElementKind.RTD
 
 
-def _budgeted(times: Iterable[float]) -> Iterator[float]:
+def _budgeted(times: Iterable[float], every: bool = False) -> Iterator[float]:
     """The increasing breakpoints ``times``, refusing the run once more lie
-    1e-12 (relative) apart than it has steps: one must end at or below each."""
+    1e-12 (relative) apart than it has steps: one must end at or below each.
+    With ``every`` each one counts, so a walk that stalls (a PULSE near 1e10 s) ends."""
     apart, last = 0, -math.inf
     for t in times:
-        if t * (1.0 - 1e-12) > last:
+        if every or t * (1.0 - 1e-12) > last:
             apart, last = apart + 1, t
             if apart > _MAX_STEPS:
                 raise SimulationError(f"step budget exceeded ({_MAX_STEPS})")
@@ -204,14 +205,14 @@ class _Engine:
     """One compiled circuit and the history of each nonlinear device.
 
     Per-device data are lists index-aligned with ``circuit.devices``: kind,
-    model, terminal indices, the terminals the local error test reads
-    (source-held nodes left out once, here), the (branch, controlling)
-    biases at the last three accepted points, newest first, and the
-    conductances at the last. A step attempt works on Python floats and
-    lists from start to finish, and evaluates each device once at the
-    solution. Device kernels, :func:`assemble` and :func:`solve` are called
-    through this module's globals, once per device or attempt, so a tracer
-    that replaces them sees every call.
+    model, the terminals the local error test reads (source-held nodes left
+    out once, here), the (branch, controlling) biases at the last three
+    accepted points, newest first, and the conductances at the last. A step
+    attempt works on Python floats and lists from start to finish, and
+    evaluates each device once at the solution, at the bias
+    :meth:`Circuit.biases` reads. Device kernels, :func:`assemble` and
+    :func:`solve` are called through this module's globals, once per
+    device or attempt, so a tracer that replaces them sees every call.
     """
 
     def __init__(self, net: Netlist):
@@ -224,7 +225,6 @@ class _Engine:
         self.devices = circuit.devices
         self.kinds = [br.el.kind for br in self.devices]
         self.models = circuit.models
-        self.terminals = [(br.a, br.b, br.gate) for br in self.devices]
         self.history = [[(0.0, 0.0)] * len(self.devices)] * 3
         self.geq = [G_FLOOR] * len(self.devices)
         # the settle's stop scale, set by each settle from zero
@@ -239,7 +239,7 @@ class _Engine:
         self.error_terminals = [
             [(j, other, cap[j]) for j, other in ((a, b), (b, a))
              if j >= 0 and j not in held]
-            for a, b, _ in self.terminals]
+            for _, a, b, _ in self.devices]
 
     def conductances(self, biases: List[Tuple[float, float]]) -> List[float]:
         """Every device's conductance at its (branch, controlling) bias,
@@ -258,19 +258,9 @@ class _Engine:
 
     def evaluate(self, x: List[float]
                  ) -> Tuple[List[Tuple[float, float]], List[float]]:
-        """Every device's bias at solution x, (branch voltage, controlling
-        voltage): (vds, vgs) for a MOSFET, the terminal voltage twice
-        otherwise; and its conductance there."""
-        biases = []
-        for kind, (a, b, gate) in zip(self.kinds, self.terminals):
-            va = x[a] if a >= 0 else 0.0
-            vb = x[b] if b >= 0 else 0.0
-            if kind is _MOSFET:
-                vgs, v, _ = mos_bias(va, x[gate] if gate >= 0 else 0.0, vb)
-                biases.append((v, vgs))
-            else:
-                v = va - vb
-                biases.append((v, v))
+        """Every device's (branch, controlling) bias at solution x, by
+        :meth:`Circuit.biases`, and its conductance there."""
+        biases = [(v, ctrl) for v, ctrl, _ in self.circuit.biases(x)]
         return biases, self.conductances(biases)
 
     def step_geq(self, h: float, h_prev: float, h_prev2: float) -> List[float]:
@@ -330,8 +320,8 @@ class _Engine:
         # the starting point is committed with no step behind it (h_prev 0)
         self.commit_states(*self.evaluate(x))
         waveforms = self.circuit.waveforms
-        breakpoints = list(_budgeted(sorted({bp for w in waveforms for bp in
-                                             _budgeted(waveform_breakpoints(w, t_stop))})))
+        breakpoints = list(_budgeted(sorted({bp for w in waveforms for bp in _budgeted(
+            waveform_breakpoints(w, t_stop), every=True)})))
         # the sources are piecewise linear: they peak at an end or a breakpoint
         peak = max((abs(eval_waveform(w, t)) for w in waveforms
                     for t in (0.0, t_stop, *breakpoints)), default=0.0)
@@ -568,15 +558,10 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
         volts[k], settled[k], point_solves[k] = x[:n], ok, solves
 
     currents: Dict[str, np.ndarray] = {}
-    for br, m in zip(eng.devices, eng.models):
-        if br.el.kind is ElementKind.MOSFET:
-            continue
-        va, vb = (volts[:, i] if i >= 0 else np.zeros(points) for i in (br.a, br.b))
-        vbr = va - vb
-        if br.el.kind is ElementKind.RTD:
-            currents[br.el.name] = rtd_current(m, vbr)
-        else:
-            currents[br.el.name] = nanowire_current(m, vbr)
+    for kind, br, m, (v, _, _) in zip(eng.kinds, eng.devices, eng.models,
+                                      circuit.biases(volts.T)):
+        if kind is not _MOSFET:
+            currents[br.el.name] = (rtd_current if kind is _RTD else nanowire_current)(m, v)
     return DcSweep(source=src.name, biases=biases, voltages=volts,
                    currents=currents, settled=settled, nodes=eng.nodes,
                    flops=eng.fc, point_solves=point_solves)

@@ -8,6 +8,16 @@ from nanosim.devices import RtdModel
 DECKS = os.path.join(os.path.dirname(__file__), os.pardir, "decks")
 
 
+# five free nodes after the grounded V1 is condensed out: RTDs between free
+# nodes, a MOSFET whose gate a floating source holds above the RTDs'
+# midpoint and whose source is free, and a reversed MOSFET with a free gate
+MULTI_NODE_DECK = (
+    "* five free nodes\nV1 vdd 0 DC 3\nR1 vdd a 1k\nXRTD1 a b M1\nXRTD2 b 0 M1\n"
+    "V2 g b DC 1\nR2 vdd d 2k\nM1 d g s 0 MF\nR3 s 0 500\nM2 b d a 0 MF\n"
+    ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+    ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+
+
 def deck_path(name: str) -> str:
     return os.path.abspath(os.path.join(DECKS, name))
 

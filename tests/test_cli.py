@@ -356,6 +356,21 @@ class TestTran:
         assert err == ("" if code == 0 else
                        "numerical failure: step budget exceeded (200000)\n")
 
+    def test_stalled_pulse_walk_refused_at_once(self, tmp_path, capsys):
+        # near 1e10 s a 10 ns period moves an edge by less than the spacing
+        # of floats, so the breakpoint walk yields the same few times over
+        # and over; every time it yields counts toward the step budget
+        deck = tmp_path / "late.ckt"
+        deck.write_text("V1 1 0 PULSE(0 5 1e10 1n 1n 1n 10n)\nR1 1 2 1k\nC1 2 0 1p\n"
+                        ".tran 2e10\n.end\n")
+        out = tmp_path / "late.csv"
+        t0 = time.perf_counter()
+        code = main(["tran", str(deck), "--out", str(out)])
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: step budget exceeded (200000)\n"
+        assert not out.exists()
+
     def test_breakpoints_beyond_the_step_budget_refused_at_once(self, tmp_path, capsys):
         # the 80 ns PULSE has about 5e7 edges before 1 s; listing them all
         # would take minutes and gigabytes before the step budget failed

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanosim.devices import G_FLOOR
+from nanosim.cli import main
+from nanosim.devices import G_FLOOR, mos_bias
 from nanosim.mna import (_PIVOT_RTOL, Circuit, FlopCounter, MnaError, MnaSystem,
                          Partition, Pin, SingularSystemError, assemble, solve,
                          stamp_conductance)
 from nanosim.netlist import ElementKind, eval_waveform, parse_netlist
+
+from conftest import MULTI_NODE_DECK
 
 
 def _solve_net(deck):
@@ -512,3 +515,68 @@ class TestFlopCounter:
         assert fc.total() == 10
         fc.count(adds=1)
         assert fc.total() == 11
+
+
+# an RTD with both terminals on ground, MOSFETs with a grounded drain, gate
+# or source, and a nanowire between two free nodes
+_GROUNDED_TERMINALS = (
+    "* grounded terminals\nV1 1 0 DC 1\nR1 1 2 1k\nXRTD1 0 0 M1\nXRTD2 2 0 M1\n"
+    "M1 0 2 1 0 MF\nM2 2 0 1 0 MF\nM3 1 2 0 0 MF\nXNW1 1 2 NWM\n"
+    ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+    ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n"
+    ".model NWM NW (g0=2e-5 vstep=0.5 nsteps=5 smooth=0.05)\n.end\n")
+
+
+class TestBiases:
+    """``Circuit.biases``, the one rule by which every device walk reads
+    its devices' biases."""
+
+    @staticmethod
+    def _expected(circuit, x, ground):
+        """mos_bias's (vds, vgs, reversed) or (v, v, False), read by hand."""
+        def at(i):
+            return x[i] if i >= 0 else ground
+        out = []
+        for br in circuit.devices:
+            if br.el.kind is ElementKind.MOSFET:
+                vgs, vds, rev = mos_bias(at(br.a), at(br.gate), at(br.b))
+                out.append((vds, vgs, rev))
+            else:
+                v = at(br.a) - at(br.b)
+                out.append((v, v, False))
+        return out
+
+    @pytest.mark.parametrize("deck", [MULTI_NODE_DECK, _GROUNDED_TERMINALS],
+                             ids=["multi-node", "grounded-terminals"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_floats_and_arrays_read_mos_bias_and_differences(self, deck, data):
+        circuit = Circuit(parse_netlist(deck))
+        volts = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0)
+        points = data.draw(st.integers(1, 4))
+        rows = [data.draw(st.lists(volts, min_size=points, max_size=points))
+                for _ in range(circuit.n)]
+        # floats: the solution list a solve returns, source currents after
+        x = [row[0] for row in rows] + [0.5] * circuit.m
+        got = list(circuit.biases(x))
+        assert repr(got) == repr(self._expected(circuit, x, 0.0))
+        assert all(type(v) is float and type(c) is float for v, c, _ in got)
+        # arrays: one row per node, every bias an array of the row's shape
+        arr = np.array(rows).reshape(circuit.n, points)
+        got = list(circuit.biases(arr))
+        want = self._expected(circuit, list(arr), np.zeros(points))
+        for (v, c, rev), (wv, wc, wrev) in zip(got, want):
+            assert np.shape(v) == np.shape(c) == (points,)
+            assert (v.tobytes(), c.tobytes()) == (wv.tobytes(), wc.tobytes())
+            assert np.array_equal(rev, wrev)
+
+    def test_sweep_of_a_device_between_grounds_writes_zeros(self, tmp_path):
+        # both terminals on ground: the dc current column is still one zero
+        # per point
+        deck = tmp_path / "grounded.ckt"
+        deck.write_text(_GROUNDED_TERMINALS.replace(".end", ".dc V1 0 1 5\n.end"))
+        out = tmp_path / "grounded.csv"
+        assert main(["dc", str(deck), "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        col = header.split(",").index("i(XRTD1)")
+        assert [row.split(",")[col] for row in rows] == ["0.0"] * 5

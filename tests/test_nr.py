@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nanosim import nr
@@ -14,7 +14,7 @@ from nanosim.netlist import Dc, DcAnalysis, ElementKind, parse_netlist
 from nanosim.nr import brute_force_dc, flop_compare, nr_dc
 from nanosim.swec import dc_sweep, operating_point, pin_source
 
-from conftest import card, deck_text
+from conftest import MULTI_NODE_DECK, card, deck_text
 
 # a cut-off drain whose capacitor Newton leaves open empties the out row of
 # the Jacobian
@@ -152,6 +152,54 @@ class TestNrDc:
         net = parse_netlist(deck_text("ou_step.ckt"))
         with pytest.raises(ValueError):
             nr_dc(net)
+
+
+# every shipped deck that Newton takes (no noise source)
+_NEWTON_DECKS = ("divider", "fet_rtd_inverter", "mos_divider", "nanowire_divider",
+                 "rc_lowpass", "rtd_dff", "rtd_divider", "rtd_divider_bistable",
+                 "rtd_divider_tran")
+
+
+class TestJacobian:
+    """On the node rows, the system :func:`nr.jacobian` stamps from
+    :func:`nr.linearize`'s records is minus the derivative of its residual
+    vector, by central differences, wherever every MOSFET is at least 1 mV
+    from a region edge (vov = 0, vds = vov, vd = vs), where the slope jumps."""
+
+    @staticmethod
+    def _check(circuit, data):
+        n = circuit.n
+        x = (data.draw(st.lists(st.floats(-2.0, 8.0), min_size=n, max_size=n))
+             + data.draw(st.lists(st.floats(-1e-2, 1e-2), min_size=circuit.m,
+                                  max_size=circuit.m)))
+        for br, m, (vds, vgs, _) in zip(circuit.devices, circuit.models,
+                                        circuit.biases(x)):
+            if br.el.kind is ElementKind.MOSFET:
+                assume(min(abs(vgs - m.vth), abs(vds - vgs + m.vth), vds) >= 1e-3)
+        levels, fc = circuit.source_levels(0.0), FlopCounter()
+        G = nr.jacobian(circuit, nr.linearize(circuit, x, levels, fc)[2], fc).rows
+        scale = max(abs(g) for row in G[:n] for g in row[:n])
+        for j, xj in enumerate(x):
+            hi, lo = list(x), list(x)
+            hi[j] += 1e-6 * max(1.0, abs(xj))
+            lo[j] -= 1e-6 * max(1.0, abs(xj))
+            r_hi, r_lo = (nr.linearize(circuit, v, levels, fc)[0] for v in (hi, lo))
+            for i in range(n):
+                slope = -(r_hi[i] - r_lo[i]) / (hi[j] - lo[j])
+                assert abs(G[i][j] - slope) <= 1e-6 * scale, (i, j, G[i][j], slope)
+
+    @pytest.mark.parametrize("deck", _NEWTON_DECKS)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_shipped_decks(self, deck, data):
+        self._check(Circuit(parse_netlist(deck_text(f"{deck}.ckt"))), data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_free_gate_and_source(self, data):
+        # the rows and columns of free MOSFET sources and gates, and a
+        # floating source's current, which no shipped deck has
+        self._check(Circuit(parse_netlist(MULTI_NODE_DECK)), data)
 
 
 class TestBruteForce:

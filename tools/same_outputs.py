@@ -13,11 +13,15 @@ tree's ``nanosim.cli.main``, the script runs
   with every other source at its t = 0 level;
 * ``tran --stats --plot`` on a generated deck whose source is a PWL of
   2000 breakpoints (:func:`pwl_deck`);
+* ``op --compare-nr`` and the 5-point ``dc --compare-nr`` of each source
+  on a generated deck of five free nodes (:func:`multi_node_deck`), whose
+  Newton solves are not one-unknown LUs;
 * every operation of ``perfbench/workloads.build(W, seed)`` for the three
   benchmark workloads at seeds 0 and 1.
 
 For each command it prints one line: the argv (shipped decks relative to
-TREE, written files relative to the temporary directory), the exit code,
+TREE, generated decks and written files relative to the temporary
+directory), the exit code,
 and the sha256 of stdout, of stderr and of each file the command wrote. A
 refactor that must not change behaviour keeps every line:
 
@@ -57,6 +61,18 @@ def pwl_deck(knots: int = 2000) -> str:
             f".tran {knots}n\n.end\n")
 
 
+def multi_node_deck() -> str:
+    """Two RTDs in series between free nodes, a MOSFET whose gate a
+    floating source holds 1 V above their midpoint and whose source is a
+    free node, and a reversed MOSFET between the RTDs' ends, with a free
+    gate: after condensing the one grounded source, five free nodes and
+    the floating source's current remain."""
+    return ("* five free nodes\nV1 vdd 0 DC 3\nR1 vdd a 1k\nXRTD1 a b M1\nXRTD2 b 0 M1\n"
+            "V2 g b DC 1\nR2 vdd d 2k\nM1 d g s 0 MF\nR3 s 0 500\nM2 b d a 0 MF\n"
+            ".model M1 RTD (A=1e-4 B=2 C=1.5 D=0.3 H=1.43e-8 n1=0.35 n2=0.0172)\n"
+            ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
+
+
 def run(cli, argv, tree: Path, root: Path) -> str:
     """One command's line: argv, exit code and the digests of its streams
     and of the files under ``root`` that it created."""
@@ -64,8 +80,8 @@ def run(cli, argv, tree: Path, root: Path) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    shown = [os.path.relpath(a, tree) if a.startswith(f"{tree}{os.sep}") else a
-             for a in argv]
+    shown = [next((os.path.relpath(a, d) for d in (tree, root)
+                   if a.startswith(f"{d}{os.sep}")), a) for a in argv]
     written = sorted(_files(root) - before)
     files = " ".join(f"{p.relative_to(root)}={_digest(p.read_bytes())}" for p in written)
     return (f"{' '.join(shown)} | exit {code} | stdout={_digest(out.getvalue().encode())} "
@@ -81,15 +97,17 @@ def main() -> int:
 
     from nanosim.netlist import DcAnalysis, ElementKind, eval_waveform, parse_netlist
 
-    decks = sorted(p.stem for p in harness.DECKS.glob("*.ckt"))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        multi = root / "multinode.ckt"
+        multi.write_text(multi_node_deck(), encoding="utf-8")
+        decks = [(stem, harness.deck(stem), ANALYSES)
+                 for stem in sorted(p.stem for p in harness.DECKS.glob("*.ckt"))]
         try:
-            for deck in decks:
-                path = harness.deck(deck)
+            for deck, path, analyses in [*decks, ("multinode", str(multi), ANALYSES[:1])]:
                 argvs = {analysis[0]: [analysis[0], path, *analysis[1:]]
-                         for analysis in ANALYSES}
+                         for analysis in analyses}
                 net = parse_netlist(Path(path).read_text(encoding="utf-8"))
                 if not any(isinstance(a, DcAnalysis) for a in net.analyses):
                     # from the t = 0 level, so the first point settles as `op` does
