@@ -38,7 +38,6 @@ same LU on numpy rows (2-core VM, Python 3.11, numpy 2.4.6): 3 unknowns 19
 vs 50 us, 5 unknowns 40 vs 85 us, 10 unknowns 114 vs 195 us, 20 unknowns
 457 vs 542 us, 30 unknowns 1230 vs 545 us. The crossover is about 20
 unknowns; every shipped deck has at most 5, and 1 after the condensation.
-There is one code path for all sizes.
 
 Each substitution row subtracts a dot product, and its rounding is kept
 bit for bit equal to numpy's ``A[k, :k] @ x[:k]``. A Python sum does not
@@ -58,16 +57,18 @@ in 8 needs the matmul (its condensed one-unknown LU has no such row).
 A voltage source with one terminal at ground fixes that node's voltage, so
 the circuit records it once as a :class:`Pin` (source row, node, sign of
 the incidence) and every system it builds carries the partition. Such a
-system is solved condensed: each pinned node is set to +-its level
-exactly, the pinned columns of the other rows move to the right-hand side,
-the LU runs on the remaining rows only (free node voltages and the
-currents of floating sources), and each pinned source's current is read
-back from its node's KCL row. Every shipped deck has one free node, so
-every shipped solve is a one-unknown LU. A deck with no grounded source, a
-deck with a node pinned by two sources (singular), and a hand-built
-system carry no partition and take the full LU, as does a system whose
-right-hand side is nonzero but entirely subnormal. Moving a coefficient and
-summing one in the KCL read-back each bill one add and one multiply.
+system is solved condensed: each pinned node is set to +-its level exactly,
+the pinned columns of the other rows move to the right-hand side, the LU
+runs on the remaining rows only (free node voltages and the currents of
+floating sources), and each pinned source's current is read back from its
+node's KCL row. Every shipped deck has one free node, so all 5068 solves of
+the benchmark workloads have one unknown: one division, billed as the LU
+bills it; a zero, infinite or NaN pivot goes to the LU's tests. A deck with
+no grounded source, a deck with a node pinned by two sources (singular),
+and a hand-built system carry no partition and take the full LU, as does a
+system whose right-hand side is nonzero but entirely subnormal. Moving a
+coefficient and summing one in the KCL read-back each bill one add and one
+multiply.
 """
 
 from __future__ import annotations
@@ -361,8 +362,12 @@ def solve(sys: MnaSystem, fc: FlopCounter) -> List[float]:
         a.append([row[j] for j in free])
         rhs.append(bi)
     fc.count(billed, billed)
-    for j, xj in zip(free, _lu(a, rhs, fc)):
-        x[j] = xj
+    if len(a) == 1 and 0.0 < abs(a[0][0]) < math.inf:  # _lu's work on a pivot it takes
+        fc.divs += 1
+        x[free[0]] = rhs[0] / a[0][0]
+    else:
+        for j, xj in zip(free, _lu(a, rhs, fc)):
+            x[j] = xj
     # KCL at a pinned node: sum_j G[p][j] x_j + sign * i_source = b[p]
     billed = 0
     for pin in pins:

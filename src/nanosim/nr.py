@@ -42,6 +42,8 @@ _KCL_ATOL = 1e-9
 # Source branch equations are satisfied exactly after any solve; this only
 # guards against declaring an unsolved initial guess converged.
 _SRC_VTOL = 1e-9
+_RESISTOR, _VSOURCE, _MOSFET, _RTD = (ElementKind.RESISTOR, ElementKind.VSOURCE,
+                                      ElementKind.MOSFET, ElementKind.RTD)
 
 
 @dataclass
@@ -79,20 +81,20 @@ def linearize(circuit: Circuit, x: List[float], levels: List[float],
     for br in circuit.branches:
         el, a, b = br.el, br.a, br.b
         kind = el.kind
-        if kind is ElementKind.RESISTOR:
+        if kind is _RESISTOR:
             i = (xv[a] - xv[b]) / el.value
-            fc.count(adds=1, divs=1)
-        elif kind is ElementKind.VSOURCE:
+            fc.count(1, 0, 1)
+        elif kind is _VSOURCE:
             k = circuit.source_index[el.name]
             i = xv[k]
             src = max(src, abs(xv[a] - xv[b] - levels[k - n]))
         elif kind in NONLINEAR_KINDS:
             mdl, (v, vgs, rev) = next(devices)
             a, b = (b, a) if rev else (a, b)
-            if kind is ElementKind.MOSFET:
+            if kind is _MOSFET:
                 i = mos_current(mdl, vgs, v, fc)
             else:
-                kernel = rtd_current if kind is ElementKind.RTD else nanowire_current
+                kernel = rtd_current if kind is _RTD else nanowire_current
                 i = kernel(mdl, v, fc)
             devs.append((kind, mdl, a, b, br.gate, v, vgs, i))
         else:
@@ -110,13 +112,13 @@ def jacobian(circuit: Circuit, devs: list, fc: FlopCounter) -> MnaSystem:
     sys = circuit.system(0.0)
     G, rhs = sys.rows, sys.b
     for kind, mdl, d, s, g, v, vgs, i0 in devs:
-        if kind is ElementKind.MOSFET:
+        if kind is _MOSFET:
             gds, gm = mos_didv(mdl, vgs, v), mos_gm(mdl, vgs, v)
-            fc.count(adds=4, muls=4)
+            fc.count(4, 4)
         else:
-            didv = rtd_didv if kind is ElementKind.RTD else nanowire_didv
+            didv = rtd_didv if kind is _RTD else nanowire_didv
             gds, gm = didv(mdl, v, fc), 0.0
-            fc.count(adds=1, muls=1)
+            fc.count(1, 1)
         # linearized branch current: i0 + gds*dv + gm*dvgs
         ieq = i0 - gds * v - gm * vgs
         if d >= 0:
@@ -157,10 +159,10 @@ def nr_dc(net: Union[Netlist, Circuit], initial_guess: Optional[np.ndarray] = No
         raise ValueError("nr_dc does not handle noise sources")
     fc, levels = FlopCounter(), circuit.source_levels(0.0)
 
-    x = np.zeros(circuit.size)
-    if initial_guess is not None:
-        x[:len(initial_guess)] = initial_guess
-    x = x.tolist()
+    x = [] if initial_guess is None else list(map(float, initial_guess))
+    if len(x) > circuit.size:
+        raise ValueError(f"initial guess of {len(x)} values for {circuit.size} unknowns")
+    x += [0.0] * (circuit.size - len(x))
 
     older, prev = None, x       # the two iterates before the next x (2-cycle test)
     oscillation = converged = False
@@ -239,19 +241,20 @@ def brute_force_dc(rtd: RtdModel, r: float, vbias: float,
 def flop_compare(net: Netlist, result: Union[OperatingPoint, DcSweep]) -> FlopCompare:
     """Operation-count comparison: conductance-stepping engine vs naive NR.
 
-    ``result`` is the engine's :class:`OperatingPoint` or :class:`DcSweep`
-    of ``net`` and is billed as run. The NR side solves the same problem:
-    an operating point from zero, or a sweep of ``result.source`` over
-    ``result.biases`` by the classic continuation strategy (each point
-    starts from the previous point's final iterate). Each Newton solve is
-    billed as it ran; ``unconverged`` counts those that stopped without
-    converging, at the iteration limit or on a singular Jacobian.
+    ``result`` is the engine's :class:`OperatingPoint` or :class:`DcSweep` of
+    ``net`` and is billed as run. The NR side solves the same problem: an
+    operating point from zero, or a sweep of ``result.source`` over
+    ``result.biases``, walked as Python floats as :func:`dc_sweep` walks
+    them, by the classic continuation strategy (each point starts from the
+    previous point's final iterate). Each Newton solve is billed as it ran;
+    ``unconverged`` counts those that stopped without converging, at the
+    iteration limit or on a singular Jacobian.
     """
     if isinstance(result, DcSweep):
         circuit = Circuit(net)
         reports = []
         guess = None
-        for bias in result.biases:
+        for bias in result.biases.tolist():
             circuit.set_source(result.source, Dc(bias))
             reports.append(nr_dc(circuit, initial_guess=guess))
             guess = reports[-1].x

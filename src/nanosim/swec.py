@@ -515,13 +515,14 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
     """Swept operating points with secant continuation.
 
     The first bias is solved like :func:`operating_point`, and its stop
-    scale serves every point. The second starts from the first solution,
-    and each later bias from the secant prediction through the previous
-    two (a deck without nonlinear devices takes one resistive solve per
-    bias); a repeated bias repeats the previous point without a solve. One
-    compiled circuit serves every point: only the swept source's level
-    changes, and every other source holds its t = 0 level. RTD and
-    nanowire terminal currents are recorded per point.
+    scale serves every point. The second starts from the first solution, and
+    each later bias from the secant prediction through the previous two (a
+    deck without nonlinear devices takes one resistive solve per bias); a
+    repeated bias repeats the previous point without a solve. One compiled
+    circuit serves every point: only the swept source's level changes, and
+    every other source holds its t = 0 level. The biases are walked as
+    Python floats: numpy scalars would slow every solve. RTD and nanowire
+    terminal currents are recorded per point.
     """
     if points < 2:
         raise ValueError("dc_sweep requires at least 2 points")
@@ -538,8 +539,9 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
     settled = np.zeros(points, dtype=bool)
     point_solves = np.zeros(points, dtype=np.int64)
     x = x_prev = None
-    for k, bias in enumerate(biases):
-        if k and bias == biases[k - 1]:
+    levels = biases.tolist()
+    for k, bias in enumerate(levels):
+        if k and bias == levels[k - 1]:
             # a repeated bias repeats its point
             volts[k], settled[k] = volts[k - 1], settled[k - 1]
             continue
@@ -548,10 +550,10 @@ def dc_sweep(net: Netlist, source: str, start: float, stop: float,
             x, ok, solves = eng.settle()
         else:
             guess = x
-            step = biases[k - 1] - biases[k - 2] if k > 1 else 0.0
+            step = levels[k - 1] - levels[k - 2] if k > 1 else 0.0
             if step != 0.0:
                 # secant prediction through the last two points
-                f = (bias - biases[k - 1]) / step
+                f = (bias - levels[k - 1]) / step
                 guess = [a + f * (a - b) for a, b in zip(x, x_prev)]
             x_prev = x
             x, ok, solves = eng.settle(guess)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nanosim.cli import main
@@ -43,6 +43,10 @@ class TestAssemble:
             # would show at this tolerance, so the system keeps the full LU
             ("Rg1 1 0 100\nRg2 2 0 100\nRg3 3 0 100\nR0 1 2 100\n"
              "V0 3 2 DC 2.2250738585e-313\nV1 1 0 DC 0\n", "1", 0.0),
+            # the same with one free node: the full LU, not the division (the
+            # condensed source current misses at this tolerance)
+            ("V1 1 0 DC 2.2250738585e-313\nR1 1 2 1k\nR2 2 0 7k\n", "1",
+             2.2250738585e-313),
         ]:
             circuit, sys, x, _ = _solve_net(deck + ".op\n.end\n")
             assert sys.partition is not None
@@ -440,6 +444,10 @@ def _systems(draw):
 class TestSolveMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(_systems())
+    # one unknown: a NaN pivot goes through to the solution, a subnormal
+    # one is divided by
+    @example((np.array([[np.nan]]), np.array([0.5])))
+    @example((np.array([[2.5e-310]]), np.array([-1e-300])))
     def test_bit_identical_to_numpy_lu(self, system):
         G, rhs = system
         # the non-finite right-hand sides of _mna_shaped are intended: both
@@ -461,6 +469,12 @@ class TestSolveMatchesReference:
          "singular pivot at column 1"),
         # a pivot exactly at the 1e-14 threshold is singular
         ([[1.0, 0.0], [1.0, 1e-14]], "singular pivot at last column"),
+        # one unknown: a zero pivot is an empty row, and an infinite one is
+        # within 1e-14 of its own row scale
+        ([[0.0]], "structurally singular system (empty row)"),
+        ([[-0.0]], "structurally singular system (empty row)"),
+        ([[math.inf]], "singular pivot at last column"),
+        ([[-math.inf]], "singular pivot at last column"),
     ])
     def test_singular_messages(self, G, message):
         G = np.array(G)

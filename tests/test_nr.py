@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nanosim import nr
+from nanosim import nr, swec
 from nanosim.devices import nanowire_dgeq_dv, nanowire_geq
 from nanosim.mna import Circuit, FlopCounter, _max_abs
 from nanosim.netlist import Dc, DcAnalysis, ElementKind, parse_netlist
@@ -153,6 +153,26 @@ class TestNrDc:
         with pytest.raises(ValueError):
             nr_dc(net)
 
+    def test_initial_guess_contract(self):
+        # a short guess is padded with zeros, a list guess is taken as an
+        # array one is, and a guess longer than the system is refused
+        circuit = Circuit(parse_netlist(deck_text("rtd_divider_bistable.ckt")))
+        assert circuit.size == 3
+
+        def report(guess):
+            rep = nr_dc(circuit, initial_guess=guess, max_iter=40)
+            return (rep.x.tobytes(), rep.converged, rep.iterations,
+                    rep.oscillation_detected, rep.flops, repr(rep.residual),
+                    repr(rep.source_error))
+
+        for guess in ([12.0, 3.7894736842105265], [12.0], [12.0, 4.5, -1e-3]):
+            padded = report(guess + [0.0] * (3 - len(guess)))
+            assert report(guess) == report(np.array(guess)) == padded
+        with pytest.raises(ValueError):
+            nr_dc(circuit, initial_guess=[12.0, 4.5, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            nr_dc(circuit, initial_guess=np.zeros(4))
+
 
 # every shipped deck that Newton takes (no noise source)
 _NEWTON_DECKS = ("divider", "fet_rtd_inverter", "mos_divider", "nanowire_divider",
@@ -276,6 +296,22 @@ class TestFlopCompare:
         dc = card(net, DcAnalysis)
         cmp_ = flop_compare(net, dc_sweep(net, dc.source, dc.start, dc.stop, dc.points))
         assert (cmp_.swec_flops, cmp_.nr_flops, cmp_.unconverged) == (swec, newton, 0)
+
+    def test_dc_solves_stay_on_python_floats(self, monkeypatch):
+        # numpy scalars in a system would slow every solve's arithmetic: the
+        # swept levels reach the settle and Newton systems as Python floats
+        seen = []
+        for module in (swec, nr):
+            def typed(sys, fc, inner=module.solve):
+                x = inner(sys, fc)
+                seen.append({type(v) for v in sys.b + x})
+                return x
+            monkeypatch.setattr(module, "solve", typed)
+        net = parse_netlist(deck_text("rtd_divider.ckt"))
+        dc = card(net, DcAnalysis)
+        flop_compare(net, dc_sweep(net, dc.source, dc.start, dc.stop, dc.points))
+        assert len(seen) > dc.points
+        assert all(types == {float} for types in seen)
 
     def test_unconverged_newton_solves_are_counted(self):
         # Newton stops unconverged on a singular Jacobian, short of its

@@ -16,6 +16,9 @@ tree's ``nanosim.cli.main``, the script runs
 * ``op --compare-nr`` and the 5-point ``dc --compare-nr`` of each source
   on a generated deck of five free nodes (:func:`multi_node_deck`), whose
   Newton solves are not one-unknown LUs;
+* ``op``, ``op --compare-nr`` and a 3-point ``dc --compare-nr`` on a deck
+  whose free node only capacitors reach (:func:`capacitor_only_deck`), so
+  its DC system has an empty row;
 * every operation of ``perfbench/workloads.build(W, seed)`` for the three
   benchmark workloads at seeds 0 and 1.
 
@@ -73,6 +76,12 @@ def multi_node_deck() -> str:
             ".model MF NMOS (k=1e-3 W=4u L=1u Vth=1)\n.end\n")
 
 
+def capacitor_only_deck() -> str:
+    """A node reached only through capacitors: open at DC, its row of the
+    condensed one-unknown system is empty."""
+    return "* capacitor-only node\nV1 1 0 DC 1\nR1 1 0 1k\nC1 1 2 1p\nC2 2 0 1p\n.end\n"
+
+
 def run(cli, argv, tree: Path, root: Path) -> str:
     """One command's line: argv, exit code and the digests of its streams
     and of the files under ``root`` that it created."""
@@ -124,6 +133,11 @@ def main() -> int:
             os.chdir(root)
             Path("pwl2000.ckt").write_text(pwl_deck(), encoding="utf-8")
             print(run(cli, ["tran", "pwl2000.ckt", "--stats", "--plot"], tree, root), flush=True)
+            Path("caponly.ckt").write_text(capacitor_only_deck(), encoding="utf-8")
+            for argv in (["op", "caponly.ckt"], ["op", "caponly.ckt", "--compare-nr"],
+                         ["dc", "caponly.ckt", "--compare-nr", "--source", "V1",
+                          "--from=1.0", "--to=2.0", "--points", "3"]):
+                print(run(cli, argv, tree, root), flush=True)
             for name in workloads.WORKLOADS:
                 for seed in SEEDS:
                     for op in workloads.build(name, seed, Path(f"{name}-seed{seed}")):
